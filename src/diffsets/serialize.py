@@ -164,6 +164,13 @@ def _one(kv: Dict[str, List[str]], key: str, section: str) -> str:
     return kv[key][0]
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad integer in {what}: {text!r}") from None
+
+
 def _ints(text: str, what: str) -> List[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok != ""]
@@ -175,11 +182,7 @@ def _parse_gen(entry: str, what: str) -> Tuple[Tuple[int, ...], int]:
     if "|" not in entry:
         raise ParseError(f"{what} must look like 'word|base', got {entry!r}")
     word_s, _, base_s = entry.partition("|")
-    word = tuple(_ints(word_s, what))
-    try:
-        return word, int(base_s)
-    except ValueError:
-        raise ParseError(f"bad base element in {what}: {base_s!r}") from None
+    return tuple(_ints(word_s, what)), _int(base_s, f"{what} base element")
 
 
 def parse_group_sections(sections: List[Tuple[str, List[str]]]) -> Group:
@@ -187,7 +190,7 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]]) -> Group:
     if "group" not in by_name:
         raise ParseError("missing [group] section")
     head = _kv(by_name["group"], "group")
-    n_levels = int(_one(head, "levels", "group"))
+    n_levels = _int(_one(head, "levels", "group"), "[group] levels")
     group: Optional[Group] = None
     for li in range(n_levels):
         name = f"level {li}"
@@ -203,8 +206,8 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]]) -> Group:
         elif kind == "extension":
             if group is None:
                 raise ParseError("extension level has no base group")
-            size = int(_one(kv, "size", name))
-            na = int(_one(kv, "auts", name))
+            size = _int(_one(kv, "size", name), f"[{name}] size")
+            na = _int(_one(kv, "auts", name), f"[{name}] auts")
             auts: List[GroupAutomorphism] = []
             for ai in range(na):
                 images = _ints(_one(kv, f"aut{ai}", name), f"[{name}] aut{ai}")
@@ -212,7 +215,7 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]]) -> Group:
                     raise ParseError(f"[{name}] aut{ai} has {len(images)} images, "
                                      f"base group has {len(group.generators)} generators")
                 auts.append(aut_from_images(group, images))
-            ng = int(_one(kv, "gens", name))
+            ng = _int(_one(kv, "gens", name), f"[{name}] gens")
             gens = []
             for gi in range(ng):
                 word, b = _parse_gen(_one(kv, f"gen{gi}", name), f"[{name}] gen{gi}")
@@ -284,7 +287,7 @@ def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
     instance = None
     if "transfer" in by_name:
         kv = _kv(by_name["transfer"], "transfer")
-        na = int(_one(kv, "auts", "transfer"))
+        na = _int(_one(kv, "auts", "transfer"), "[transfer] auts")
         auts = []
         for ai in range(na):
             images = _ints(_one(kv, f"aut{ai}", "transfer"), f"[transfer] aut{ai}")
@@ -292,11 +295,11 @@ def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
                 raise ParseError(f"[transfer] aut{ai} has {len(images)} images, "
                                  f"group has {len(group.generators)} generators")
             auts.append(aut_from_images(group, images))
-        ng = int(_one(kv, "gens", "transfer"))
+        ng = _int(_one(kv, "gens", "transfer"), "[transfer] gens")
         gens = []
         for gi in range(ng):
             gens.append(_parse_gen(_one(kv, f"gen{gi}", "transfer"), f"[transfer] gen{gi}"))
-        cap = int(_one(kv, "cap", "transfer")) if "cap" in kv else None
+        cap = _int(_one(kv, "cap", "transfer"), "[transfer] cap") if "cap" in kv else None
         tlog = list(kv.get("log", []))
         instance = make_instance(design, auts, gens, closure_cap=cap, log=tlog)
     return design, instance

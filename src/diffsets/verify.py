@@ -26,8 +26,6 @@ from .errors import (
 from .groups import AbelianGroup, Group, Subgroup
 
 KINDS = ("DS", "PDS", "RDS")
-SRG_EXHAUSTIVE_LIMIT = 4096
-SRG_PROBES = 16
 _BLOCK_ENTRIES = 1 << 21
 
 
@@ -250,18 +248,17 @@ class SrgResult:
     k: int
     lam: int
     mu: int
-    exhaustive: bool
     degenerate_complete: bool
 
 
-def cayley_srg_check(design: DesignSet,
-                     exhaustive_limit: int = SRG_EXHAUSTIVE_LIMIT,
-                     probes: int = SRG_PROBES) -> SrgResult:
+def cayley_srg_check(design: DesignSet) -> SrgResult:
     """Measure strong regularity of the quotient graph u ~ v iff u v^-1 in D.
 
-    This is an independent recount through adjacency matrices (or, above the
-    exhaustive limit, through exact per-row common-neighbor counts on a
-    deterministic set of probe rows), so it can cross-check verify_pds.
+    Right translations x -> x g preserve adjacency and act transitively on
+    the vertices, so the identity's row decides strong regularity: the
+    common neighbours of 1 and w number #{(a, b) in D x D : a b = w}.  That
+    row is counted from products, not quotients, so this stays a code path
+    independent of verify_pds.
     """
     group = design.group
     n = group.size
@@ -272,53 +269,21 @@ def cayley_srg_check(design: DesignSet,
         raise NotClosedUnderInverse("graph check needs an inverse-closed connection set")
     members = np.array(design.members, dtype=np.int64)
     k = len(members)
-    degenerate = k == n - 1
 
-    if n <= exhaustive_limit:
-        adj = np.zeros((n, n), dtype=bool)
-        all_idx = np.arange(n, dtype=np.int64)
-        block = max(1, _BLOCK_ENTRIES // n)
-        for lo in range(0, n, block):
-            adj[lo:lo + block] = mask[group.quotient_outer(all_idx[lo:lo + block], all_idx)]
-        if not np.array_equal(adj, adj.T):
-            raise NotSRG("adjacency is not symmetric")
-        common = (adj.astype(np.float32) @ adj.astype(np.float32)).astype(np.int64)
-        off = ~np.eye(n, dtype=bool)
-        lam_vals = np.unique(common[adj & off])
-        mu_vals = np.unique(common[(~adj) & off])
-        if lam_vals.size > 1:
-            raise NotSRG(f"adjacent common-neighbor counts vary: {lam_vals[:4].tolist()}")
-        if not degenerate and mu_vals.size > 1:
-            raise NotSRG(f"non-adjacent common-neighbor counts vary: {mu_vals[:4].tolist()}")
-        lam = int(lam_vals[0]) if lam_vals.size else 0
-        mu = int(mu_vals[0]) if mu_vals.size else 0
-        return SrgResult(n, k, lam, mu, True, degenerate)
-
-    # probe mode: exact common-neighbor counts on a deterministic sample of
-    # pairs.  Rows are spread across the vertex set; per row, the probed
-    # columns cover both adjacent and non-adjacent partners.
-    step = n // probes + 1
-    rows = sorted({(i * step) % n for i in range(probes)} | {0})
-    cols_per_side = 4 * probes
-    lam_vals: set = set()
-    mu_vals: set = set()
-    for u in rows:
-        targets = group.mul_elems(members, int(u))
-        if len(set(targets.tolist())) != k:
-            raise NotSRG(f"probe row {u} is not {k}-regular")
-        nbr = np.zeros(n, dtype=bool)
-        nbr[targets] = True
-        adj_cols = [int(v) for v in targets[:cols_per_side] if int(v) != u]
-        non = np.flatnonzero(~nbr)
-        non = non[non != u]
-        stride = max(1, len(non) // cols_per_side)
-        non_cols = [int(v) for v in non[::stride][:cols_per_side]]
-        for v, bucket in [(v, lam_vals) for v in adj_cols] + \
-                         [(v, mu_vals) for v in non_cols]:
-            bucket.add(int(nbr[group.mul_elems(members, v)].sum()))
-        if len(lam_vals) > 1 or (not degenerate and len(mu_vals) > 1):
-            raise NotSRG(f"probe row {u} breaks strong regularity: "
-                         f"adjacent counts {sorted(lam_vals)}, others {sorted(mu_vals)}")
-    lam = lam_vals.pop() if lam_vals else 0
-    mu = mu_vals.pop() if mu_vals else 0
-    return SrgResult(n, k, int(lam), int(mu), False, degenerate)
+    common = np.zeros(n, dtype=np.int64)
+    if k:
+        block = max(1, _BLOCK_ENTRIES // k)
+        for lo in range(0, k, block):
+            prods = group.mul_outer(members[lo:lo + block], members)
+            common += np.bincount(prods.ravel(), minlength=n)
+    outside = ~mask
+    outside[group.identity] = False
+    lam_vals = np.unique(common[mask])
+    mu_vals = np.unique(common[outside])
+    if lam_vals.size > 1:
+        raise NotSRG(f"adjacent common-neighbor counts vary: {lam_vals[:4].tolist()}")
+    if mu_vals.size > 1:
+        raise NotSRG(f"non-adjacent common-neighbor counts vary: {mu_vals[:4].tolist()}")
+    lam = int(lam_vals[0]) if lam_vals.size else 0
+    mu = int(mu_vals[0]) if mu_vals.size else 0
+    return SrgResult(n, k, lam, mu, k == n - 1)

@@ -200,3 +200,24 @@ def test_export_dot(tmp_path, capsys):
 def test_missing_file_exits_2(capsys):
     code, _, stderr = run(capsys, "verify", "--design", "/nonexistent.txt")
     assert code == 2 and "cannot read" in stderr
+
+
+@pytest.mark.parametrize("key", ["levels", "size", "auts", "gens", "cap"])
+def test_non_integer_count_exits_2(tmp_path, capsys, key):
+    from diffsets import (DesignSet, abelian_make, aut_from_images,
+                          extension_closure, make_instance)
+    from diffsets.serialize import design_text
+    c4 = abelian_make((4,))
+    d8 = extension_closure(c4, [aut_from_images(c4, [3])], [((), 1), ((0,), 0)])
+    d = DesignSet(d8, (0,), "DS", (8, 1, 0))
+    inst = make_instance(d, [], [((), g) for g in d8.generators], closure_cap=8)
+    path = tmp_path / "d8.design.txt"
+    path.write_text(design_text(d, inst))
+    assert run(capsys, "verify", "--design", str(path))[0] == 0
+    lines = path.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(f"{key} = "))
+    lines[i] = f"{key} = one"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, stderr = run(capsys, "verify", "--design", str(path))
+    assert code == 2
+    assert f"{key}: 'one'" in stderr and "Traceback" not in stderr

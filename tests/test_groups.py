@@ -68,13 +68,25 @@ def test_aut_certification_accepts_and_rejects():
     # order-violating image is not a homomorphism (order 2 gen -> order 4 img)
     with pytest.raises((NotHomomorphism, NotBijective)):
         aut_from_images(g, [g.generators[0], g.generators[0]])
+    # a generator listed twice must get the same image both times
+    c4 = abelian_make((4,))
+    twice = extension_closure(c4, [], [((), 1), ((), 1)])
+    assert twice.generators[0] == twice.generators[1]
+    with pytest.raises(NotHomomorphism):
+        aut_from_images(twice, [twice.generators[0], twice.inv(twice.generators[0])])
 
 
-def test_aut_sampling_path_on_large_group():
-    g = abelian_make((3,) * 9)  # order 19683 > exhaustive limit
+def test_aut_exact_on_large_group():
+    g = abelian_make((3,) * 9)  # order 19683
     doubling = aut_from_images(g, [g.mul(x, x) for x in g.generators])
-    assert doubling.certified_by_sampling
     assert doubling.order == 2  # 2*2 = 4 = 1 mod 3
+    # order 32768: fix every generator of C4^7 x C2 but send the C2 generator
+    # to g_0 * g_last.  The map is bijective, but that image has order 4.
+    h = abelian_make((4,) * 7 + (2,))
+    images = list(h.generators)
+    images[-1] = h.mul(h.generators[0], h.generators[-1])
+    with pytest.raises(NotHomomorphism):
+        aut_from_images(h, images)
 
 
 def test_extension_closure_builds_dihedral(d4):

@@ -7,8 +7,10 @@ import pytest
 
 import oracle
 from diffsets import (
+    DesignSet,
     NotBijective,
     NotHomomorphism,
+    NotSRG,
     abelian_make,
     aut_from_images,
     cayley_srg_check,
@@ -81,12 +83,32 @@ def test_srg_cross_route_agreement(corpus):
     assert checked >= 10
 
 
+def _inverse_pairs(group, elements):
+    return sorted({tuple(sorted({x, group.inv(x)})) for x in elements})
+
+
 def test_srg_exhaustive_matches_naive_on_small(corpus):
     inst, rep = corpus["denniston_gr4_t2_k1"]
     for design in (inst.design, rep.new_design):
         mul, inv = design.group.mul, design.group.inv
+        srg = cayley_srg_check(design)
         assert oracle.srg_params(64, mul, inv, design.members) \
-            == verify_pds(design).params
+            == verify_pds(design).params == (srg.n, srg.k, srg.lam, srg.mu)
+
+    # swap one inverse pair of the lifted (nonabelian) design for another
+    # inverse pair of the same size, the first such swap that the oracle
+    # says breaks strong regularity
+    lifted = rep.new_design
+    group = lifted.group
+    inside = _inverse_pairs(group, lifted.members)
+    outside = _inverse_pairs(group, set(range(1, 64)) - set(lifted.members))
+    candidates = (sorted(set(lifted.members) - set(old) | set(new))
+                  for old in inside for new in outside if len(old) == len(new))
+    members = next(m for m in candidates
+                   if oracle.srg_params(64, group.mul, group.inv, m) is None)
+    mutated = DesignSet(group, members, "PDS", lifted.claimed)
+    with pytest.raises(NotSRG):
+        cayley_srg_check(mutated)
 
 
 def test_construction_is_deterministic():

@@ -62,7 +62,6 @@ def test_paley_pds_and_srg_agree():
     assert res.regular is True  # reversibility is implied for a regular PDS
     srg = cayley_srg_check(d)
     assert (srg.n, srg.k, srg.lam, srg.mu) == (13, 6, 2, 3)
-    assert srg.exhaustive
     mul = lambda a, b: oracle.abelian_mul((13,), a, b)
     inv = lambda a: oracle.abelian_inv((13,), a)
     assert oracle.pds_params(13, mul, inv, PALEY13) == (13, 6, 2, 3)
@@ -79,9 +78,18 @@ def test_non_reversible_pds_rejected():
 def test_not_srg_detected():
     g = abelian_make((8,))
     d = DesignSet(g, (1, 7, 2, 6), "PDS", (8, 4, 0, 0))
-    with pytest.raises((NotSRG, ParameterMismatch)):
+    with pytest.raises(ParameterMismatch):
         verify_pds(d, require_regular=True)
+    with pytest.raises(NotSRG, match=r"^adjacent common-neighbor counts vary: \[1, 2\]"):
         cayley_srg_check(d)
+    mul = lambda a, b: oracle.abelian_mul((8,), a, b)
+    inv = lambda a: oracle.abelian_inv((8,), a)
+    assert oracle.srg_params(8, mul, inv, d.members) is None
+    # the 8-cycle: adjacent counts are all 0, non-adjacent ones are {0, 1}
+    cycle = DesignSet(g, (1, 7), "PDS", (8, 2, 0, 0))
+    with pytest.raises(NotSRG, match=r"^non-adjacent common-neighbor counts vary: \[0, 1\]"):
+        cayley_srg_check(cycle)
+    assert oracle.srg_params(8, mul, inv, cycle.members) is None
 
 
 def test_difference_profile_matches_oracle():
@@ -136,11 +144,9 @@ def test_verify_design_dispatch():
         DesignSet(g, FANO, "XXX", (7, 3, 1))
 
 
-def test_srg_probe_mode_above_limit():
-    # group order 6561 > 4096 forces the probe route
-    d = pcp_pds(3, 4, 2)
+def test_srg_matches_verify_on_large_group():
+    d = pcp_pds(3, 4, 2)  # order 6561
     srg = cayley_srg_check(d)
-    assert not srg.exhaustive
     assert (srg.n, srg.k, srg.lam, srg.mu) == verify_pds(d).params
 
 
