@@ -33,9 +33,8 @@ from .families import (
 )
 from .groups import abelian_make, fingerprint
 from .serialize import (
+    cayley_export,
     design_text,
-    dot_text,
-    edges_text,
     group_text,
     manifest_text,
     parse_design,
@@ -87,6 +86,9 @@ PARAM_FLAGS = ("p", "q", "d", "m", "n", "r", "s", "t", "k", "variant")
 
 
 def _collect_params(args: argparse.Namespace, family: str) -> Dict[str, int]:
+    if family not in FAMILIES:
+        raise ParameterError(f"unknown family {family!r}; choose from "
+                             + ", ".join(sorted(FAMILIES)))
     needs, defaults, _ = FAMILIES[family]
     params: Dict[str, int] = {}
     for flag in PARAM_FLAGS:
@@ -105,9 +107,6 @@ def _collect_params(args: argparse.Namespace, family: str) -> Dict[str, int]:
 
 
 def _build_family(family: str, params: Dict[str, int]) -> Built:
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family {family!r}; choose from "
-                             + ", ".join(sorted(FAMILIES)))
     return FAMILIES[family][2](params)
 
 
@@ -135,9 +134,6 @@ def _write(path: str, text: str) -> None:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     family = args.family
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family {family!r}; choose from "
-                             + ", ".join(sorted(FAMILIES)))
     params = _collect_params(args, family)
     t0 = time.perf_counter()
     built = _build_family(family, params)
@@ -196,9 +192,6 @@ def cmd_transfer(args: argparse.Namespace) -> int:
         if not args.family:
             raise ParameterError("transfer needs --design FILE or --family NAME")
         family = args.family
-        if family not in FAMILIES:
-            raise ParameterError(f"unknown family {family!r}; choose from "
-                                 + ", ".join(sorted(FAMILIES)))
         params = _collect_params(args, family)
         built = _build_family(family, params)
         if not isinstance(built, TransferInstance):
@@ -257,24 +250,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     design, _ = parse_design(_read(args.design))
-    if args.format == "edges":
-        text, suffix = edges_text(design), ".edges"
-    else:
-        text, suffix = dot_text(design), ".dot"
     base = args.design
-    for tail in (".design.txt", ".txt"):
-        if base.endswith(tail):
-            base = base[: -len(tail)]
+    for ext in (".design.txt", ".txt"):
+        if base.endswith(ext):
+            base = base[: -len(ext)]
             break
-    out = args.out or base + suffix
+    out = args.out or base + "." + args.format
+    head, arcs, tail = cayley_export(design, args.format)
+    n_arcs = 0
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        for line in arcs:
+            fh.write(line)
+            n_arcs += 1
+        fh.write(tail)
     directed = not design.is_inverse_closed()
-    kind = "directed" if directed else "undirected"
-    n_lines = sum(1 for ln in text.splitlines()
-                  if ln and not ln.startswith(("#", "//")) and "{" not in ln
-                  and "}" not in ln)
-    print(f"{design.group.size} vertices, {n_lines} {kind} "
-          f"{'arcs' if directed else 'edges'}")
-    _write(out, text)
+    print(f"{design.group.size} vertices, {n_arcs} "
+          f"{'directed arcs' if directed else 'undirected edges'}")
+    print(f"wrote {out}")
     return 0
 
 

@@ -48,10 +48,6 @@ class NotCoprime(ParameterError):
     pass
 
 
-class AssignmentNotInjective(ParameterError):
-    pass
-
-
 class ParseError(ParameterError):
     pass
 
@@ -107,10 +103,6 @@ class NotReversible(MathError):
 
 
 class DecompositionFailure(MathError):
-    pass
-
-
-class NotRegular(MathError):
     pass
 
 

@@ -21,11 +21,9 @@ import numpy as np
 import sympy
 
 from .errors import (
-    AssignmentNotInjective,
     DecompositionFailure,
     IndexNotTwo,
     MultiplierFails,
-    NotRegular,
     NotReversible,
     NoValidAlpha,
     ParameterError,
@@ -38,7 +36,6 @@ from .fields import FiniteField, field_embed, field_make, galois_ring_make, hype
 from .groups import (
     AbelianGroup,
     ExtensionGroup,
-    Group,
     GroupAutomorphism,
     Subgroup,
     abelian_make,
@@ -47,7 +44,7 @@ from .groups import (
     subgroup_closure,
 )
 from .transfer import TransferInstance, TransferReport, make_instance, transfer_pds
-from .verify import DesignSet, multiplier_check, verify_design, verify_ds, verify_pds, verify_rds
+from .verify import DesignSet, multiplier_check, verify_ds, verify_pds, verify_rds
 
 
 # ---------------------------------------------------------------------------
@@ -88,24 +85,26 @@ class _SpanGF:
         self.rows.sort(key=lambda r: int(np.nonzero(r)[0][0]))
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    def complete_avoiding(self, u) -> None:
+        """Greedily add the standard basis vectors, in order, each one only if
+        u stays outside the span.  Started from a span that misses u, this
+        ends at a hyperplane that misses u."""
+        for e in np.eye(self.dim, dtype=np.int64):
+            trial = _SpanGF(self.dim, self.p)
+            trial.rows = list(self.rows)
+            if trial.add(e) and not trial.contains(u):
+                self.rows = trial.rows
+        assert len(self.rows) == self.dim - 1 and not self.contains(u)
 
-    def copy(self) -> "_SpanGF":
-        other = _SpanGF(self.dim, self.p)
-        other.rows = [row.copy() for row in self.rows]
-        return other
 
-
-def invariant_hyperplane(group: AbelianGroup, aut: GroupAutomorphism,
-                         keep_out: Optional[int] = None) -> Tuple[int, Tuple[int, ...]]:
+def invariant_hyperplane(group: AbelianGroup,
+                         aut: GroupAutomorphism) -> Tuple[int, Tuple[int, ...]]:
     """For an elementary abelian group and an automorphism phi, return
     (u, basis of X) where X is a phi-invariant hyperplane avoiding u.
 
     X is grown greedily from Im(phi - 1) - any subspace containing that image
-    is automatically invariant - and u defaults to the first standard basis
-    vector outside the image (a vector inside it would lie in every invariant
+    is automatically invariant - and u is the first standard basis vector
+    outside the image (a vector inside it would lie in every invariant
     hyperplane, making the avoidance impossible).
     """
     p = group.orders[0]
@@ -115,34 +114,11 @@ def invariant_hyperplane(group: AbelianGroup, aut: GroupAutomorphism,
     span = _SpanGF(dim, p)
     for g in group.generators:
         span.add((group.digits[aut.apply(g)] - group.digits[g]) % p)
-    if keep_out is None:
-        u_digits = None
-        for i in range(dim):
-            e = np.zeros(dim, dtype=np.int64)
-            e[i] = 1
-            if not span.contains(e):
-                u_digits = e
-                break
-        if u_digits is None:
-            raise ParameterError("phi - 1 is surjective; no invariant hyperplane avoids anything")
-    else:
-        u_digits = np.array(group.digits[keep_out], dtype=np.int64)
-        if span.contains(u_digits):
-            raise ParameterError("the requested coset representative lies in Im(phi - 1), "
-                                 "hence in every invariant hyperplane")
-    x_span = span
-    for j in range(dim):
-        e = np.zeros(dim, dtype=np.int64)
-        e[j] = 1
-        if x_span.contains(e):
-            continue
-        trial = x_span.copy()
-        trial.add(e)
-        if trial.contains(u_digits):
-            continue
-        x_span = trial
-    assert x_span.rank == dim - 1 and not x_span.contains(u_digits)
-    basis = tuple(int(group.encode(row)) for row in x_span.rows)
+    u_digits = next((e for e in np.eye(dim, dtype=np.int64) if not span.contains(e)), None)
+    if u_digits is None:
+        raise ParameterError("phi - 1 is surjective; no invariant hyperplane avoids anything")
+    span.complete_avoiding(u_digits)
+    basis = tuple(int(group.encode(row)) for row in span.rows)
     return int(group.encode(u_digits)), basis
 
 
@@ -326,8 +302,7 @@ def pcp_pds(p: int, n: int, s: int) -> DesignSet:
     return design
 
 
-def pgroup_multiplier_transfer(p: int, n: int, base_pds: Optional[DesignSet] = None,
-                               s: int = 2) -> TransferInstance:
+def pgroup_multiplier_transfer(p: int, n: int, s: int = 2) -> TransferInstance:
     """Pair the multiplier automorphism g -> g^(p^(n-1)+1) with the second
     coordinate, landing the PDS in a nonabelian p-group.
 
@@ -339,13 +314,8 @@ def pgroup_multiplier_transfer(p: int, n: int, base_pds: Optional[DesignSet] = N
     if n < 2:
         raise ParameterError("n must be at least 2: at n = 1 the multiplier map "
                              "is the identity")
-    design = base_pds if base_pds is not None else pcp_pds(p, n, s)
+    design = pcp_pds(p, n, s)
     group = design.group
-    q = p ** n
-    if not isinstance(group, AbelianGroup) or group.orders != (q, q):
-        raise ParameterError(f"expected a design in C_{q} x C_{q}")
-    if group.identity in design.members or not design.is_inverse_closed():
-        raise NotRegular("the base PDS must be regular (identity-free and inverse-closed)")
     t = p ** (n - 1) + 1
     if not multiplier_check(design, t):
         raise MultiplierFails(f"{t} is not a multiplier of this design, which contradicts "
@@ -612,10 +582,9 @@ def _plane_codes(plane, q: int) -> List[int]:
     return list(plane.members)
 
 
-def mcfarland_base(q: int, s: int, k_orders: Optional[Sequence[int]] = None,
-                   assignment: Optional[Sequence[int]] = None) -> DesignSet:
-    """One hyperplane of GF(q)^(s+1) per nonidentity element of a tail group
-    of order r+1; the union of the tagged hyperplanes is a difference set."""
+def mcfarland_base(q: int, s: int) -> DesignSet:
+    """One hyperplane of GF(q)^(s+1) per nonidentity element of the cyclic
+    tail C_(r+1); the union of the tagged hyperplanes is a difference set."""
     if q < 2 or s < 1:
         raise ParameterError("need q >= 2 and s >= 1")
     factors = sympy.factorint(q)
@@ -639,29 +608,14 @@ def mcfarland_base(q: int, s: int, k_orders: Optional[Sequence[int]] = None,
     assert len(planes) == r
     e_size = q ** (s + 1)
 
-    tail = abelian_make(tuple(k_orders) if k_orders is not None else (r + 1,))
-    if tail.size != r + 1:
-        raise ParameterError(f"the tail group must have order r + 1 = {r + 1}, "
-                             f"got {tail.size}")
-    assign = tuple(assignment) if assignment is not None else tuple(range(1, r + 1))
-    if len(assign) != r:
-        raise ParameterError(f"assignment must tag all {r} hyperplanes")
-    if any(a == tail.identity for a in assign):
-        raise ParameterError("assignment may not use the identity of the tail group")
-    if len(set(assign)) != len(assign):
-        dup = sorted(a for a in set(assign) if list(assign).count(a) > 1)[0]
-        raise AssignmentNotInjective(f"tail element {dup} is assigned to two hyperplanes")
-    if any(not 0 <= a < tail.size for a in assign):
-        raise ParameterError("assignment references elements outside the tail group")
-
-    group = abelian_make(e_orders + tail.orders)
+    group = abelian_make(e_orders + (r + 1,))
     members: List[int] = []
-    for codes, a in zip(plane_codes, assign):
+    for a, codes in enumerate(plane_codes, start=1):
         members.extend(ec + e_size * a for ec in codes)
     claimed = (e_size * (r + 1), q ** s * r, q ** s * (q ** s - 1) // (q - 1))
     design = DesignSet(group, tuple(sorted(members)), "DS", claimed,
                        log=[f"{r} hyperplanes tagged by nonidentity elements of "
-                            f"{tail!r}"])
+                            f"C{r + 1}"])
     verify_ds(design)
     return design
 
@@ -1001,28 +955,12 @@ def rds_transfer(d: int, variant: int) -> TransferInstance:
                 break
         assert beta is not None
         span = _SpanGF(4 * d, 2)
-        qbasis = []
+        zeros = np.zeros(2 * d, dtype=np.int64)
         for a in range(1, qq):
             if F.in_subfield(a, d):
-                vec = np.concatenate([F.digits[a], np.zeros(2 * d, dtype=np.int64)])
-                if span.add(vec):
-                    qbasis.append(a)
-                vec2 = np.concatenate([np.zeros(2 * d, dtype=np.int64), F.digits[a]])
-                span.add(vec2)
-        u_vec = np.concatenate([F.digits[beta], np.zeros(2 * d, dtype=np.int64)])
-        assert not span.contains(u_vec)
-        for cand_vec in ([np.concatenate([F.digits[2 ** j], np.zeros(2 * d, dtype=np.int64)])
-                          for j in range(2 * d)]
-                         + [np.concatenate([np.zeros(2 * d, dtype=np.int64), F.digits[2 ** j]])
-                            for j in range(2 * d)]):
-            if span.contains(cand_vec):
-                continue
-            trial = span.copy()
-            trial.add(cand_vec)
-            if trial.contains(u_vec):
-                continue
-            span = trial
-        assert span.rank == 4 * d - 1
+                span.add(np.concatenate([F.digits[a], zeros]))
+                span.add(np.concatenate([zeros, F.digits[a]]))
+        span.complete_avoiding(np.concatenate([F.digits[beta], zeros]))
         bcodes = []
         for row in span.rows:
             x = int(np.sum(row[:2 * d] * (1 << np.arange(2 * d))))

@@ -34,12 +34,6 @@ _MUL_TABLE_LIMIT = 2048
 # dense polynomial helpers (coefficient lists, low degree first)
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a: List[int]) -> List[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> List[int]:
     """Product of a and b reduced modulo a monic modulus, coefficients mod p."""
     m = len(modulus) - 1
@@ -157,7 +151,6 @@ class FiniteField:
         if self.q <= _ADD_TABLE_LIMIT:
             s = (digs[:, None, :] + digs[None, :, :]) % p
             self._add_table = (s @ self._radix).astype(np.int64)
-        self._ring: Optional["GaloisRing"] = None
         self._embeddings: Dict[int, np.ndarray] = {}
 
     # -- basic arithmetic on codes --------------------------------------
@@ -166,12 +159,6 @@ class FiniteField:
         if self._add_table is not None:
             return int(self._add_table[a, b])
         return int(((self.digits[a] + self.digits[b]) % self.p) @ self._radix)
-
-    def neg(self, a: int) -> int:
-        return int(((-self.digits[a]) % self.p) @ self._radix)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -183,9 +170,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero")
         return int(self.exp[(-self.log[a]) % (self.q - 1)])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -194,11 +178,6 @@ class FiniteField:
                 raise ZeroDivisionError("negative power of zero")
             return 0
         return int(self.exp[(self.log[a] * e) % (self.q - 1)])
-
-    def add_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self._add_table is not None:
-            return self._add_table[a, b]
-        return ((self.digits[a] + self.digits[b]) % self.p) @ self._radix
 
     # -- field structure -------------------------------------------------
 
@@ -218,25 +197,6 @@ class FiniteField:
     def in_subfield(self, a: int, sub_degree: int) -> bool:
         return self.frob(a, sub_degree) == a
 
-    # -- conveniences ------------------------------------------------------
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def primitive(self) -> "FieldElement":
-        return FieldElement(self, int(self.exp[1]) if self.q > 2 else 1)
-
-    def element(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.q:
-            raise ParameterError(f"element code {code} out of range for {self!r}")
-        return FieldElement(self, int(code))
-
     def element_str(self, code: int, var: str = "x") -> str:
         return _poly_str(self.digits[code].tolist(), var)
 
@@ -248,46 +208,6 @@ class FiniteField:
 
     def __hash__(self) -> int:
         return id(self)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    field: FiniteField
-    code: int
-
-    def _coerce(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement) or other.field is not self.field:
-            raise ParameterError("arithmetic between different fields is not defined; "
-                                 "use field_embed to move elements explicitly")
-        return other.code
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.add(self.code, self._coerce(other)))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.sub(self.code, self._coerce(other)))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.mul(self.code, self._coerce(other)))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.div(self.code, self._coerce(other)))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __int__(self) -> int:
-        return self.code
-
-    @property
-    def coeffs(self) -> Tuple[int, ...]:
-        return tuple(self.field.digits[self.code].tolist())
-
-    def __repr__(self) -> str:
-        return self.field.element_str(self.code)
 
 
 @functools.lru_cache(maxsize=None)
@@ -311,15 +231,6 @@ def field_make(p: int, m: int, modulus_override: Optional[Sequence[int]] = None)
                 f"override {_poly_str(mod)} over GF({p}) is reducible or not primitive")
         return _field_cached(p, m, mod)
     return _field_cached(p, m, _default_modulus(p, m))
-
-
-def frobenius(x: FieldElement, k: int = 1) -> FieldElement:
-    return FieldElement(x.field, x.field.frob(x.code, k))
-
-
-def field_trace(x: FieldElement, sub_degree: int = 1) -> FieldElement:
-    """Trace of x onto the subfield of degree sub_degree over the prime field."""
-    return FieldElement(x.field, x.field.trace(x.code, sub_degree))
 
 
 def field_embed(small: FiniteField, big: FiniteField) -> np.ndarray:
@@ -483,7 +394,6 @@ class GaloisRing:
         self.digits = digs
 
         self.residue_field = field_make(2, t, modulus_override=self.phi2)
-        self.residue_field._ring = self
 
         # powers of h (the residue of x); h must have order 2^t - 1
         n1 = 2 ** t - 1
@@ -528,12 +438,6 @@ class GaloisRing:
     def add(self, a: int, b: int) -> int:
         return int(self._add_table[a, b])
 
-    def neg(self, a: int) -> int:
-        return int(((-self.digits[a]) % 4) @ self._radix)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return int(self._mul_table[a, b])
@@ -550,15 +454,6 @@ class GaloisRing:
             e >>= 1
         return acc
 
-    @property
-    def h(self) -> "RingElement":
-        return RingElement(self, 4 if self.t > 1 else 1)
-
-    def element(self, code: int) -> "RingElement":
-        if not 0 <= code < self.q:
-            raise ParameterError(f"element code {code} out of range for {self!r}")
-        return RingElement(self, int(code))
-
     def element_str(self, code: int, var: str = "h") -> str:
         return _poly_str(self.digits[code].tolist(), var)
 
@@ -566,56 +461,7 @@ class GaloisRing:
         return f"GR(4,{self.t}; {_poly_str(self.phi)})"
 
 
-@dataclass(frozen=True)
-class RingElement:
-    ring: GaloisRing
-    code: int
-
-    def _coerce(self, other: "RingElement") -> int:
-        if not isinstance(other, RingElement) or other.ring is not self.ring:
-            raise ParameterError("arithmetic between different rings is not defined")
-        return other.code
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        return RingElement(self.ring, self.ring.add(self.code, self._coerce(other)))
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return RingElement(self.ring, self.ring.sub(self.code, self._coerce(other)))
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        return RingElement(self.ring, self.ring.mul(self.code, self._coerce(other)))
-
-    def __pow__(self, e: int) -> "RingElement":
-        return RingElement(self.ring, self.ring.pow(self.code, e))
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.ring, self.ring.neg(self.code))
-
-    def __int__(self) -> int:
-        return self.code
-
-    @property
-    def coeffs(self) -> Tuple[int, ...]:
-        return tuple(self.ring.digits[self.code].tolist())
-
-    def __repr__(self) -> str:
-        return self.ring.element_str(self.code)
-
-
 @functools.lru_cache(maxsize=None)
 def galois_ring_make(t: int) -> GaloisRing:
     """Construct GR(4,t); the degree-3 binary modulus is pinned to x^3+x+1."""
     return GaloisRing(t)
-
-
-def ring_projection(x: RingElement) -> FieldElement:
-    """Reduce a ring element mod 2 into the residue field."""
-    return FieldElement(x.ring.residue_field, int(x.ring.proj_table[x.code]))
-
-
-def ideal_iso(y: FieldElement) -> RingElement:
-    """The additive isomorphism residue field -> ideal 2R sending g^i to 2h^i."""
-    ring = y.field._ring
-    if ring is None:
-        raise ParameterError("ideal_iso needs an element of a ring's residue field")
-    return RingElement(ring, int(ring.iso_table[y.code]))

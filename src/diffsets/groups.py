@@ -25,9 +25,9 @@ the generators, so induction on word length covers all products).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from math import gcd, lcm, prod
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,11 @@ from .errors import (
     NotHomomorphism,
     ParameterError,
 )
+
+# Largest abelian group order accepted.  An abelian group keeps an
+# order x factors digit table, so this bounds memory before anything is
+# allocated; it leaves room for Spence d = 2 (order 265356).
+MAX_GROUP_ORDER = 1 << 20
 
 
 class Group:
@@ -70,37 +75,8 @@ class Group:
     def mul_outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.mul_many(np.asarray(a)[:, None], np.asarray(b)[None, :])
 
-    def conj(self, x: int, g: int) -> int:
-        return self.mul(self.inv(g), self.mul(x, g))
-
     def element_name(self, a: int) -> str:
         raise NotImplementedError
-
-    def element(self, a: int) -> "GroupElement":
-        if not 0 <= a < self.size:
-            raise ParameterError(f"element index {a} out of range for group of order {self.size}")
-        return GroupElement(self, int(a))
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    group: Group
-    index: int
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if other.group is not self.group:
-            raise ParameterError("elements of different groups cannot be multiplied")
-        return GroupElement(self.group, self.group.mul(self.index, other.index))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, self.group.inv(self.index))
-
-    @property
-    def order(self) -> int:
-        return element_order(self.group, self.index)
-
-    def __repr__(self) -> str:
-        return self.group.element_name(self.index)
 
 
 class AbelianGroup(Group):
@@ -110,8 +86,12 @@ class AbelianGroup(Group):
             raise EmptyOrders("an abelian group needs at least one cyclic factor")
         if any(n < 2 for n in orders):
             raise ParameterError(f"cyclic factor orders must be at least 2, got {orders}")
+        size = prod(orders)
+        if size > MAX_GROUP_ORDER:
+            raise ParameterError(f"group order {size} exceeds the supported maximum "
+                                 f"of {MAX_GROUP_ORDER}")
         self.orders = orders
-        self.size = int(np.prod([np.int64(n) for n in orders]))
+        self.size = size
         self._orders_arr = np.array(orders, dtype=np.int64)
         radix = np.ones(len(orders), dtype=np.int64)
         for i in range(1, len(orders)):

@@ -16,7 +16,7 @@ TransferInstance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,8 +111,6 @@ def design_lines(design: DesignSet, instance: Optional[TransferInstance] = None)
         for gi, (word, b) in enumerate(instance.candidate_gens):
             word_s = ",".join(str(w) for w in word)
             lines.append(f"gen{gi} = {word_s}|{b}")
-        if instance.closure_cap is not None:
-            lines.append(f"cap = {instance.closure_cap}")
         for entry in instance.log:
             lines.append(f"log = {entry}")
     lines.extend(group_lines(design.group))
@@ -299,9 +297,8 @@ def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
         gens = []
         for gi in range(ng):
             gens.append(_parse_gen(_one(kv, f"gen{gi}", "transfer"), f"[transfer] gen{gi}"))
-        cap = _int(_one(kv, "cap", "transfer"), "[transfer] cap") if "cap" in kv else None
         tlog = list(kv.get("log", []))
-        instance = make_instance(design, auts, gens, closure_cap=cap, log=tlog)
+        instance = make_instance(design, auts, gens, log=tlog)
     return design, instance
 
 
@@ -309,48 +306,52 @@ def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
 # Cayley graph exports
 # ---------------------------------------------------------------------------
 
-def _cayley_arcs(design: DesignSet) -> Tuple[bool, np.ndarray]:
-    """(directed, arcs) with one arc u -> v per (u, d) pair, v = d * u."""
+def cayley_export(design: DesignSet, fmt: str) -> Tuple[str, Iterator[str], str]:
+    """(header, arc lines, footer) of the Cayley graph in the "edges" or "dot"
+    format, each line ending in a newline.
+
+    There is one arc u -> v = d * u per member d and vertex u, or one line
+    per edge u <= v when the design is inverse-closed.  The arc lines are
+    generated member by member, u ascending within a member, so no k * n arc
+    table is ever held.
+    """
     group = design.group
-    n = group.size
-    members = np.array(design.members, dtype=np.int64)
     directed = not design.is_inverse_closed()
-    targets = group.mul_outer(members, np.arange(n, dtype=np.int64))
-    arcs = np.empty((targets.size, 2), dtype=np.int64)
-    arcs[:, 0] = np.tile(np.arange(n, dtype=np.int64), len(members))
-    arcs[:, 1] = targets.reshape(-1)
-    return directed, arcs
+    kind = "digraph" if directed else "graph"
+    if fmt == "edges":
+        head = [f"# {FORMAT_TAG} cayley {kind}",
+                f"# vertices: {group.size}",
+                "# arc u -> v present iff v * u^-1 is a design member"
+                + ("" if directed else "; undirected, one line per edge u <= v")]
+        arc, tail = "{} {}\n", ""
+    else:
+        sep = "->" if directed else "--"
+        head = [f"// {FORMAT_TAG}: Cayley {kind} on {group!r}",
+                f"// arc u {sep} v present iff v * u^-1 is a design member",
+                f"{kind} cayley {{"]
+        arc, tail = "  {} " + sep + " {};\n", "}\n"
+
+    def arcs() -> Iterator[str]:
+        us = np.arange(group.size, dtype=np.int64)
+        for d in design.members:
+            vs = group.mul_many(np.full(group.size, d, dtype=np.int64), us)
+            keep = slice(None) if directed else us <= vs
+            yield from map(arc.format, us[keep].tolist(), vs[keep].tolist())
+
+    return "\n".join(head) + "\n", arcs(), tail
+
+
+def _cayley_text(design: DesignSet, fmt: str) -> str:
+    head, arcs, tail = cayley_export(design, fmt)
+    return head + "".join(arcs) + tail
 
 
 def edges_text(design: DesignSet) -> str:
-    directed, arcs = _cayley_arcs(design)
-    lines = [f"# {FORMAT_TAG} cayley {'digraph' if directed else 'graph'}",
-             f"# vertices: {design.group.size}",
-             "# arc u -> v present iff v * u^-1 is a design member"
-             + ("" if directed else "; undirected, one line per edge u <= v")]
-    if directed:
-        for u, v in arcs.tolist():
-            lines.append(f"{u} {v}")
-    else:
-        for u, v in arcs.tolist():
-            if u <= v:
-                lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    return _cayley_text(design, "edges")
 
 
 def dot_text(design: DesignSet) -> str:
-    directed, arcs = _cayley_arcs(design)
-    name = "cayley"
-    head = "digraph" if directed else "graph"
-    sep = "->" if directed else "--"
-    lines = [f"// {FORMAT_TAG}: Cayley {head} on {design.group!r}",
-             f"// arc u {sep} v present iff v * u^-1 is a design member",
-             f"{head} {name} {{"]
-    for u, v in arcs.tolist():
-        if directed or u <= v:
-            lines.append(f"  {u} {sep} {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _cayley_text(design, "dot")
 
 
 # ---------------------------------------------------------------------------

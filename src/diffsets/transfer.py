@@ -51,7 +51,6 @@ class TransferInstance:
     design: DesignSet
     aut_gens: List[GroupAutomorphism]
     candidate_gens: List[GenWord]
-    closure_cap: Optional[int] = None
     log: List[str] = field(default_factory=list)
 
     @property
@@ -62,7 +61,6 @@ class TransferInstance:
 def make_instance(design: DesignSet,
                   aut_gens: Sequence[GroupAutomorphism],
                   candidate_gens: Sequence[GenWord],
-                  closure_cap: Optional[int] = None,
                   log: Optional[List[str]] = None) -> TransferInstance:
     """Bundle an instance, eagerly rejecting automorphisms that move the
     design (or, for a relative design, its forbidden subgroup)."""
@@ -89,7 +87,7 @@ def make_instance(design: DesignSet,
         if not 0 <= base < group.size:
             raise DesignNotFixed(f"candidate base element {base} out of range")
     return TransferInstance(design, list(aut_gens), list(candidate_gens),
-                            closure_cap, list(log or ()))
+                            list(log or ()))
 
 
 @dataclass
@@ -124,8 +122,7 @@ def check_conditions(inst: TransferInstance) -> TransferReport:
     group = inst.source_group
     witnesses: dict = {}
     try:
-        closure = extension_closure(group, inst.aut_gens, inst.candidate_gens,
-                                    cap=inst.closure_cap)
+        closure = extension_closure(group, inst.aut_gens, inst.candidate_gens)
     except ClosureOverflow as exc:
         witnesses["i"] = str(exc)
         return TransferReport(inst, None, None, False, None, None, witnesses)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -74,22 +74,9 @@ class DesignSet:
         return set(self.group.inv_many(arr).tolist()) == set(self.members)
 
 
-@dataclass(frozen=True)
-class DifferenceProfile:
-    counts: np.ndarray
-    include_equal: bool
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def difference_profile(design: DesignSet, include_equal: bool = False) -> DifferenceProfile:
-    """Count quotients d1 * d2^(-1) over ordered member pairs.
-
-    With include_equal the diagonal pairs contribute k to the identity and the
-    counts sum to k^2; without it they sum to k^2 - k.
-    """
+def difference_profile(design: DesignSet) -> np.ndarray:
+    """Count quotients d1 * d2^(-1) over ordered pairs of distinct members;
+    the counts sum to k^2 - k."""
     group = design.group
     members = np.array(design.members, dtype=np.int64)
     k = len(members)
@@ -99,9 +86,8 @@ def difference_profile(design: DesignSet, include_equal: bool = False) -> Differ
         for lo in range(0, k, block):
             q = group.quotient_outer(members[lo:lo + block], members)
             counts += np.bincount(q.ravel(), minlength=group.size)
-    if not include_equal:
-        counts[group.identity] -= k
-    return DifferenceProfile(counts, include_equal)
+    counts[group.identity] -= k
+    return counts
 
 
 @dataclass(frozen=True)
@@ -130,7 +116,7 @@ def verify_ds(design: DesignSet) -> VerifyResult:
         raise ParameterMismatch(f"group order {group.size} != claimed v = {v}")
     if design.size != k:
         raise ParameterMismatch(f"design size {design.size} != claimed k = {k}")
-    counts = difference_profile(design).counts
+    counts = difference_profile(design)
     nonident = np.ones(group.size, dtype=bool)
     nonident[group.identity] = False
     if np.any(counts[nonident] != lam):
@@ -155,7 +141,7 @@ def verify_pds(design: DesignSet, require_regular: bool = False) -> VerifyResult
         if mask[group.identity]:
             raise NotClosedUnderInverse("regularity requested but the design contains the identity")
         raise NotClosedUnderInverse("regularity requested but the design is not inverse-closed")
-    counts = difference_profile(design).counts
+    counts = difference_profile(design)
     inside = mask.copy()
     inside[group.identity] = False
     outside = ~mask
@@ -197,7 +183,7 @@ def verify_rds(design: DesignSet) -> VerifyResult:
         raise ParameterMismatch(f"group order {group.size} != claimed m*u = {m * u}")
     if design.size != k:
         raise ParameterMismatch(f"design size {design.size} != claimed k = {k}")
-    counts = difference_profile(design).counts
+    counts = difference_profile(design)
     inside = sub.mask.copy()
     inside[group.identity] = False
     outside = ~sub.mask
@@ -217,14 +203,6 @@ def verify_design(design: DesignSet) -> VerifyResult:
     if design.kind == "PDS":
         return verify_pds(design)
     return verify_rds(design)
-
-
-def ds_complement(design: DesignSet) -> DesignSet:
-    """Complement of a difference set, with the complementary parameter claim."""
-    v, k, lam = design.claimed
-    mask = design.member_mask()
-    members = tuple(int(z) for z in np.nonzero(~mask)[0])
-    return DesignSet(design.group, members, "DS", (v, v - k, v - 2 * k + lam))
 
 
 def multiplier_check(design: DesignSet, m: int) -> bool:

@@ -1,5 +1,9 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from diffsets.cli import main
@@ -202,7 +206,7 @@ def test_missing_file_exits_2(capsys):
     assert code == 2 and "cannot read" in stderr
 
 
-@pytest.mark.parametrize("key", ["levels", "size", "auts", "gens", "cap"])
+@pytest.mark.parametrize("key", ["levels", "size", "auts", "gens"])
 def test_non_integer_count_exits_2(tmp_path, capsys, key):
     from diffsets import (DesignSet, abelian_make, aut_from_images,
                           extension_closure, make_instance)
@@ -210,7 +214,7 @@ def test_non_integer_count_exits_2(tmp_path, capsys, key):
     c4 = abelian_make((4,))
     d8 = extension_closure(c4, [aut_from_images(c4, [3])], [((), 1), ((0,), 0)])
     d = DesignSet(d8, (0,), "DS", (8, 1, 0))
-    inst = make_instance(d, [], [((), g) for g in d8.generators], closure_cap=8)
+    inst = make_instance(d, [], [((), g) for g in d8.generators])
     path = tmp_path / "d8.design.txt"
     path.write_text(design_text(d, inst))
     assert run(capsys, "verify", "--design", str(path))[0] == 0
@@ -221,3 +225,30 @@ def test_non_integer_count_exits_2(tmp_path, capsys, key):
     code, _, stderr = run(capsys, "verify", "--design", str(path))
     assert code == 2
     assert f"{key}: 'one'" in stderr and "Traceback" not in stderr
+
+
+def test_oversized_group_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "mcf")
+    run(capsys, "construct", "mcfarland", "--q", "2", "--s", "1", "--out", out)
+    path = tmp_path / "mcf.design.txt"
+    lines = path.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("orders = "))
+    lines[i] = "orders = 4000000,4000000"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, stderr = run(capsys, "verify", "--design", str(path))
+    assert code == 2
+    assert "exceeds the supported maximum" in stderr and "Traceback" not in stderr
+
+
+def test_tracer_hooks_resolve():
+    """The benchmark's tracer wraps CLI, family, field, serialize and transfer
+    module attributes by name; each of them must still exist."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import passes; passes.install_tracer(passes.Tracer('t'))"],
+        cwd=os.path.join(root, "perfbench"), env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

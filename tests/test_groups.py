@@ -12,6 +12,7 @@ from diffsets import (
     NotASubgroupMember,
     NotBijective,
     NotHomomorphism,
+    ParameterError,
     abelian_make,
     aut_from_images,
     coset_action_transitive,
@@ -55,6 +56,14 @@ def test_abelian_digit_roundtrip():
     # generators are the unit digit vectors
     assert [tuple(g.digits[gen]) for gen in g.generators] == [
         (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_group_order_ceiling():
+    from diffsets.groups import MAX_GROUP_ORDER
+    assert abelian_make((3,) * 6 + (364,)).size == 265356  # Spence d = 2
+    for orders in [(MAX_GROUP_ORDER + 1,), (4000000, 4000000)]:
+        with pytest.raises(ParameterError, match="exceeds the supported maximum"):
+            abelian_make(orders)
 
 
 def test_aut_certification_accepts_and_rejects():
