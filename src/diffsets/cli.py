@@ -10,9 +10,10 @@ conditions, corrupted designs).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .errors import MathError, ParameterError
 from .families import (
@@ -126,8 +127,17 @@ def _result_line(res: VerifyResult) -> str:
     return ", ".join(parts)
 
 
+@contextlib.contextmanager
+def _open_out(path: str) -> Iterator[TextIO]:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from None
+
+
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_out(path) as fh:
         fh.write(text)
     print(f"wrote {path}")
 
@@ -258,11 +268,11 @@ def cmd_export(args: argparse.Namespace) -> int:
     out = args.out or base + "." + args.format
     head, arcs, tail = cayley_export(design, args.format)
     n_arcs = 0
-    with open(out, "w", encoding="utf-8") as fh:
+    with _open_out(out) as fh:
         fh.write(head)
-        for line in arcs:
-            fh.write(line)
-            n_arcs += 1
+        for chunk in arcs:
+            fh.write(chunk)
+            n_arcs += chunk.count("\n")
         fh.write(tail)
     directed = not design.is_inverse_closed()
     print(f"{design.group.size} vertices, {n_arcs} "

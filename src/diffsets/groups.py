@@ -30,6 +30,7 @@ from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from sympy import factorint
 
 from .errors import (
     ClosureOverflow,
@@ -44,6 +45,12 @@ from .errors import (
 # order x factors digit table, so this bounds memory before anything is
 # allocated; it leaves room for Spence d = 2 (order 265356).
 MAX_GROUP_ORDER = 1 << 20
+
+# Largest table an extension closure may allocate, in int64 entries: its
+# pair index and automorphism permutations are (automorphisms x base order),
+# its composition table (automorphisms x automorphisms).  The check runs as
+# the automorphism part grows, so none of them passes 128 MiB.
+MAX_PAIR_TABLE = 1 << 24
 
 
 class Group:
@@ -109,6 +116,12 @@ class AbelianGroup(Group):
     def encode(self, digs: np.ndarray) -> np.ndarray:
         return (digs % self._orders_arr) @ self._radix
 
+    def _encode_temp(self, digs: np.ndarray) -> np.ndarray:
+        """encode() of a digit array nothing else holds, reduced in place so
+        that no second array of its size is allocated."""
+        digs %= self._orders_arr
+        return digs @ self._radix
+
     def mul(self, a: int, b: int) -> int:
         return int(self.encode(self.digits[a] + self.digits[b]))
 
@@ -116,15 +129,21 @@ class AbelianGroup(Group):
         return int(self.encode(-self.digits[a]))
 
     def mul_many(self, a, b):
-        return self.encode(self.digits[np.asarray(a)] + self.digits[np.asarray(b)])
+        digs = self.digits[np.asarray(a)]
+        other = self.digits[np.asarray(b)]
+        if digs.shape == np.broadcast_shapes(digs.shape, other.shape):
+            digs += other  # the gather is a fresh copy, so add into it
+        else:
+            digs = digs + other
+        return self._encode_temp(digs)
 
     def inv_many(self, a):
-        return self.encode(-self.digits[np.asarray(a)])
+        return self._encode_temp(-self.digits[np.asarray(a)])
 
     def quotient_outer(self, a, b):
         a = np.asarray(a)
         b = np.asarray(b)
-        return self.encode(self.digits[a][:, None, :] - self.digits[b][None, :, :])
+        return self._encode_temp(self.digits[a][:, None, :] - self.digits[b][None, :, :])
 
     def pow_many(self, a, e: int):
         return self.encode(self.digits[np.asarray(a)] * e)
@@ -187,9 +206,17 @@ def _extend_images_to_perm(group: Group, images: Sequence[int]) -> np.ndarray:
         img_digits = group.digits[np.asarray(images, dtype=np.int64)]
         return group.encode(group.digits @ img_digits)
     if isinstance(group, ExtensionGroup):
+        # perm(z) = perm(parent) * image(generator), one BFS layer at a time:
+        # bfs_parent is nondecreasing, so the elements whose parents are all
+        # before position lo run up to the first position whose parent is not
+        imgs = np.asarray(images, dtype=np.int64)
         perm = np.zeros(group.size, dtype=np.int64)
-        for z in range(1, group.size):
-            perm[z] = group.mul(int(perm[group.bfs_parent[z]]), int(images[group.bfs_genidx[z]]))
+        lo = 1
+        while lo < group.size:
+            hi = int(np.searchsorted(group.bfs_parent, lo))
+            perm[lo:hi] = group.mul_many(perm[group.bfs_parent[lo:hi]],
+                                         imgs[group.bfs_genidx[lo:hi]])
+            lo = hi
         return perm
     raise ParameterError(f"cannot extend images over {type(group).__name__}")
 
@@ -311,6 +338,16 @@ class ExtensionGroup(Group):
         return f"Extension[{self.aut_perms.shape[0]} auts over {self.base!r}, order {self.size}]"
 
 
+def _check_pair_table(na: int, nb: int) -> None:
+    # the pair index and the permutations are na x nb, the composition table
+    # na x na
+    if na * max(na, nb) > MAX_PAIR_TABLE:
+        raise ParameterError(
+            f"an extension with {na} automorphisms over a base of order {nb} needs "
+            f"tables of {na * max(na, nb)} entries, above the supported maximum of "
+            f"{MAX_PAIR_TABLE}")
+
+
 def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
                       gens: Sequence[Tuple[Sequence[int], int]],
                       cap: Optional[int] = None) -> ExtensionGroup:
@@ -352,8 +389,10 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
                     if len(perms) > cap:
                         raise ClosureOverflow(
                             f"automorphism part exceeded the cap of {cap}")
+                    _check_pair_table(len(perms), nb)
         frontier = nxt
     na = len(perms)
+    _check_pair_table(na, nb)
     aut_perms = np.stack(perms)
     aut_mul = np.empty((na, na), dtype=np.int64)
     for i in range(na):
@@ -372,38 +411,42 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
             raise NotASubgroupMember(f"generator base element {b} out of range")
         gen_pairs.append((a, int(b)))
 
+    # Breadth-first, one layer at a time: every (frontier position, generator)
+    # product at once, the ones already enumerated dropped, and the rest kept
+    # at their first occurrence in (parent position, generator index) order -
+    # the order in which a one-element-at-a-time BFS would meet them.
+    ng = len(gen_pairs)
+    gen_a = np.array([a for a, _ in gen_pairs], dtype=np.int64)
+    gen_b = np.array([b for _, b in gen_pairs], dtype=np.int64)
     pair_index = np.full(na * nb, -1, dtype=np.int64)
-    aut_part: List[int] = [0]
-    base_part: List[int] = [0]
-    parent: List[int] = [0]
-    genidx: List[int] = [0]
     pair_index[0] = 0
-    base_mul = base.mul
-    pos = 0
-    while pos < len(aut_part):
-        a1, b1 = aut_part[pos], base_part[pos]
-        for gi, (a2, b2) in enumerate(gen_pairs):
-            a = int(aut_mul[a1, a2])
-            b = base_mul(int(aut_perms[a2, b1]), b2)
-            key = a * nb + b
-            if pair_index[key] < 0:
-                pair_index[key] = len(aut_part)
-                aut_part.append(a)
-                base_part.append(b)
-                parent.append(pos)
-                genidx.append(gi)
-                if len(aut_part) > cap:
-                    raise ClosureOverflow(
-                        f"closure exceeded the cap of {cap} elements")
-        pos += 1
+    zero = np.zeros(1, dtype=np.int64)
+    aut_part, base_part, parent, genidx = [zero], [zero], [zero], [zero]
+    size = 1
+    lo = 0
+    front_a, front_b = zero, zero
+    while front_a.size and ng:
+        a = aut_mul[front_a[:, None], gen_a[None, :]]
+        b = base.mul_many(aut_perms[gen_a[None, :], front_b[:, None]], gen_b[None, :])
+        keys = (a * nb + b).ravel()
+        fresh = np.nonzero(pair_index[keys] < 0)[0]
+        _, first = np.unique(keys[fresh], return_index=True)
+        take = fresh[np.sort(first)]
+        if size + take.size > cap:
+            raise ClosureOverflow(f"closure exceeded the cap of {cap} elements")
+        new_keys = keys[take]
+        pair_index[new_keys] = np.arange(size, size + take.size)
+        front_a, front_b = new_keys // nb, new_keys % nb
+        aut_part.append(front_a)
+        base_part.append(front_b)
+        parent.append(lo + take // ng)
+        genidx.append(take % ng)
+        lo, size = size, size + take.size
 
     gen_elements = tuple(int(pair_index[a * nb + b]) for a, b in gen_pairs)
     return ExtensionGroup(base, aut_perms, aut_mul, aut_inv,
-                          np.array(aut_part, dtype=np.int64),
-                          np.array(base_part, dtype=np.int64),
-                          pair_index,
-                          np.array(parent, dtype=np.int64),
-                          np.array(genidx, dtype=np.int64),
+                          np.concatenate(aut_part), np.concatenate(base_part),
+                          pair_index, np.concatenate(parent), np.concatenate(genidx),
                           gen_elements, gen_pairs)
 
 
@@ -436,31 +479,28 @@ def subgroup_closure(group: Group, gens: Sequence[int]) -> Subgroup:
         if not 0 <= int(g) < group.size:
             raise NotASubgroupMember(f"generator index {g} out of range")
     gens = tuple(int(g) for g in gens)
+    gen_arr = np.array(gens, dtype=np.int64)
     seen = np.zeros(group.size, dtype=bool)
     seen[0] = True
-    queue = [0]
-    pos = 0
-    while pos < len(queue):
-        x = queue[pos]
-        for g in gens:
-            y = group.mul(x, g)
-            if not seen[y]:
-                seen[y] = True
-                queue.append(y)
-        pos += 1
-    return Subgroup(group, tuple(sorted(queue)), gens)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size and gen_arr.size:
+        prods = group.mul_outer(frontier, gen_arr).ravel()
+        frontier = np.unique(prods[~seen[prods]])
+        seen[frontier] = True
+    return Subgroup(group, tuple(np.nonzero(seen)[0].tolist()), gens)
 
 
 def normality_witness(group: Group, sub: Subgroup) -> Optional[Tuple[int, int, int]]:
     """A triple (g, x, g^-1 x g) showing the subgroup is not normal, else None."""
     if sub.parent is not group:
         raise ParameterError("subgroup belongs to a different group")
+    sgens = np.array(sub.gens, dtype=np.int64)
     for g in group.generators:
-        gi = group.inv(g)
-        for s in sub.gens:
-            c = group.mul(gi, group.mul(s, g))
-            if not sub.mask[c]:
-                return (g, s, c)
+        conj = group.mul_many(np.full(sgens.shape, group.inv(g), dtype=np.int64),
+                              group.mul_elems(sgens, g))
+        bad = np.nonzero(~sub.mask[conj])[0]
+        if bad.size:
+            return (g, int(sgens[bad[0]]), int(conj[bad[0]]))
     return None
 
 
@@ -539,21 +579,36 @@ def element_order(group: Group, z: int) -> int:
     return k
 
 
+def _pow_many(group: Group, x: np.ndarray, e: int) -> np.ndarray:
+    """x^e elementwise by repeated squaring, with mul_many passes only."""
+    out = np.full(x.shape, group.identity, dtype=np.int64)
+    while e:
+        if e & 1:
+            out = group.mul_many(out, x)
+        e >>= 1
+        if e:
+            x = group.mul_many(x, x)
+    return out
+
+
 def element_orders(group: Group) -> np.ndarray:
+    """Every element's order, one prime at a time: for p^a exactly dividing
+    |G|, y = x^(|G|/p^a) has order p^e exactly when p^e exactly divides the
+    order of x, and e <= a by Lagrange, so raising y to the p-th power at most
+    a times finds it."""
     n = group.size
-    every = np.arange(n, dtype=np.int64)
-    powers = every.copy()
-    orders = np.zeros(n, dtype=np.int64)
-    k = 1
-    while True:
-        hit = (powers == group.identity) & (orders == 0)
-        orders[hit] = k
-        if orders.min() > 0:
-            return orders
-        powers = group.mul_many(powers, every)
-        k += 1
-        if k > n:
-            raise ParameterError("order computation exceeded group order")
+    orders = np.ones(n, dtype=np.int64)
+    for p, a in factorint(n).items():
+        idx = np.arange(n, dtype=np.int64)
+        y = _pow_many(group, idx, n // p ** a)
+        for _ in range(a):
+            live = y != group.identity
+            idx, y = idx[live], y[live]
+            if not idx.size:
+                break
+            orders[idx] *= p
+            y = _pow_many(group, y, p)
+    return orders
 
 
 def nonabelian_witness(group: Group) -> Optional[Tuple[int, int]]:

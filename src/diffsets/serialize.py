@@ -41,15 +41,6 @@ FORMAT_TAG = "diffsets-text-1"
 # rendering
 # ---------------------------------------------------------------------------
 
-def _render_element(group: Group, idx: int) -> str:
-    if isinstance(group, AbelianGroup):
-        return ",".join(str(d) for d in group.digits[idx].tolist())
-    if isinstance(group, ExtensionGroup):
-        a, b = group.pair_of(idx)
-        return f"{a};{_render_element(group.base, b)}"
-    raise ParameterError(f"cannot serialize a {type(group).__name__}")
-
-
 def _group_levels(group: Group) -> List[Group]:
     levels: List[Group] = []
     g = group
@@ -61,6 +52,23 @@ def _group_levels(group: Group) -> List[Group]:
     levels.append(g)
     levels.reverse()
     return levels
+
+
+def _element_strings(levels: List[Group]) -> List[str]:
+    """The [elements] line of every element of the top level, built as one
+    string table per level."""
+    # abelian level: index d_0 + n_0 * (d_1 + n_1 * ...) reads "d_0,d_1,...",
+    # so the table for orders[i:] is every "d_i," prefix over the table for
+    # orders[i + 1:], d_i varying fastest
+    orders = levels[0].orders
+    strs = [str(d) for d in range(orders[-1])]
+    for n in reversed(orders[:-1]):
+        heads = [f"{d}," for d in range(n)]
+        strs = [h + rest for rest in strs for h in heads]
+    for lev in levels[1:]:
+        strs = [f"{a};{strs[b]}"
+                for a, b in zip(lev.aut_part.tolist(), lev.base_part.tolist())]
+    return strs
 
 
 def group_lines(group: Group) -> List[str]:
@@ -84,8 +92,7 @@ def group_lines(group: Group) -> List[str]:
             for gi, (a, b) in enumerate(lev.gen_pairs):
                 lines.append(f"gen{gi} = {a}|{b}")
     lines.append("[elements]")
-    for z in range(group.size):
-        lines.append(_render_element(group, z))
+    lines.extend(_element_strings(levels))
     return lines
 
 
@@ -232,11 +239,11 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]]) -> Group:
     if len(elems) != group.size:
         raise ParseError(f"[elements] lists {len(elems)} elements, "
                          f"group has {group.size}")
-    for idx, line in enumerate(elems):
-        want = _render_element(group, idx)
-        if line != want:
-            raise ParseError(f"element {idx} reads {line!r} but the rebuilt group "
-                             f"enumerates {want!r}; the file is corrupted")
+    want = _element_strings(_group_levels(group))
+    if elems != want:
+        idx = next(i for i, (x, y) in enumerate(zip(elems, want)) if x != y)
+        raise ParseError(f"element {idx} reads {elems[idx]!r} but the rebuilt group "
+                         f"enumerates {want[idx]!r}; the file is corrupted")
     return group
 
 
@@ -307,13 +314,14 @@ def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
 # ---------------------------------------------------------------------------
 
 def cayley_export(design: DesignSet, fmt: str) -> Tuple[str, Iterator[str], str]:
-    """(header, arc lines, footer) of the Cayley graph in the "edges" or "dot"
-    format, each line ending in a newline.
+    """(header, arc chunks, footer) of the Cayley graph in the "edges" or
+    "dot" format, each arc line ending in a newline.
 
     There is one arc u -> v = d * u per member d and vertex u, or one line
-    per edge u <= v when the design is inverse-closed.  The arc lines are
-    generated member by member, u ascending within a member, so no k * n arc
-    table is ever held.
+    per edge u <= v when the design is inverse-closed.  Each chunk holds the
+    arc lines of one member d, u ascending, so no k * n arc table is ever
+    held; the lines are joined from per-vertex "u" and "v" strings formatted
+    once.
     """
     group = design.group
     directed = not design.is_inverse_closed()
@@ -323,20 +331,26 @@ def cayley_export(design: DesignSet, fmt: str) -> Tuple[str, Iterator[str], str]
                 f"# vertices: {group.size}",
                 "# arc u -> v present iff v * u^-1 is a design member"
                 + ("" if directed else "; undirected, one line per edge u <= v")]
-        arc, tail = "{} {}\n", ""
+        left, right, tail = "{} ", "{}\n", ""
     else:
         sep = "->" if directed else "--"
         head = [f"// {FORMAT_TAG}: Cayley {kind} on {group!r}",
                 f"// arc u {sep} v present iff v * u^-1 is a design member",
                 f"{kind} cayley {{"]
-        arc, tail = "  {} " + sep + " {};\n", "}\n"
+        left, right, tail = "  {} " + sep + " ", "{};\n", "}\n"
 
     def arcs() -> Iterator[str]:
         us = np.arange(group.size, dtype=np.int64)
+        lefts = np.array([left.format(u) for u in range(group.size)], dtype=object)
+        rights = np.array([right.format(v) for v in range(group.size)], dtype=object)
         for d in design.members:
             vs = group.mul_many(np.full(group.size, d, dtype=np.int64), us)
             keep = slice(None) if directed else us <= vs
-            yield from map(arc.format, us[keep].tolist(), vs[keep].tolist())
+            u_keep = us[keep]
+            parts = np.empty((u_keep.size, 2), dtype=object)
+            parts[:, 0] = lefts[u_keep]
+            parts[:, 1] = rights[vs[keep]]
+            yield "".join(parts.ravel().tolist())
 
     return "\n".join(head) + "\n", arcs(), tail
 

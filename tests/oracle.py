@@ -137,3 +137,32 @@ def order_histogram(size: int, mul: MulFn,
 def is_abelian(size: int, mul: MulFn) -> bool:
     return all(mul(a, b) == mul(b, a)
                for a in range(size) for b in range(a + 1, size))
+
+
+def closure_bfs(base_mul: MulFn, aut_perms: Sequence[Sequence[int]],
+                aut_mul: Sequence[Sequence[int]],
+                gen_pairs: Sequence[Tuple[int, int]], nb: int):
+    """Breadth-first closure of (automorphism, base element) generators, one
+    element at a time: (a1, b1)(a2, b2) = (a1 a2, b1^a2 * b2).
+
+    Returns (aut_part, base_part, parent, genidx, pair_index) as lists, with
+    pair_index[a * nb + b] the position of the pair or -1.
+    """
+    na = len(aut_perms)
+    pair_index = [-1] * (na * nb)
+    pair_index[0] = 0
+    aut_part, base_part, parent, genidx = [0], [0], [0], [0]
+    pos = 0
+    while pos < len(aut_part):
+        a1, b1 = aut_part[pos], base_part[pos]
+        for gi, (a2, b2) in enumerate(gen_pairs):
+            a = aut_mul[a1][a2]
+            b = base_mul(aut_perms[a2][b1], b2)
+            if pair_index[a * nb + b] < 0:
+                pair_index[a * nb + b] = len(aut_part)
+                aut_part.append(a)
+                base_part.append(b)
+                parent.append(pos)
+                genidx.append(gi)
+        pos += 1
+    return aut_part, base_part, parent, genidx, pair_index

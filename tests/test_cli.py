@@ -201,6 +201,18 @@ def test_export_dot(tmp_path, capsys):
     assert text.rstrip().endswith("}")
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing_dir" / "x")
+    code, _, stderr = run(capsys, "construct", "mcfarland", "--q", "2", "--s", "1",
+                          "--out", missing)
+    assert code == 2 and "cannot write" in stderr
+    run(capsys, "construct", "mcfarland", "--q", "2", "--s", "1",
+        "--out", str(tmp_path / "mcf"))
+    code, _, stderr = run(capsys, "export", "--design", str(tmp_path / "mcf.design.txt"),
+                          "--out", missing)
+    assert code == 2 and "cannot write" in stderr
+
+
 def test_missing_file_exits_2(capsys):
     code, _, stderr = run(capsys, "verify", "--design", "/nonexistent.txt")
     assert code == 2 and "cannot read" in stderr

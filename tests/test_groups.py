@@ -8,7 +8,9 @@ import pytest
 
 import oracle
 from diffsets import (
+    AbelianGroup,
     ClosureOverflow,
+    ExtensionGroup,
     NotASubgroupMember,
     NotBijective,
     NotHomomorphism,
@@ -26,6 +28,7 @@ from diffsets import (
     right_cosets,
     subgroup_closure,
 )
+from diffsets import groups
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +127,40 @@ def test_extension_closure_cap_and_membership(d4):
         tiny.index_of_pair(0, 1)
 
 
+def test_extension_closure_matches_reference_bfs(corpus):
+    """The layer-at-a-time closure enumerates every corpus closure exactly as
+    a one-element-at-a-time BFS does."""
+    closures = []
+    for inst, rep in corpus.values():
+        closures.append(rep.new_group)
+        if isinstance(inst.design.group, ExtensionGroup):
+            closures.append(inst.design.group)
+    for g in closures:
+        base = g.base
+        if isinstance(base, AbelianGroup):
+            base_mul = lambda x, y, o=base.orders: oracle.abelian_mul(o, x, y)
+        else:
+            base_mul = base.mul
+        ref = oracle.closure_bfs(base_mul, g.aut_perms.tolist(), g.aut_mul.tolist(),
+                                 g.gen_pairs, base.size)
+        got = (g.aut_part, g.base_part, g.bfs_parent, g.bfs_genidx, g.pair_index)
+        for want, have in zip(ref, got):
+            assert have.tolist() == want
+
+
+def test_extension_pair_table_ceiling(monkeypatch):
+    """The automorphism closure stops at the table ceiling before it grows
+    further or allocates the pair index."""
+    c16 = abelian_make((16,))
+    units = [aut_from_images(c16, [3]), aut_from_images(c16, [5])]  # all 8 units
+    assert extension_closure(c16, units, [((0,), 1)]).aut_perms.shape[0] == 8
+    groups._check_pair_table(3, 265356)  # Spence d = 2's closure fits
+    monkeypatch.setattr(groups, "MAX_PAIR_TABLE", 64)
+    with pytest.raises(ParameterError,
+                       match=r"5 automorphisms over a base of order 16 .* maximum of 64$"):
+        extension_closure(c16, units, [((0,), 1)])
+
+
 def test_extension_closure_empty_aut_list():
     c6 = abelian_make((6,))
     g = extension_closure(c6, [], [((), 1)])
@@ -143,6 +180,10 @@ def test_subgroups_and_normality(d4):
     g, s, c = wit
     assert d4.mul(d4.mul(d4.inv(g), s), g) == c
     assert not refl.mask[c]
+    # the first witness in (generator, subgroup generator) order
+    first = next((g, s, c) for g in d4.generators for s in refl.gens
+                 for c in [d4.mul(d4.inv(g), d4.mul(s, g))] if not refl.mask[c])
+    assert wit == first
 
 
 def test_right_cosets_partition(d4):
@@ -166,6 +207,12 @@ def test_coset_action_transitivity(d4):
     assert not res2.transitive and res2.reached == 1
 
 
-def test_element_orders_vectorized(d4):
+def test_element_orders_vectorized(d4, corpus):
     orders = element_orders(d4)
     assert [element_order(d4, z) for z in range(d4.size)] == list(orders)
+    # prime-power testing on orders with several primes: 81, 351 = 3^3 * 13,
+    # 378 = 2 * 3^3 * 7
+    for name in ("pgroup_3_2_s2", "spence_d1", "mcfarland_odd_q3_s2"):
+        g = corpus[name][1].new_group
+        want = [oracle.element_order(g.mul, z) for z in range(g.size)]
+        assert element_orders(g).tolist() == want, name

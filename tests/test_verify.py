@@ -1,10 +1,14 @@
 """Design verification: DS/PDS/RDS counting, SRG cross-route, multipliers."""
 
+import numpy as np
 import pytest
 
 import oracle
+from diffsets import verify
 from diffsets import (
+    AbelianGroup,
     DesignSet,
+    ExtensionGroup,
     NotCoprime,
     NotClosedUnderInverse,
     NotSRG,
@@ -101,6 +105,51 @@ def test_difference_profile_matches_oracle():
     counts = oracle.difference_counts(mul, inv, members)
     for z in range(1, g.size):
         assert prof[z] == counts.get(z, 0)
+
+
+def test_character_counts_match_direct(corpus):
+    """The FFT route equals the direct count array for array on every corpus
+    design, base and lifted; only a nested extension base goes direct.  A
+    lifted design is invariant under the automorphisms, so each lifted group
+    also gets a seeded random subset, whose slices differ."""
+    rng = np.random.default_rng(7)
+    nested = 0
+    for name, (inst, rep) in corpus.items():
+        lifted = rep.new_group
+        scattered = rng.choice(lifted.size, size=min(lifted.size // 3, 500), replace=False)
+        for g, members in ((inst.design.group, inst.design.members),
+                           (lifted, rep.new_design.members),
+                           (lifted, np.sort(scattered))):
+            members = np.array(members, dtype=np.int64)
+            fast = verify._character_counts(g, members)
+            if isinstance(g, ExtensionGroup) and not isinstance(g.base, AbelianGroup):
+                assert fast is None
+                nested += 1
+                continue
+            assert fast is not None, name
+            assert np.array_equal(fast, verify._direct_counts(g, members)), name
+    assert nested
+
+
+@pytest.mark.parametrize("which", ["base", "lifted"])
+def test_fft_guard_falls_back_to_direct(corpus, monkeypatch, which):
+    inst, rep = corpus["dillon"]
+    design = inst.design if which == "base" else rep.new_design
+    expected = difference_profile(design)
+    real_irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **kw: real_irfftn(*a, **kw) + 0.4)
+    direct_calls = []
+    real_direct = verify._direct_counts
+
+    def spy(group, members):
+        direct_calls.append(group)
+        return real_direct(group, members)
+
+    monkeypatch.setattr(verify, "_direct_counts", spy)
+    members = np.array(design.members, dtype=np.int64)
+    assert verify._character_counts(design.group, members) is None
+    assert np.array_equal(difference_profile(design), expected)
+    assert direct_calls == [design.group]
 
 
 def test_multiplier_check():
