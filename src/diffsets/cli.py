@@ -163,8 +163,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
               f"{len(instance.candidate_gens)} candidate generator(s)")
 
     out = args.out or _default_out(family, params)
-    _write(f"{out}.group.txt", group_text(design.group))
-    _write(f"{out}.design.txt", design_text(design, instance))
+    rendered_group = group_text(design.group)
+    _write(f"{out}.group.txt", rendered_group)
+    _write(f"{out}.design.txt", design_text(design, instance, rendered_group))
     log = list(design.log) + (list(instance.log) if instance else [])
     _write(f"{out}.manifest.txt", manifest_text(
         "construct", family, params,

@@ -10,6 +10,18 @@ concrete kinds are provided:
   ring elements, so an additive field element code is directly an element
   index of the matching elementary abelian group.
 
+  Arithmetic is by table lookup.  Consecutive cyclic factors are grouped
+  greedily into blocks of order m <= BLOCK_ORDER (C3^9 into 243 and 81,
+  C7^3 x C58 into 49, 7 and 58); each element has one coordinate per block,
+  and each block an m x m Cayley table pre-multiplied by the block's radix,
+  so a * b is the sum over blocks of table[coord(a) * m + coord(b)]: a few
+  gathers from cache-sized arrays, with no modulo.  Inverses come from a
+  digit-wise inverse table per block, and a quotient a * b^-1 multiplies by
+  the looked-up inverses.  A lone factor above the bound (C364 in Spence
+  d = 2) has no table and adds coordinates modulo its order.  The tables are
+  built on the first product, one factor at a time, so a group never
+  multiplied costs nothing.
+
 * ExtensionGroup - a group of pairs (automorphism, base element) inside the
   semidirect product Aut(B) x B, multiplied by
   (f1, b1)(f2, b2) = (f1 f2, b1^f2 * b2), enumerated by a deterministic
@@ -41,10 +53,18 @@ from .errors import (
     ParameterError,
 )
 
-# Largest abelian group order accepted.  An abelian group keeps an
-# order x factors digit table, so this bounds memory before anything is
-# allocated; it leaves room for Spence d = 2 (order 265356).
+# Largest abelian group order accepted, checked before anything is allocated.
+# An abelian group keeps an order x factors int64 digit table and, once
+# multiplied, an order x blocks int64 coordinate table plus one table of at
+# most BLOCK_ORDER^2 int64s (512 KiB) per block; at 2^20 the digits dominate
+# (C2^20: 160 MiB of digits, 24 MiB of coordinates, 1 MiB of tables).  It
+# leaves room for Spence d = 2 (order 265356).
 MAX_GROUP_ORDER = 1 << 20
+
+# Largest block of an abelian group's arithmetic tables (see module notes):
+# its Cayley table has BLOCK_ORDER^2 int64 entries, 512 KiB, which stays in
+# L2 cache; at 1024 the tables reach 8 MiB each and outgrow it.
+BLOCK_ORDER = 256
 
 # Largest table an extension closure may allocate, in int64 entries: its
 # pair index and automorphism permutations are (automorphisms x base order),
@@ -77,13 +97,64 @@ class Group:
         raise NotImplementedError
 
     def mul_elems(self, a: np.ndarray, b: int) -> np.ndarray:
-        return self.mul_many(a, np.full(np.shape(a), b, dtype=np.int64))
+        return self.mul_many(a, b)
 
     def mul_outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.mul_many(np.asarray(a)[:, None], np.asarray(b)[None, :])
 
     def element_name(self, a: int) -> str:
         raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class _Block:
+    """A run of consecutive cyclic factors of an abelian group.
+
+    `coord[x]` is the block's part of element x, 0 .. order-1, so that
+    x = sum over blocks of coord[x] * radix.  `table[c1 * order + c2]` is
+    radix times the coordinate of c1 + c2 and `neg[c]` radix times that of
+    -c, both digit by digit; a lone factor above BLOCK_ORDER has neither and
+    adds modulo its order.
+    """
+
+    radix: int
+    order: int
+    coord: np.ndarray
+    table: Optional[np.ndarray]
+    neg: Optional[np.ndarray]
+
+
+def _build_blocks(orders: Tuple[int, ...], radix: np.ndarray) -> List[_Block]:
+    size = prod(orders)
+    blocks = []
+    lo = 0
+    while lo < len(orders):
+        # consecutive factors, greedily, while the product stays <= BLOCK_ORDER
+        hi, m = lo + 1, orders[lo]
+        while hi < len(orders) and m * orders[hi] <= BLOCK_ORDER:
+            m *= orders[hi]
+            hi += 1
+        weight = int(radix[lo])
+        coord = np.arange(size, dtype=np.int64) // weight % m
+        table = neg = None
+        if m <= BLOCK_ORDER:
+            # one factor at a time, with (m, m) temporaries only
+            c = np.arange(m, dtype=np.int64)
+            table = np.zeros(m * m, dtype=np.int64)
+            neg = np.zeros(m, dtype=np.int64)
+            step = 1
+            for n in orders[lo:hi]:
+                d = c // step % n
+                s = (d[:, None] + d[None, :]).ravel()
+                s -= n * (s >= n)
+                table += s * step
+                neg += (n - d) % n * step
+                step *= n
+            table *= weight
+            neg *= weight
+        blocks.append(_Block(weight, m, coord, table, neg))
+        lo = hi
+    return blocks
 
 
 class AbelianGroup(Group):
@@ -112,38 +183,57 @@ class AbelianGroup(Group):
             rem //= n
         self.digits = digs
         self.generators = tuple(int(r) for r in radix)
+        self._blocks: Optional[List[_Block]] = None
 
     def encode(self, digs: np.ndarray) -> np.ndarray:
         return (digs % self._orders_arr) @ self._radix
 
-    def _encode_temp(self, digs: np.ndarray) -> np.ndarray:
-        """encode() of a digit array nothing else holds, reduced in place so
-        that no second array of its size is allocated."""
-        digs %= self._orders_arr
-        return digs @ self._radix
+    def _kernel(self) -> List[_Block]:
+        if self._blocks is None:
+            self._blocks = _build_blocks(self.orders, self._radix)
+        return self._blocks
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.encode(self.digits[a] + self.digits[b]))
+        return int(self.mul_many(a, b))
 
     def inv(self, a: int) -> int:
-        return int(self.encode(-self.digits[a]))
+        return int(self.inv_many(a))
 
     def mul_many(self, a, b):
-        digs = self.digits[np.asarray(a)]
-        other = self.digits[np.asarray(b)]
-        if digs.shape == np.broadcast_shapes(digs.shape, other.shape):
-            digs += other  # the gather is a fresh copy, so add into it
-        else:
-            digs = digs + other
-        return self._encode_temp(digs)
-
-    def inv_many(self, a):
-        return self._encode_temp(-self.digits[np.asarray(a)])
-
-    def quotient_outer(self, a, b):
         a = np.asarray(a)
         b = np.asarray(b)
-        return self._encode_temp(self.digits[a][:, None, :] - self.digits[b][None, :, :])
+        out = None
+        for blk in self._kernel():
+            ca, cb = blk.coord[a], blk.coord[b]
+            if blk.table is not None:
+                term = blk.table[ca * blk.order + cb]
+            else:
+                term = ca + cb
+                term -= blk.order * (term >= blk.order)
+                term *= blk.radix
+            if out is None:
+                out = term
+            else:
+                out += term
+        return out
+
+    def inv_many(self, a):
+        a = np.asarray(a)
+        out = None
+        for blk in self._kernel():
+            c = blk.coord[a]
+            if blk.table is not None:
+                term = blk.neg[c]
+            else:
+                term = (blk.order - c) % blk.order * blk.radix
+            if out is None:
+                out = term
+            else:
+                out += term
+        return out
+
+    def quotient_outer(self, a, b):
+        return self.mul_outer(a, self.inv_many(b))
 
     def pow_many(self, a, e: int):
         return self.encode(self.digits[np.asarray(a)] * e)
@@ -518,14 +608,29 @@ class CosetTable:
         return len(self.reps)
 
 
+def _next_unassigned(cosid: np.ndarray, pos: int) -> int:
+    """The smallest index >= pos with no coset yet, or len(cosid); the window
+    doubles, so a run of assigned indices costs a few numpy calls."""
+    width = 64
+    while pos < cosid.size:
+        hit = np.flatnonzero(cosid[pos:pos + width] < 0)
+        if hit.size:
+            return pos + int(hit[0])
+        pos += width
+        width *= 2
+    return pos
+
+
 def right_cosets(group: Group, sub: Subgroup) -> CosetTable:
+    """Cosets H x numbered by their smallest element, which is the rep."""
     cosid = np.full(group.size, -1, dtype=np.int64)
     members = np.array(sub.members, dtype=np.int64)
     reps = []
-    for idx in range(group.size):
-        if cosid[idx] < 0:
-            cosid[group.mul_elems(members, idx)] = len(reps)
-            reps.append(idx)
+    idx = 0
+    while idx < group.size:
+        cosid[group.mul_elems(members, idx)] = len(reps)
+        reps.append(idx)
+        idx = _next_unassigned(cosid, idx + 1)
     return CosetTable(tuple(reps), cosid)
 
 
@@ -544,19 +649,17 @@ def coset_action_transitive(group: Group, sub: Subgroup,
     `acting` is a list of (permutation over the group, element g) pairs.
     """
     table = right_cosets(group, sub)
+    reps = np.array(table.reps, dtype=np.int64)
     seen = np.zeros(table.count, dtype=bool)
-    start = int(table.cosid[0])
-    seen[start] = True
-    queue = [start]
-    pos = 0
-    while pos < len(queue):
-        rep = table.reps[queue[pos]]
-        for perm, g in acting:
-            cid = int(table.cosid[group.mul(int(perm[rep]), g)])
-            if not seen[cid]:
-                seen[cid] = True
-                queue.append(cid)
-        pos += 1
+    frontier = table.cosid[:1]
+    seen[frontier] = True
+    # one orbit layer at a time: the images of every frontier coset's rep
+    while frontier.size and acting:
+        rep = reps[frontier]
+        cids = np.concatenate([table.cosid[group.mul_elems(perm[rep], g)]
+                               for perm, g in acting])
+        frontier = np.unique(cids[~seen[cids]])
+        seen[frontier] = True
     reached = int(seen.sum())
     witness = None
     if reached != table.count:

@@ -96,7 +96,8 @@ def group_lines(group: Group) -> List[str]:
     return lines
 
 
-def design_lines(design: DesignSet, instance: Optional[TransferInstance] = None) -> List[str]:
+def _design_head_lines(design: DesignSet,
+                       instance: Optional[TransferInstance]) -> List[str]:
     lines = [f"# {FORMAT_TAG}", "[design]",
              f"kind = {design.kind}",
              "claimed = " + ",".join(str(x) for x in design.claimed)]
@@ -120,16 +121,22 @@ def design_lines(design: DesignSet, instance: Optional[TransferInstance] = None)
             lines.append(f"gen{gi} = {word_s}|{b}")
         for entry in instance.log:
             lines.append(f"log = {entry}")
-    lines.extend(group_lines(design.group))
     return lines
-
-
-def design_text(design: DesignSet, instance: Optional[TransferInstance] = None) -> str:
-    return "\n".join(design_lines(design, instance)) + "\n"
 
 
 def group_text(group: Group) -> str:
     return f"# {FORMAT_TAG}\n" + "\n".join(group_lines(group)) + "\n"
+
+
+def design_text(design: DesignSet, instance: Optional[TransferInstance] = None,
+                rendered_group: Optional[str] = None) -> str:
+    """The design file: its own sections, then the group file without its
+    format-tag line.  `rendered_group` is group_text(design.group) when the
+    caller has it already, so that the [elements] table is built once."""
+    if rendered_group is None:
+        rendered_group = group_text(design.group)
+    group_body = rendered_group[rendered_group.index("\n") + 1:]
+    return "\n".join(_design_head_lines(design, instance)) + "\n" + group_body
 
 
 # ---------------------------------------------------------------------------

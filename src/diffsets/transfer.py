@@ -146,8 +146,8 @@ def check_conditions(inst: TransferInstance) -> TransferReport:
                            f"{group.element_name(g)}^-1 * {group.element_name(s)} * "
                            f"{group.element_name(g)} = {group.element_name(c)}")
     if cond_ii:
-        x_in_closure = np.array(
-            [closure.index_of_pair(0, int(b)) for b in x_members], dtype=np.int64)
+        # the pair (identity, b) has key 0 * |G| + b = b
+        x_in_closure = closure.pair_index[x_members]
         for z in closure.generators:
             zi = np.full(len(x_in_closure), z, dtype=np.int64)
             conj = closure.mul_many(closure.mul_many(closure.inv_many(zi), x_in_closure), zi)

@@ -166,3 +166,36 @@ def closure_bfs(base_mul: MulFn, aut_perms: Sequence[Sequence[int]],
                 genidx.append(gi)
         pos += 1
     return aut_part, base_part, parent, genidx, pair_index
+
+
+def right_cosets(size: int, mul: MulFn,
+                 members: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(reps, cosid) of the right cosets H x, walking every element: each
+    element not yet placed starts a coset, so the reps ascend."""
+    cosid = [-1] * size
+    reps: List[int] = []
+    for x in range(size):
+        if cosid[x] < 0:
+            for h in members:
+                cosid[mul(h, x)] = len(reps)
+            reps.append(x)
+    return reps, cosid
+
+
+def coset_orbit(size: int, mul: MulFn, members: Sequence[int],
+                acting: Sequence[Tuple[Sequence[int], int]]):
+    """(reached, total, witness) for the orbit of H under H x -> H x^phi g,
+    one coset at a time; witness is the smallest rep left out, or None."""
+    reps, cosid = right_cosets(size, mul, members)
+    seen = [False] * len(reps)
+    seen[cosid[0]] = True
+    queue = [cosid[0]]
+    for c in queue:
+        for perm, g in acting:
+            d = cosid[mul(perm[reps[c]], g)]
+            if not seen[d]:
+                seen[d] = True
+                queue.append(d)
+    reached = sum(seen)
+    witness = None if reached == len(reps) else reps[seen.index(False)]
+    return reached, len(reps), witness

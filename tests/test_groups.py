@@ -52,6 +52,39 @@ def test_abelian_matches_oracle(orders):
         assert g.element_order(a) == (oracle.element_order(mul, a) if a else 1)
 
 
+@pytest.mark.parametrize("orders, blocks", [
+    ((2,) * 9, [256, 2]),          # a block boundary inside a run of C2s
+    ((4, 2, 3), [24]),             # one block of three factors
+    ((6, 2), [12]),
+    ((7, 7, 7, 58), [49, 7, 58]),
+    ((300,), [300]),               # a lone factor above the bound: no table
+    ((3, 3, 364), [9, 364]),
+])
+def test_block_kernel_matches_oracle(orders, blocks):
+    g = abelian_make(orders)
+    assert g._blocks is None  # tables are built on the first product
+    assert g.mul(0, 0) == 0
+    kernel = g._kernel()
+    assert [b.order for b in kernel] == blocks
+    assert [b.table is None for b in kernel] == [m > groups.BLOCK_ORDER for m in blocks]
+
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, g.size, 300)
+    b = rng.integers(0, g.size, 300)
+    mul = lambda x, y: oracle.abelian_mul(orders, int(x), int(y))
+    inv = lambda x: oracle.abelian_inv(orders, int(x))
+    assert g.mul_many(a, b).tolist() == [mul(x, y) for x, y in zip(a, b)]
+    assert g.inv_many(a).tolist() == [inv(x) for x in a]
+    assert [g.mul(int(x), int(y)) for x, y in zip(a[:20], b[:20])] == \
+        [mul(x, y) for x, y in zip(a[:20], b[:20])]
+    assert [g.inv(int(x)) for x in a[:20]] == [inv(x) for x in a[:20]]
+    assert g.mul_elems(a, int(b[0])).tolist() == [mul(x, b[0]) for x in a]
+    left, right = a[:17], b[:23]
+    assert g.mul_outer(left, right).tolist() == [[mul(x, y) for y in right] for x in left]
+    assert g.quotient_outer(left, right).tolist() == \
+        [[mul(x, inv(y)) for y in right] for x in left]
+
+
 def test_abelian_digit_roundtrip():
     g = abelian_make((4, 2, 3))
     for idx in range(g.size):
@@ -205,6 +238,36 @@ def test_coset_action_transitivity(d4):
     # right multiplication by a rotation fixes both cosets
     res2 = coset_action_transitive(d4, rot, [(ident, d4.generators[0])])
     assert not res2.transitive and res2.reached == 1
+
+
+def test_cosets_match_reference(d4, corpus):
+    def check(group, sub, acting):
+        table = right_cosets(group, sub)
+        reps, cosid = oracle.right_cosets(group.size, group.mul, sub.members)
+        assert list(table.reps) == reps and table.cosid.tolist() == cosid
+        res = coset_action_transitive(group, sub, acting)
+        want = oracle.coset_orbit(group.size, group.mul, sub.members, acting)
+        assert (res.reached, res.total, res.witness_rep) == want
+        assert res.transitive == (want[0] == want[1])
+
+    ident = np.arange(d4.size, dtype=np.int64)
+    for gens in [(), (d4.generators[0],), (d4.generators[1],), d4.generators]:
+        sub = subgroup_closure(d4, gens)
+        for acting in [[], [(ident, d4.generators[0])], [(ident, d4.generators[1])]]:
+            check(d4, sub, acting)
+    for name in ("spence_d1", "denniston_gr4_t3_k3"):
+        inst, rep = corpus[name]
+        closure = rep.new_group
+        # condition (iii) as the transfer runs it, then with one acting pair
+        acting = [(closure.aut_perms[a], b) for a, b in closure.gen_pairs]
+        check(inst.design.group, rep.x_subgroup, acting)
+        check(inst.design.group, rep.x_subgroup, acting[:1])
+        # a small subgroup of the nonabelian closure: many cosets
+        sub = subgroup_closure(closure, closure.generators[:1])
+        ident = np.arange(closure.size, dtype=np.int64)
+        check(closure, sub, [(ident, g) for g in closure.generators])
+        for g in closure.generators:  # partial orbits, several witnesses
+            check(closure, sub, [(ident, g)])
 
 
 def test_element_orders_vectorized(d4, corpus):
