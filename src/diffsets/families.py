@@ -8,6 +8,9 @@ Everywhere a construction allows an arbitrary choice (a primitive element, an
 orbit representative, a basis completion), the choice here is canonical -
 smallest index first - and recorded in the construction log, so reruns are
 byte-identical and the verifier confirms correctness regardless.
+
+Each family makes its abelian group before any field, ring, plane or member,
+so a request above groups.MAX_GROUP_ORDER fails at once with a ParameterError.
 """
 
 from __future__ import annotations
@@ -339,9 +342,9 @@ def spence(d: int) -> TransferInstance:
         raise ParameterError("d must be positive")
     m = 3 * d
     r = (3 ** m - 1) // 2
+    group = abelian_make((3,) * m + (r,))
     override = (1, 2, 0, 1) if d == 1 else None
     F = field_make(3, m, modulus_override=override)
-    group = abelian_make((3,) * m + (r,))
     planes = hyperplanes(F)
     wbase = 3 ** m
     h0 = set(planes[0].members)
@@ -396,6 +399,7 @@ def denniston_even(m: int, r: int) -> TransferInstance:
     invariant hyperplane."""
     if m < 2 or not 1 <= r < m:
         raise ParameterError("need m >= 2 and 1 <= r < m")
+    group = abelian_make((2,) * (3 * m))
     F = field_make(2, m)
     q = 2 ** m
     alpha = None
@@ -409,7 +413,6 @@ def denniston_even(m: int, r: int) -> TransferInstance:
     if alpha is None:
         raise NoValidAlpha("no primitive element alpha satisfies tr(1/alpha) = 1")
 
-    group = abelian_make((2,) * (3 * m))
     kbound = 2 ** r
     members: List[int] = []
     zero_count = 0
@@ -452,6 +455,7 @@ def denniston_gr4(t: int, k: int) -> TransferInstance:
         raise ParameterError("t must be at least 2")
     if not 1 <= k <= t:
         raise ParameterError("need 1 <= k <= t")
+    group = abelian_make((4,) * t + (2,) * t)
     ring = galois_ring_make(t)
     F = ring.residue_field
     n1 = 2 ** t - 1
@@ -467,7 +471,7 @@ def denniston_gr4(t: int, k: int) -> TransferInstance:
     one_plus_w = F.add(1, w)
 
     planes = hyperplanes(F)
-    ksets = [tuple(int(ring.iso_table[x]) for x in plane.members) for plane in planes]
+    ksets = [ring.iso_table[list(plane.members)] for plane in planes]
 
     def dbl(code: int) -> int:
         return int(ring.add(code, code))
@@ -479,12 +483,10 @@ def denniston_gr4(t: int, k: int) -> TransferInstance:
             pi_a = F.add(F.mul(F.exp[i], one_plus_w), F.mul(F.exp[j], w))
             base_pt = ring.add(ring.add(int(ring.hpow[i]), int(ring.hpow[(2 * i - j) % n1])),
                                int(ring.iso_table[int(pi_a)]))
-            for kap in ksets[j]:
-                members.append(int(ring.add(int(base_pt), kap)) + rsize * s_code)
+            members.extend((ring.additive.mul_many(base_pt, ksets[j]) + rsize * s_code).tolist())
     k1 = 2 ** (2 * t - 1) - 2 ** (t - 1)
     claimed = (2 ** (3 * t), k1 * (2 ** t - 1),
                2 ** (t - 1) + k1 * (2 ** (t - 1) - 2), k1 * (2 ** (t - 1) - 1))
-    group = abelian_make((4,) * t + (2,) * t)
     design = DesignSet(group, tuple(sorted(members)), "PDS", claimed,
                        log=[f"ring {ring!r}, w = g^{w_i}"])
     verify_pds(design, require_regular=True)
@@ -540,10 +542,10 @@ def denniston_odd(p: int, t: int) -> TransferInstance:
     m = p * t
     q1 = p ** m
     q2 = p ** (2 * m)
+    group = abelian_make((p,) * (3 * m))
     F1 = field_make(p, m)
     F2 = field_make(p, 2 * m)
     c = (q1 - 1) // (p - 1)
-    group = abelian_make((p,) * (3 * m))
 
     emb = field_embed(F1, F2)
     rev = {int(v): i for i, v in enumerate(emb)}
@@ -591,24 +593,19 @@ def mcfarland_base(q: int, s: int) -> DesignSet:
     if len(factors) != 1:
         raise ParameterError(f"q = {q} is not a prime power")
     p, e = next(iter(factors.items()))
-    r = (q ** (s + 1) - 1) // (q - 1)
-    if s == 1:
-        F = field_make(p, e)
-        planes = hyperplanes(F, ambient_dim=2)
-        e_orders = (p,) * (2 * e)
-        plane_codes = [_plane_codes(pl, q) for pl in planes]
-    elif e == 1:
-        F = field_make(p, s + 1)
-        planes = hyperplanes(F)
-        e_orders = (p,) * (s + 1)
-        plane_codes = [list(pl.members) for pl in planes]
-    else:
+    if s != 1 and e != 1:
         raise ParameterError("supported shapes: s = 1 with any prime power q, "
                              "or prime q with s >= 2")
-    assert len(planes) == r
+    r = (q ** (s + 1) - 1) // (q - 1)
     e_size = q ** (s + 1)
-
-    group = abelian_make(e_orders + (r + 1,))
+    group = abelian_make((p,) * ((s + 1) * e) + (r + 1,))
+    if s == 1:
+        planes = hyperplanes(field_make(p, e), ambient_dim=2)
+        plane_codes = [_plane_codes(pl, q) for pl in planes]
+    else:
+        planes = hyperplanes(field_make(p, s + 1))
+        plane_codes = [list(pl.members) for pl in planes]
+    assert len(planes) == r
     members: List[int] = []
     for a, codes in enumerate(plane_codes, start=1):
         members.extend(ec + e_size * a for ec in codes)
@@ -648,8 +645,10 @@ def mcfarland_even(d: int, variant: int) -> TransferInstance:
     if variant not in (1, 2, 3):
         raise ParameterError("variant must be 1, 2, or 3")
     q = 2 ** d
-    F = field_make(2, d)
-    planes = hyperplanes(F, ambient_dim=2)
+    half = (q + 2) // 2
+    # variant 3's group is the base of its dihedral-tail extension
+    group = abelian_make((2,) * (2 * d) + (q + 2 if variant in (1, 2) else half,))
+    planes = hyperplanes(field_make(2, d), ambient_dim=2)
     fixed, pairs = _swap_pairing(planes)
     e_size = q * q
     plane_codes = [_plane_codes(pl, q) for pl in planes]
@@ -658,8 +657,6 @@ def mcfarland_even(d: int, variant: int) -> TransferInstance:
     claimed = (q * q * (q + 2), q * (q + 1), q)
 
     if variant in (1, 2):
-        half = (q + 2) // 2
-        group = abelian_make((2,) * (2 * d) + (q + 2,))
         assign = [0] * len(planes)
         assign[fixed] = half
         pool = [x for x in range(1, q + 2) if x != half]
@@ -691,14 +688,12 @@ def mcfarland_even(d: int, variant: int) -> TransferInstance:
                              log=[f"variant {variant} generators"])
 
     # variant 3: dihedral tail, built as an extension over C_2^2d x C_(q+2)/2
-    half = (q + 2) // 2
-    base = abelian_make((2,) * (2 * d) + (half,))
-    y0 = base.generators[2 * d]
-    inv_images = list(base.generators[:2 * d]) + [base.pow(y0, half - 1)]
-    inv3 = aut_from_images(base, inv_images)
+    y0 = group.generators[2 * d]
+    inv_images = list(group.generators[:2 * d]) + [group.pow(y0, half - 1)]
+    inv3 = aut_from_images(group, inv_images)
     gprime = extension_closure(
-        base, [inv3],
-        [((), g) for g in base.generators[:2 * d]] + [((), y0), ((0,), 0)])
+        group, [inv3],
+        [((), g) for g in group.generators[:2 * d]] + [((), y0), ((0,), 0)])
     assert gprime.size == q * q * (q + 2)
 
     def kp(a: int, j: int) -> int:
@@ -769,6 +764,7 @@ def mcfarland_odd(q: int, s: int) -> TransferInstance:
         raise ParameterError(f"need 2 <= s < q so the column action has order q, got s = {s}")
     assert (pp - 1) % q == 0
     n = s + 1
+    group = abelian_make((q,) * n + (twop,))
     espace = abelian_make((q,) * n)
     e_size = q ** n
 
@@ -832,7 +828,6 @@ def mcfarland_odd(q: int, s: int) -> TransferInstance:
         for pi, ki in zip(porb, korb):
             assign[pi] = ki
 
-    group = abelian_make((q,) * n + (twop,))
     members: List[int] = []
     for mem, a in zip(plane_members, assign):
         members.extend(int(z) + e_size * a for z in mem)
@@ -863,9 +858,8 @@ def mcfarland_odd_sylow(report: TransferReport) -> Subgroup:
 
 def _rds_group(d: int) -> Tuple[AbelianGroup, FiniteField, int]:
     q = 2 ** d
-    F = field_make(2, 2 * d)
     group = abelian_make((q * q,) + (2,) * (4 * d))
-    return group, F, q * q
+    return group, field_make(2, 2 * d), q * q
 
 
 def rds_base(d: int) -> DesignSet:

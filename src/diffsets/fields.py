@@ -1,10 +1,14 @@
-"""Finite fields GF(p^m) and Galois rings GR(4,t) on dense integer-coded tables.
+"""Finite fields GF(p^m) and Galois rings GR(4,t) on integer element codes.
 
 An element with polynomial-basis coefficients (c_0, ..., c_{m-1}) is stored as
 the integer code sum(c_i * p**i), so the q field elements are coded exactly by
 0 .. q-1, with 0 the zero element and 1 the one element.  The same convention
-holds for the rings with radix 4.  All arithmetic is table-driven; the tables
-are built once per (p, m, modulus) triple and cached.
+holds for the rings with radix 4.  These codes are the element indices of the
+additive group - C_p^m for GF(p^m), C_4^t for GR(4,t) - so each structure
+keeps that AbelianGroup as `additive`: addition is its product, and its digits
+are the coefficient vectors.  Field multiplication goes through exp/log tables
+of the primitive element, built once per (p, m, modulus) triple and cached;
+ring multiplication reduces the polynomial product on demand.
 
 Moduli are always monic and are selected deterministically: the default is the
 first primitive polynomial when coefficient vectors (c_0, ..., c_{m-1}) are
@@ -25,9 +29,7 @@ import numpy as np
 import sympy
 
 from .errors import LiftFailure, NonPrimitiveModulus, ParameterError
-
-_ADD_TABLE_LIMIT = 4096
-_MUL_TABLE_LIMIT = 2048
+from .groups import AbelianGroup, abelian_make
 
 
 # ---------------------------------------------------------------------------
@@ -115,22 +117,22 @@ def _poly_str(digits: Sequence[int], var: str = "x") -> str:
 # finite fields
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _elementary(p: int, m: int) -> AbelianGroup:
+    """C_p^m, the additive group of GF(p^m) under every modulus."""
+    return abelian_make((p,) * m)
+
+
 class FiniteField:
-    """GF(p^m) with exp/log tables over integer element codes."""
+    """GF(p^m): addition in the additive group, multiplication by exp/log tables."""
 
     def __init__(self, p: int, m: int, modulus: Tuple[int, ...]):
         self.p = p
         self.m = m
         self.q = p ** m
         self.modulus = tuple(int(c) for c in modulus)
-        self._radix = np.array([p ** i for i in range(m)], dtype=np.int64)
-        codes = np.arange(self.q, dtype=np.int64)
-        digs = np.empty((self.q, m), dtype=np.int64)
-        rem = codes.copy()
-        for i in range(m):
-            digs[:, i] = rem % p
-            rem //= p
-        self.digits = digs
+        self.additive = _elementary(p, m)
+        self.digits = self.additive.digits
 
         # exp/log tables: exp[i] is the code of x^i
         exp = np.empty(self.q - 1, dtype=np.int64)
@@ -146,19 +148,12 @@ class FiniteField:
         log = np.full(self.q, -1, dtype=np.int64)
         log[exp] = np.arange(self.q - 1)
         self.log = log
-
-        self._add_table: Optional[np.ndarray] = None
-        if self.q <= _ADD_TABLE_LIMIT:
-            s = (digs[:, None, :] + digs[None, :, :]) % p
-            self._add_table = (s @ self._radix).astype(np.int64)
         self._embeddings: Dict[int, np.ndarray] = {}
 
     # -- basic arithmetic on codes --------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return int(self._add_table[a, b])
-        return int(((self.digits[a] + self.digits[b]) % self.p) @ self._radix)
+        return self.additive.mul(a, b)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -221,6 +216,7 @@ def field_make(p: int, m: int, modulus_override: Optional[Sequence[int]] = None)
         raise ParameterError(f"p = {p} is not prime")
     if m < 1:
         raise ParameterError(f"extension degree must be positive, got {m}")
+    _elementary(p, m)  # an oversized order fails here, before any modulus search
     if modulus_override is not None:
         mod = tuple(int(c) % p for c in modulus_override)
         if len(mod) != m + 1 or modulus_override[m] != 1:
@@ -374,6 +370,9 @@ class GaloisRing:
         if t < 2:
             raise ParameterError(f"ring degree must be at least 2, got {t}")
         self.t = t
+        self.q = 4 ** t
+        self.additive = abelian_make((4,) * t)
+        self.digits = self.additive.digits
         if t == 3:
             self.phi2: Tuple[int, ...] = (1, 1, 0, 1)
         else:
@@ -382,16 +381,6 @@ class GaloisRing:
         if tuple(c % 2 for c in self.phi) != self.phi2:
             raise LiftFailure("lifted modulus does not reduce to the binary modulus")
         self._check_divides_cyclotomic()
-
-        self.q = 4 ** t
-        self._radix = np.array([4 ** i for i in range(t)], dtype=np.int64)
-        codes = np.arange(self.q, dtype=np.int64)
-        digs = np.empty((self.q, t), dtype=np.int64)
-        rem = codes.copy()
-        for i in range(t):
-            digs[:, i] = rem % 4
-            rem //= 4
-        self.digits = digs
 
         self.residue_field = field_make(2, t, modulus_override=self.phi2)
 
@@ -406,24 +395,11 @@ class GaloisRing:
             raise LiftFailure("residue of x does not have the full Teichmueller order")
         self.hpow = hp
 
-        self._mul_table: Optional[np.ndarray] = None
-        if self.q <= _MUL_TABLE_LIMIT:
-            tbl = np.empty((self.q, self.q), dtype=np.int64)
-            for a in range(self.q):
-                da = digs[a].tolist()
-                for b in range(a + 1):
-                    v = sum(c * 4 ** k for k, c in enumerate(_z4_mulmod(da, digs[b].tolist(), self.phi)))
-                    tbl[a, b] = v
-                    tbl[b, a] = v
-            self._mul_table = tbl
-        s = (digs[:, None, :] + digs[None, :, :]) % 4
-        self._add_table = (s @ self._radix).astype(np.int64)
-
-        proj = (digs % 2) @ np.array([2 ** i for i in range(t)], dtype=np.int64)
-        self.proj_table = proj.astype(np.int64)
+        # reduction mod 2: the residue field's encode takes every Z4 digit mod 2
+        self.proj_table = self.residue_field.additive.encode(self.digits)
+        # 2R is the image of the Teichmueller set under doubling: g^i -> 2 h^i
         iso = np.zeros(2 ** t, dtype=np.int64)
-        for i in range(n1):
-            iso[self.residue_field.exp[i]] = self.add(int(hp[i]), int(hp[i]))
+        iso[self.residue_field.exp] = self.additive.mul_many(hp, hp)
         self.iso_table = iso
 
     def _check_divides_cyclotomic(self) -> None:
@@ -436,11 +412,9 @@ class GaloisRing:
     # -- arithmetic -------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return int(self._add_table[a, b])
+        return self.additive.mul(a, b)
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return int(self._mul_table[a, b])
         v = _z4_mulmod(self.digits[a].tolist(), self.digits[b].tolist(), self.phi)
         return sum(c * 4 ** k for k, c in enumerate(v))
 

@@ -96,9 +96,6 @@ class Group:
         """All pairwise a_i * b_j^(-1), shape (len(a), len(b))."""
         raise NotImplementedError
 
-    def mul_elems(self, a: np.ndarray, b: int) -> np.ndarray:
-        return self.mul_many(a, b)
-
     def mul_outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.mul_many(np.asarray(a)[:, None], np.asarray(b)[None, :])
 
@@ -339,7 +336,7 @@ def aut_from_images(group: Group, images: Sequence[int]) -> GroupAutomorphism:
     # all products by induction on word length.
     all_idx = np.arange(n, dtype=np.int64)
     for g, img in zip(group.generators, images):
-        bad = np.nonzero(perm[group.mul_elems(all_idx, g)] != group.mul_elems(perm, img))[0]
+        bad = np.nonzero(perm[group.mul_many(all_idx, g)] != group.mul_many(perm, img))[0]
         if bad.size:
             x = int(bad[0])
             raise NotHomomorphism(
@@ -586,8 +583,7 @@ def normality_witness(group: Group, sub: Subgroup) -> Optional[Tuple[int, int, i
         raise ParameterError("subgroup belongs to a different group")
     sgens = np.array(sub.gens, dtype=np.int64)
     for g in group.generators:
-        conj = group.mul_many(np.full(sgens.shape, group.inv(g), dtype=np.int64),
-                              group.mul_elems(sgens, g))
+        conj = group.mul_many(group.inv(g), group.mul_many(sgens, g))
         bad = np.nonzero(~sub.mask[conj])[0]
         if bad.size:
             return (g, int(sgens[bad[0]]), int(conj[bad[0]]))
@@ -628,7 +624,7 @@ def right_cosets(group: Group, sub: Subgroup) -> CosetTable:
     reps = []
     idx = 0
     while idx < group.size:
-        cosid[group.mul_elems(members, idx)] = len(reps)
+        cosid[group.mul_many(members, idx)] = len(reps)
         reps.append(idx)
         idx = _next_unassigned(cosid, idx + 1)
     return CosetTable(tuple(reps), cosid)
@@ -656,7 +652,7 @@ def coset_action_transitive(group: Group, sub: Subgroup,
     # one orbit layer at a time: the images of every frontier coset's rep
     while frontier.size and acting:
         rep = reps[frontier]
-        cids = np.concatenate([table.cosid[group.mul_elems(perm[rep], g)]
+        cids = np.concatenate([table.cosid[group.mul_many(perm[rep], g)]
                                for perm, g in acting])
         frontier = np.unique(cids[~seen[cids]])
         seen[frontier] = True
@@ -747,20 +743,17 @@ def fingerprint(group: Group, sylow: Optional[Dict[int, Subgroup]] = None) -> St
     for v in vals.tolist():
         exponent = lcm(exponent, int(v))
 
+    # one g x and x g per generator: the center is where they agree, and
+    # (g x)^-1 (x g) = [x, g] are the commutators of the generators
     every = np.arange(n, dtype=np.int64)
     central = np.ones(n, dtype=bool)
-    for g in group.generators:
-        gfull = np.full(n, g, dtype=np.int64)
-        central &= group.mul_many(every, gfull) == group.mul_many(gfull, every)
-    center_order = int(central.sum())
-
     com_codes: set = set()
     for g in group.generators:
-        gfull = np.full(n, g, dtype=np.int64)
-        left = group.mul_many(gfull, every)
-        right = group.mul_many(every, gfull)
-        com = group.mul_many(group.inv_many(left), right)
-        com_codes.update(np.unique(com).tolist())
+        left = group.mul_many(g, every)
+        right = group.mul_many(every, g)
+        central &= left == right
+        com_codes.update(np.unique(group.mul_many(group.inv_many(left), right)).tolist())
+    center_order = int(central.sum())
     dgens: List[int] = []
     derived = subgroup_closure(group, dgens)
     for c in sorted(com_codes):

@@ -351,7 +351,7 @@ def cayley_export(design: DesignSet, fmt: str) -> Tuple[str, Iterator[str], str]
         lefts = np.array([left.format(u) for u in range(group.size)], dtype=object)
         rights = np.array([right.format(v) for v in range(group.size)], dtype=object)
         for d in design.members:
-            vs = group.mul_many(np.full(group.size, d, dtype=np.int64), us)
+            vs = group.mul_many(d, us)
             keep = slice(None) if directed else us <= vs
             u_keep = us[keep]
             parts = np.empty((u_keep.size, 2), dtype=object)

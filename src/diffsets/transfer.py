@@ -149,8 +149,7 @@ def check_conditions(inst: TransferInstance) -> TransferReport:
         # the pair (identity, b) has key 0 * |G| + b = b
         x_in_closure = closure.pair_index[x_members]
         for z in closure.generators:
-            zi = np.full(len(x_in_closure), z, dtype=np.int64)
-            conj = closure.mul_many(closure.mul_many(closure.inv_many(zi), x_in_closure), zi)
+            conj = closure.mul_many(closure.mul_many(closure.inv(z), x_in_closure), z)
             bad = np.nonzero(~x_sub.mask[closure.base_part[conj]])[0]
             if bad.size:
                 cond_ii = False

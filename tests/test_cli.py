@@ -252,15 +252,40 @@ def test_oversized_group_exits_2(tmp_path, capsys):
     assert "exceeds the supported maximum" in stderr and "Traceback" not in stderr
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("argv", [
+    ["denniston-gr4", "--t", "7", "--k", "1"],
+    ["denniston-odd", "--p", "3", "--t", "2"],
+    ["rds", "--d", "12"],
+    ["rds-transfer", "--d", "12"],
+    ["mcfarland", "--q", "2", "--s", "12"],
+], ids=lambda argv: argv[0])
+def test_oversized_family_fails_fast(tmp_path, argv):
+    """Each family checks its group's order before it builds fields, rings,
+    planes or members, so an oversized request exits 2 within seconds."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "diffsets", "construct", *argv, "--out", str(tmp_path / "x")],
+        env=_src_env(), capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert "group order" in proc.stderr and "exceeds the supported maximum" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_tracer_hooks_resolve():
     """The benchmark's tracer wraps CLI, family, field, serialize and transfer
     module attributes by name; each of them must still exist."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.join(root, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import passes; passes.install_tracer(passes.Tracer('t'))"],
-        cwd=os.path.join(root, "perfbench"), env=env, capture_output=True, text=True)
+        cwd=os.path.join(ROOT, "perfbench"), env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

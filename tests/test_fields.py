@@ -3,6 +3,7 @@ subfield embeddings, and GR(4,t) structure."""
 
 import random
 
+import numpy as np
 import pytest
 
 from diffsets import (
@@ -165,6 +166,50 @@ def test_galois_ring_ideal_and_projection():
                 int(ring.iso_table[a]), int(ring.iso_table[b]))
     # 2R is the kernel of reduction
     assert int(ring.proj_table[ring.iso_table[1]]) == 0
+
+
+@pytest.mark.parametrize("kind,p,m", [
+    ("GF", 2, 3), ("GF", 3, 2), ("GF", 3, 3), ("GF", 7, 2), ("GR", 4, 2), ("GR", 4, 3),
+    ("GF", 3, 6),  # 729 codes: two arithmetic blocks (243 and 3), so the radix matters
+])
+def test_addition_matches_digitwise_oracle(kind, p, m):
+    """add, and additive.mul_many on arrays, against the code of the digit-wise
+    sum (da + db) % p with the digits taken by integer division.  add runs on
+    every pair up to 4096 pairs, on an even sample of them above that."""
+    ring = field_make(p, m) if kind == "GF" else galois_ring_make(m)
+    q = p ** m
+    a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    expect = sum((a // p**i % p + b // p**i % p) % p * p**i for i in range(m))
+    assert ring.additive.mul_many(a, b).tolist() == expect.tolist()
+    step = max(1, q * q // 4096)
+    xs, ys, want = a.ravel()[::step], b.ravel()[::step], expect.ravel()[::step]
+    assert [ring.add(int(x), int(y)) for x, y in zip(xs, ys)] == want.tolist()
+    assert ring.additive.mul_many(xs, ys).tolist() == want.tolist()
+    assert ring.digits.tolist() == [[x // p**i % p for i in range(m)] for x in range(q)]
+
+
+def test_galois_ring_t5_structure():
+    ring = galois_ring_make(5)
+    F = ring.residue_field
+    assert ring.q == 1024 and F.q == 32
+    # h = x has order exactly 2^5 - 1 = 31, and hpow lists its powers
+    assert [ring.pow(4, i) for i in range(31)] == ring.hpow.tolist()
+    assert len(set(ring.hpow.tolist())) == 31 and ring.pow(4, 31) == 1
+    # proj_table is an additive homomorphism onto the residue field, over all pairs
+    a, b = np.meshgrid(np.arange(ring.q), np.arange(ring.q), indexing="ij")
+    proj = ring.proj_table
+    assert np.array_equal(proj[ring.additive.mul_many(a, b)],
+                          F.additive.mul_many(proj[a], proj[b]))
+    rng = random.Random(0x6A5)
+    for _ in range(200):
+        x, y = rng.randrange(ring.q), rng.randrange(ring.q)
+        assert int(proj[ring.mul(x, y)]) == F.mul(int(proj[x]), int(proj[y]))
+    # iso_table is an injective additive homomorphism from F into 2R = ker proj
+    u, v = np.meshgrid(np.arange(F.q), np.arange(F.q), indexing="ij")
+    iso = ring.iso_table
+    assert np.array_equal(iso[F.additive.mul_many(u, v)],
+                          ring.additive.mul_many(iso[u], iso[v]))
+    assert len(set(iso.tolist())) == F.q and not proj[iso].any()
 
 
 def test_bad_parameters():

@@ -78,7 +78,7 @@ def test_block_kernel_matches_oracle(orders, blocks):
     assert [g.mul(int(x), int(y)) for x, y in zip(a[:20], b[:20])] == \
         [mul(x, y) for x, y in zip(a[:20], b[:20])]
     assert [g.inv(int(x)) for x in a[:20]] == [inv(x) for x in a[:20]]
-    assert g.mul_elems(a, int(b[0])).tolist() == [mul(x, b[0]) for x in a]
+    assert g.mul_many(a, int(b[0])).tolist() == [mul(x, b[0]) for x in a]
     left, right = a[:17], b[:23]
     assert g.mul_outer(left, right).tolist() == [[mul(x, y) for y in right] for x in left]
     assert g.quotient_outer(left, right).tolist() == \
