@@ -21,7 +21,6 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy
 
 from .errors import (
     DecompositionFailure,
@@ -46,6 +45,7 @@ from .groups import (
     extension_closure,
     subgroup_closure,
 )
+from .numtheory import factorint, isprime
 from .transfer import TransferInstance, TransferReport, make_instance, transfer_pds
 from .verify import DesignSet, multiplier_check, verify_ds, verify_pds, verify_rds
 
@@ -274,7 +274,7 @@ def corollary_chain(design: DesignSet, x_sub: Subgroup, target: AbelianGroup) ->
 def pcp_pds(p: int, n: int, s: int) -> DesignSet:
     """Union of s order-p^n cyclic subgroups of C_{p^n} x C_{p^n} with
     pairwise trivial intersections, minus the identity."""
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ParameterError(f"p = {p} is not prime")
     if n < 1:
         raise ParameterError("n must be positive")
@@ -535,7 +535,7 @@ def denniston_odd(p: int, t: int) -> TransferInstance:
     relative norm of the GF(p^2m) side, so omega is taken to be N(alpha) =
     alpha^(p^m + 1) pulled back through the canonical subfield embedding.
     """
-    if not sympy.isprime(p) or p == 2:
+    if not isprime(p) or p == 2:
         raise ParameterError(f"p = {p} must be an odd prime")
     if t < 1:
         raise ParameterError("t must be positive")
@@ -589,7 +589,7 @@ def mcfarland_base(q: int, s: int) -> DesignSet:
     tail C_(r+1); the union of the tagged hyperplanes is a difference set."""
     if q < 2 or s < 1:
         raise ParameterError("need q >= 2 and s >= 1")
-    factors = sympy.factorint(q)
+    factors = factorint(q)
     if len(factors) != 1:
         raise ParameterError(f"q = {q} is not a prime power")
     p, e = next(iter(factors.items()))
@@ -751,14 +751,14 @@ def mcfarland_odd(q: int, s: int) -> TransferInstance:
     """McFarland design over GF(q)^(s+1) with tail Z/2p, q odd, r+1 = 2p; the
     unipotent single-block map acts on columns and is paired with an order-q
     multiplication of the tail."""
-    if not sympy.isprime(q) or q == 2:
+    if not isprime(q) or q == 2:
         raise ParameterError(f"q = {q} must be an odd prime")
     if s < 1:
         raise ParameterError("s must be positive")
     r = (q ** (s + 1) - 1) // (q - 1)
     twop = r + 1
     pp = twop // 2
-    if twop % 2 or not sympy.isprime(pp) or pp == 2:
+    if twop % 2 or not isprime(pp) or pp == 2:
         raise RPlusOneNotTwiceOddPrime(f"r+1 = {twop} is not twice an odd prime")
     if not 2 <= s < q:
         raise ParameterError(f"need 2 <= s < q so the column action has order q, got s = {s}")

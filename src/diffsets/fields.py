@@ -12,9 +12,11 @@ ring multiplication reduces the polynomial product on demand.
 
 Moduli are always monic and are selected deterministically: the default is the
 first primitive polynomial when coefficient vectors (c_0, ..., c_{m-1}) are
-compared lexicographically low-degree-first.  Primitivity of the chosen (or
-overridden) modulus is certified by checking that x has multiplicative order
-exactly p^m - 1, which also implies irreducibility.
+compared lexicographically low-degree-first.  The search skips candidates
+with a root in GF(p) (every c_0 = 0 among them), which cannot be primitive,
+and is cached per (p, m).  Primitivity of the chosen (or overridden) modulus
+is certified by checking that x has multiplicative order exactly p^m - 1,
+which also implies irreducibility.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy
 
 from .errors import LiftFailure, NonPrimitiveModulus, ParameterError
 from .groups import AbelianGroup, abelian_make
+from .numtheory import factorint, isprime
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +87,30 @@ def _modulus_is_primitive(modulus: Sequence[int], p: int, m: int) -> bool:
     x = [0, 1] if m > 1 else [(-modulus[0]) % p]
     if not _is_one(_poly_powmod(x, q1, modulus, p)):
         return False
-    for ell in sympy.factorint(q1):
+    for ell in factorint(q1):
         if _is_one(_poly_powmod(x, q1 // ell, modulus, p)):
             return False
     return True
 
 
+def _has_root(poly: Sequence[int], p: int) -> bool:
+    """Whether poly (low degree first) vanishes at some element of GF(p)."""
+    a = np.arange(p, dtype=np.int64)
+    val = np.zeros(p, dtype=np.int64)
+    for c in reversed(poly):
+        val = (val * a + c) % p
+    return not val.all()
+
+
+@functools.lru_cache(maxsize=None)
 def _default_modulus(p: int, m: int) -> Tuple[int, ...]:
+    """The first primitive candidate in lexicographic order.  A candidate
+    with a root in GF(p) has a linear factor, so for m >= 2 it is reducible
+    and skipped before the order test; for m = 1 only x (c_0 = 0) is."""
     for tail in itertools.product(range(p), repeat=m):
         cand = list(tail) + [1]
+        if (m == 1 and tail[0] == 0) or (m >= 2 and _has_root(cand, p)):
+            continue
         if _modulus_is_primitive(cand, p, m):
             return tuple(cand)
     raise NonPrimitiveModulus(f"no primitive degree-{m} polynomial found over GF({p})")
@@ -212,7 +229,7 @@ def _field_cached(p: int, m: int, modulus: Tuple[int, ...]) -> FiniteField:
 
 def field_make(p: int, m: int, modulus_override: Optional[Sequence[int]] = None) -> FiniteField:
     """Construct GF(p^m), selecting the default primitive modulus unless overridden."""
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ParameterError(f"p = {p} is not prime")
     if m < 1:
         raise ParameterError(f"extension degree must be positive, got {m}")

@@ -37,12 +37,12 @@ the generators, so induction on word length covers all products).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from sympy import factorint
 
 from .errors import (
     ClosureOverflow,
@@ -52,6 +52,7 @@ from .errors import (
     NotHomomorphism,
     ParameterError,
 )
+from .numtheory import factorint
 
 # Largest abelian group order accepted, checked before anything is allocated.
 # An abelian group keeps an order x factors int64 digit table and, once
@@ -116,6 +117,7 @@ class _Block:
 
     radix: int
     order: int
+    factors: Tuple[int, ...]
     coord: np.ndarray
     table: Optional[np.ndarray]
     neg: Optional[np.ndarray]
@@ -149,9 +151,25 @@ def _build_blocks(orders: Tuple[int, ...], radix: np.ndarray) -> List[_Block]:
                 step *= n
             table *= weight
             neg *= weight
-        blocks.append(_Block(weight, m, coord, table, neg))
+        blocks.append(_Block(weight, m, orders[lo:hi], coord, table, neg))
         lo = hi
     return blocks
+
+
+@functools.lru_cache(maxsize=None)
+def _character_matrix(factors: Tuple[int, ...], inverse: bool) -> np.ndarray:
+    """M[k, c] = exp(-2 pi i sum_f k_f c_f / n_f) over the digits of block
+    coordinates k and c (first factor fastest): the Kronecker product of one
+    n x n matrix of exact n-th roots per factor.  The inverse is conj(M) / m.
+    M is symmetric."""
+    mat = np.ones((1, 1), dtype=complex)
+    for n in factors:
+        c = np.arange(n)
+        roots = np.exp((2j if inverse else -2j) * np.pi * c / n) / (n if inverse else 1)
+        fac = roots[c[:, None] * c[None, :] % n]
+        m = mat.shape[0]
+        mat = (fac[:, None, :, None] * mat[None, :, None, :]).reshape(n * m, n * m)
+    return mat
 
 
 class AbelianGroup(Group):
@@ -231,6 +249,41 @@ class AbelianGroup(Group):
 
     def quotient_outer(self, a, b):
         return self.mul_outer(a, self.inv_many(b))
+
+    def character_transform(self, f, inverse: bool = False) -> np.ndarray:
+        """Character sums F[..., k] = sum_x f[..., x] chi_k(x) along the last
+        axis, with chi_k(x) = exp(-2 pi i sum_i k_i x_i / m_i) and characters
+        indexed like the elements, so this is np.fft.fftn over the reversed
+        orders (ifftn with inverse=True).  Each tabled block is one matmul
+        with its character matrix, a lone factor above BLOCK_ORDER one FFT
+        along its axis; after each step the axis moves to the front, so the
+        last step restores the order."""
+        f = np.asarray(f)
+        x = f.reshape(-1, self.size)
+        rows = x.shape[0]
+        for blk in self._kernel():
+            x = x.reshape(-1, blk.order)
+            if blk.table is None:
+                x = np.fft.ifft(x) if inverse else np.fft.fft(x)
+            else:
+                x = x @ _character_matrix(blk.factors, inverse)
+            x = x.reshape(rows, -1, blk.order).transpose(0, 2, 1)
+        return x.reshape(f.shape)
+
+    def dual_perm(self, perm: np.ndarray) -> np.ndarray:
+        """The character map phi* of the automorphism with element
+        permutation perm: chi_k(phi x) = chi_(phi* k)(x), so the spectrum of
+        phi(S) is that of S read at phi* k.  Digit by digit,
+        (phi* k)_j = m_j sum_i k_i phi(e_j)_i / m_i mod m_j, integral because
+        phi(e_j) has order dividing m_j.  phi* is additive, so it is the
+        product of the images of each block's coordinates."""
+        img = self.digits[np.asarray(perm)[list(self.generators)]]
+        dual = (self._orders_arr[:, None] * img // self._orders_arr[None, :]).T
+        out = None
+        for blk in self._kernel():
+            part = self.encode(self.digits[np.arange(blk.order) * blk.radix] @ dual)
+            out = part[blk.coord] if out is None else self.mul_many(out, part[blk.coord])
+        return out
 
     def pow_many(self, a, e: int):
         return self.encode(self.digits[np.asarray(a)] * e)
@@ -495,7 +548,7 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
                 raise ParameterError(f"automorphism word index {w} out of range")
             a = int(aut_mul[a, gen_aut_idx[w]])
         if not 0 <= b < nb:
-            raise NotASubgroupMember(f"generator base element {b} out of range")
+            raise ParameterError(f"generator base element {b} out of range")
         gen_pairs.append((a, int(b)))
 
     # Breadth-first, one layer at a time: every (frontier position, generator)

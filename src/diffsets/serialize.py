@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ForbiddenNotSubgroup, ParameterError, ParseError
+from .errors import ClosureOverflow, ForbiddenNotSubgroup, ParameterError, ParseError
 from .groups import (
     AbelianGroup,
     ExtensionGroup,
@@ -203,6 +203,8 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]]) -> Group:
         raise ParseError("missing [group] section")
     head = _kv(by_name["group"], "group")
     n_levels = _int(_one(head, "levels", "group"), "[group] levels")
+    if n_levels < 1:
+        raise ParseError(f"[group] levels must be at least 1, got {n_levels}")
     group: Optional[Group] = None
     for li in range(n_levels):
         name = f"level {li}"
@@ -232,14 +234,17 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]]) -> Group:
             for gi in range(ng):
                 word, b = _parse_gen(_one(kv, f"gen{gi}", name), f"[{name}] gen{gi}")
                 gens.append((word, b))
-            rebuilt = extension_closure(group, auts, gens, cap=size)
+            try:
+                rebuilt = extension_closure(group, auts, gens, cap=size)
+            except ClosureOverflow:
+                raise ParseError(f"[{name}] closure has more than the {size} elements "
+                                 f"the file claims") from None
             if rebuilt.size != size:
                 raise ParseError(f"[{name}] closure has {rebuilt.size} elements, "
                                  f"file claims {size}")
             group = rebuilt
         else:
             raise ParseError(f"unknown level kind {kind!r}")
-    assert group is not None
     if "elements" not in by_name:
         raise ParseError("missing [elements] section")
     elems = by_name["elements"]

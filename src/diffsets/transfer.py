@@ -26,6 +26,7 @@ from .errors import (
     DesignNotFixed,
     ForbiddenNotSubgroup,
     NotBijective,
+    ParameterError,
     ParameterMismatch,
 )
 from .groups import (
@@ -63,7 +64,8 @@ def make_instance(design: DesignSet,
                   candidate_gens: Sequence[GenWord],
                   log: Optional[List[str]] = None) -> TransferInstance:
     """Bundle an instance, eagerly rejecting automorphisms that move the
-    design (or, for a relative design, its forbidden subgroup)."""
+    design (or, for a relative design, its forbidden subgroup), and
+    candidate words or base elements out of range (ParameterError)."""
     group = design.group
     member_set = set(design.members)
     for i, aut in enumerate(aut_gens):
@@ -82,10 +84,10 @@ def make_instance(design: DesignSet,
     for word, base in candidate_gens:
         for a in word:
             if not 0 <= a < len(aut_gens):
-                raise DesignNotFixed(f"candidate word refers to automorphism {a}, "
+                raise ParameterError(f"candidate word refers to automorphism {a}, "
                                      f"but only {len(aut_gens)} were given")
         if not 0 <= base < group.size:
-            raise DesignNotFixed(f"candidate base element {base} out of range")
+            raise ParameterError(f"candidate base element {base} out of range")
     return TransferInstance(design, list(aut_gens), list(candidate_gens),
                             list(log or ()))
 

@@ -7,11 +7,19 @@ profile is constant on the relevant slices of the group, and verification
 never trusts a construction - it always recounts.
 
 The count is a character sum (Pott, Finite Geometry and Character Theory,
-LNM 1601): over an abelian group it is the autocorrelation of the member
-indicator, computed with an FFT and rounded under an exactness guard.
-Extensions over an abelian base are counted slice by slice the same way;
-anything else, and any count the guard rejects, is counted directly from
-the k^2 quotients.
+LNM 1601; Ma, "A survey of partial difference sets", DCC 4, 1994): over an
+abelian group it is the autocorrelation of the member indicator under the
+block character transform of AbelianGroup, rounded under an exactness
+guard (see _character_counts, which bounds the error by
+c * k * sum(m_b) * 2^-53 over the blocks b).  Over an extension of an
+abelian base each occupied automorphism slice is transformed once, an
+automorphism phi acts on a spectrum by the dual map phi*, and the
+dual-permuted products are summed per target automorphism part, so each
+target takes one inverse transform.  The SRG cross-check counts products
+with the same kernel - its own slice map on the left factor, its own
+targets a1 a2 - when k^2 is large against the slices, and directly below
+that.  Anything else, and any count the guard rejects, is counted directly
+from the k^2 quotients or products.
 """
 
 from __future__ import annotations
@@ -33,7 +41,21 @@ from .errors import (
 from .groups import AbelianGroup, ExtensionGroup, Group, Subgroup
 
 KINDS = ("DS", "PDS", "RDS")
-_BLOCK_ENTRIES = 1 << 21
+# Working set of the blocked loops: a direct count takes max(_BLOCK_ENTRIES, v)
+# products at a time, so each block amortizes its O(v) bincount, and a slice
+# sum max(1, _BLOCK_ENTRIES // n_b) targets per inverse transform.  2^14 int64
+# entries (128 KiB) stay in L2 cache and below malloc's mmap threshold; at
+# 2^21 the lifted denniston-even m=4 r=1 SRG row took 7.5 ms in a fresh
+# process against 3.3 ms.
+_BLOCK_ENTRIES = 1 << 14
+# cayley_srg_check convolves when k^2 > _CONV_FACTOR * S * n_b (see there).
+# Measured on 2 vCPUs, best of 5, convolution against direct count: below a
+# ratio k^2 / (S n_b) of about 16 the direct count wins or ties
+# (denniston-gr4 t=3 k=3 lifted, 10.7: 1.9 against 1.2 ms; mcfarland-odd
+# q=3 s=2 and spence d=1 lifted, 12.1 and 15.1: ties), above it the
+# convolution wins (denniston-even m=4 r=1 base, 17.8: 0.58 against 0.71 ms;
+# denniston-odd p=3 t=1 lifted, 37: 7.6 against 88 ms).
+_CONV_FACTOR = 16
 
 
 @dataclass
@@ -93,42 +115,49 @@ def difference_profile(design: DesignSet) -> np.ndarray:
     return counts
 
 
-def _direct_counts(group: Group, members: np.ndarray) -> np.ndarray:
-    """Quotient counts over all k^2 ordered member pairs, from blocks of
-    group.quotient_outer."""
+def _direct_counts(group: Group, members: np.ndarray, product: bool = False) -> np.ndarray:
+    """Quotient counts a * b^-1 (products a * b with product=True) over all
+    k^2 ordered member pairs, from blocks of group.quotient_outer (mul_outer)."""
     k = len(members)
+    outer = group.mul_outer if product else group.quotient_outer
     counts = np.zeros(group.size, dtype=np.int64)
     if k:
-        block = max(1, _BLOCK_ENTRIES // k)
+        block = max(1, max(_BLOCK_ENTRIES, group.size) // k)
         for lo in range(0, k, block):
-            q = group.quotient_outer(members[lo:lo + block], members)
-            counts += np.bincount(q.ravel(), minlength=group.size)
+            counts += np.bincount(outer(members[lo:lo + block], members).ravel(),
+                                  minlength=group.size)
     return counts
 
 
-def _character_counts(group: Group, members: np.ndarray) -> Optional[np.ndarray]:
-    """Quotient counts over all k^2 ordered member pairs as FFT
-    autocorrelations, or None when the group has no abelian base or the
-    exactness guard fails.
+def _character_counts(group: Group, members: np.ndarray,
+                      product: bool = False) -> Optional[np.ndarray]:
+    """The counts of _direct_counts as character sums, or None when the
+    group has no abelian base or the exactness guard fails.
 
-    Exactness: a forward and inverse FFT of length v lose O(log2 v) units
-    of 2^-53 relative to the input norm, and every correlation entry is
-    bounded by ||f||_2^2 <= k for 0/1 indicators f, so each entry is off by
-    at most c * k * log2(v) * 2^-53, about 5e-9 * c for k, v <= 2^21 (the
-    group and pair-table ceilings) - far below 1/2 for the small constant c
-    of a radix FFT.  Rounding therefore recovers the integer count; the
-    guard re-checks that on the data: every residual under 0.25, no
-    negative count, and the counts summing to k^2.
+    Over an abelian group they are the inverse transform of F(S) conj(F(S))
+    (quotients) or F(S)^2 (products), F the block character transform of the
+    member indicator S.  Exactness: every count is at most k (Cauchy-Schwarz
+    on 0/1 indicators), and a dense block matmul of length m loses O(m)
+    units of 2^-53 relative to the norms it sums, an FFT O(log m), so each
+    entry is off by at most c * k * sum(m_b) * 2^-53 over the blocks b.  With
+    k <= v <= 2^20 (the group ceiling) there are at most five blocks, each
+    a matmul of order <= BLOCK_ORDER or one FFT, so sum(m_b) <= 2^11 and the
+    error stays below 1e-6 * c, far below 1/2 for the small constant c of a
+    dense or radix sum; a slice sum adds products whose norms again total at
+    most k.  Rounding
+    therefore recovers the integer count; the guard re-checks that on the
+    data: every residual under 0.25, no negative count, and the counts
+    summing to k^2.
     """
     if isinstance(group, AbelianGroup):
-        shape = tuple(reversed(group.orders))
         ind = np.zeros(group.size)
         ind[members] = 1.0
-        spec = np.fft.rfftn(ind.reshape(shape))
-        raw = np.fft.irfftn(spec * spec.conj(), s=shape, axes=range(len(shape)))
-        counts = _rounded(raw.ravel())
+        spec = group.character_transform(ind)
+        raw = group.character_transform(spec * (spec if product else spec.conj()),
+                                        inverse=True)
+        counts = _rounded(raw.real)
     elif isinstance(group, ExtensionGroup) and isinstance(group.base, AbelianGroup):
-        counts = _slice_counts(group, members)
+        counts = _slice_counts(group, members, product)
     else:
         return None
     if counts is None or int(counts.sum()) != len(members) ** 2:
@@ -145,40 +174,51 @@ def _rounded(raw: np.ndarray) -> Optional[np.ndarray]:
     return counts.astype(np.int64)
 
 
-def _slice_counts(group: ExtensionGroup, members: np.ndarray) -> Optional[np.ndarray]:
-    """Counts for an extension over an abelian base, one correlation per
-    pair of automorphism slices; None if a correlation fails to round.
+def _slice_counts(group: ExtensionGroup, members: np.ndarray,
+                  product: bool = False) -> Optional[np.ndarray]:
+    """Counts for an extension over an abelian base from the spectra of its
+    slices S_a = {b : (a, b) in D}, one inverse transform per target
+    automorphism part; None if a target fails to round.
 
-    With S_a = {b : (a, b) in D},
-    (a1, b1)(a2, b2)^-1 = (a1 a2^-1, (b1 - b2)^(a2^-1)), so the base-group
-    correlation corr(S_a1, S_a2)[w] = #{b1 - b2 = w} is the count at the
-    pair (a1 a2^-1, w^(a2^-1)), the convention of quotient_outer.
+    Quotients: (a1, b1)(a2, b2)^-1 = (a1 a2^-1, phi(b1 - b2)) with phi the
+    automorphism a2^-1, so the count at (c, w) sums corr(phi S_a1, phi S_a2)[w]
+    over a1 a2^-1 = c, whose spectrum is (F(S_a1) conj F(S_a2)) read at phi* k.
+    Products: (a1, b1)(a2, b2) = (a1 a2, phi(b1) + b2) with phi = a2, so
+    the count at (c, w) sums conv(phi S_a1, S_a2)[w] over a1 a2 = c, whose
+    spectrum is F(S_a1)[phi* k] F(S_a2).
     """
     base = group.base
     nb = base.size
-    shape = tuple(reversed(base.orders))
-    axes = tuple(range(1, len(shape) + 1))
     slices, row = np.unique(group.aut_part[members], return_inverse=True)
     ind = np.zeros((slices.size, nb))
     ind[row, group.base_part[members]] = 1.0
-    spec = np.fft.rfftn(ind.reshape((slices.size,) + shape), axes=axes)
-    acc = np.zeros((group.aut_perms.shape[0], nb), dtype=np.int64)
+    spec = base.character_transform(ind)
+    right = spec if product else spec.conj()
+    act = slices if product else group.aut_inv[slices]
+    target = group.aut_mul[slices[:, None], act[None, :]]  # [slice of a1, slice of a2]
+    # automorphism 0 of a closure is the identity, and so is its dual map
+    duals = [None if a == 0 else base.dual_perm(group.aut_perms[a]) for a in act.tolist()]
+    out = np.zeros((group.aut_perms.shape[0], nb), dtype=np.int64)
+    todo = np.unique(target)
     block = max(1, _BLOCK_ENTRIES // nb)
-    for j, a2 in enumerate(slices.tolist()):
-        ai2 = int(group.aut_inv[a2])
-        perm = group.aut_perms[ai2]
-        for lo in range(0, slices.size, block):
-            part = spec[lo:lo + block]
-            raw = np.fft.irfftn(part * spec[j].conj(), s=shape, axes=axes)
-            cnt = _rounded(raw.reshape(part.shape[0], nb))
-            if cnt is None:
-                return None
-            # a1 -> a1 a2^-1 and w -> w^(a2^-1) are bijections, so the
-            # targets of one block are distinct
-            target = group.aut_mul[slices[lo:lo + block], ai2]
-            acc[target[:, None], perm[None, :]] += cnt
+    for lo in range(0, todo.size, block):
+        chunk = todo[lo:lo + block]
+        acc = np.zeros((chunk.size, nb), dtype=complex)
+        for r, c in enumerate(chunk.tolist()):
+            # a1 is determined by c and a2, so each slice a2 occurs once
+            for i1, i2 in zip(*np.nonzero(target == c)):
+                psi = duals[i2]
+                if product:
+                    acc[r] += (spec[i1] if psi is None else spec[i1][psi]) * right[i2]
+                else:
+                    term = spec[i1] * right[i2]
+                    acc[r] += term if psi is None else term[psi]
+        cnt = _rounded(base.character_transform(acc, inverse=True).real)
+        if cnt is None:
+            return None
+        out[chunk] = cnt
     # mass on a pair outside the closure would show as a short sum
-    return acc[group.aut_part, group.base_part]
+    return out[group.aut_part, group.base_part]
 
 
 @dataclass(frozen=True)
@@ -326,8 +366,13 @@ def cayley_srg_check(design: DesignSet) -> SrgResult:
     Right translations x -> x g preserve adjacency and act transitively on
     the vertices, so the identity's row decides strong regularity: the
     common neighbours of 1 and w number #{(a, b) in D x D : a b = w}.  That
-    row is counted from products, not quotients, so this stays a code path
-    independent of verify_pds.
+    row is counted from products, not quotients, with the slice map on the
+    left factor, so this stays a code path independent of verify_pds.
+
+    The row is a convolution of slice spectra (see _slice_counts) when
+    k^2 > _CONV_FACTOR * S * n_b, S the occupied slices and n_b the base
+    order (S = 1 and n_b = v over an abelian group), and otherwise, over a
+    nested base or when the guard fails, a direct count of the k^2 products.
     """
     group = design.group
     n = group.size
@@ -339,12 +384,15 @@ def cayley_srg_check(design: DesignSet) -> SrgResult:
     members = np.array(design.members, dtype=np.int64)
     k = len(members)
 
-    common = np.zeros(n, dtype=np.int64)
-    if k:
-        block = max(1, _BLOCK_ENTRIES // k)
-        for lo in range(0, k, block):
-            prods = group.mul_outer(members[lo:lo + block], members)
-            common += np.bincount(prods.ravel(), minlength=n)
+    common = None
+    if isinstance(group, ExtensionGroup):
+        spread = np.unique(group.aut_part[members]).size * group.base.size
+    else:
+        spread = n
+    if k * k > _CONV_FACTOR * spread:
+        common = _character_counts(group, members, product=True)
+    if common is None:
+        common = _direct_counts(group, members, product=True)
     outside = ~mask
     outside[group.identity] = False
     lam_vals = np.unique(common[mask])

@@ -199,3 +199,58 @@ def coset_orbit(size: int, mul: MulFn, members: Sequence[int],
     reached = sum(seen)
     witness = None if reached == len(reps) else reps[seen.index(False)]
     return reached, len(reps), witness
+
+
+def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int],
+                 p: int) -> List[int]:
+    """a * b modulo a monic modulus, coefficients mod p, low degree first."""
+    m = len(modulus) - 1
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    for d in range(len(out) - 1, m - 1, -1):
+        c = out[d]
+        for j in range(m + 1):
+            out[d - m + j] = (out[d - m + j] - c * modulus[j]) % p
+    return (out + [0] * m)[:m]
+
+
+def _prime_divisors(n: int) -> List[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+def default_modulus(p: int, m: int) -> Tuple[int, ...]:
+    """The first monic degree-m polynomial over GF(p), tails (c_0 .. c_{m-1})
+    in lexicographic order with c_0 most significant, modulo which x (for
+    m = 1 the residue -c_0) has multiplicative order exactly p^m - 1: every
+    candidate is tried in turn, with no shortcut."""
+    q1 = p ** m - 1
+
+    def power(x: List[int], e: int, modulus: List[int]) -> List[int]:
+        acc = [1] + [0] * (m - 1)
+        while e:
+            if e & 1:
+                acc = _poly_mulmod(acc, x, modulus, p)
+            x = _poly_mulmod(x, x, modulus, p)
+            e >>= 1
+        return acc
+
+    one = [1] + [0] * (m - 1)
+    tails = [[]]
+    for _ in range(m):
+        tails = [t + [c] for t in tails for c in range(p)]
+    for tail in tails:
+        modulus = tail + [1]
+        x = [0, 1] if m > 1 else [(-tail[0]) % p]
+        if power(x, q1, modulus) == one and all(
+                power(x, q1 // ell, modulus) != one for ell in _prime_divisors(q1)):
+            return tuple(modulus)
+    raise ValueError(f"no primitive polynomial of degree {m} over GF({p})")

@@ -163,6 +163,29 @@ def test_hand_edited_aut_images_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("|99999999999999999999", "candidate base element 99999999999999999999 out of range"),
+    ("|-1", "candidate base element -1 out of range"),
+    ("7|1", "candidate word refers to automorphism 7, but only 1 were given"),
+], ids=["huge-base", "negative-base", "word-index"])
+def test_out_of_range_transfer_gen_exits_2(tmp_path, capsys, entry, message):
+    """Out-of-range [transfer] data is corrupted input (exit 2); only an
+    automorphism that moves the design is a failed check (exit 3)."""
+    run(capsys, "construct", "dillon", "--out", str(tmp_path / "dl"))
+    path = tmp_path / "dl.design.txt"
+    lines = path.read_text().splitlines()
+    i = lines.index("[transfer]")
+    i += next(j for j, ln in enumerate(lines[i:]) if ln.startswith("gen0 = "))
+    lines[i] = f"gen0 = {entry}"
+    path.write_text("\n".join(lines) + "\n")
+    before = sorted(tmp_path.iterdir())
+    code, _, stderr = run(capsys, "transfer", "--design", str(path),
+                          "--out", str(tmp_path / "dlx"))
+    assert code == 2
+    assert message in stderr and "Traceback" not in stderr
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_transfer_failure_reports_witness(capsys, tmp_path):
     code, _, stderr = run(capsys, "transfer", "--family", "rds-transfer",
                           "--d", "2", "--out", str(tmp_path / "r"))

@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 
+import oracle
+from diffsets import fields
 from diffsets import (
     FiniteField,
     NonPrimitiveModulus,
@@ -94,6 +96,17 @@ def test_lex_smallest_primitive_modulus():
     # GF(9): x^2 + 1 is irreducible but NOT primitive (x has order 4).
     with pytest.raises(NonPrimitiveModulus):
         field_make(3, 2, modulus_override=(1, 0, 1))
+
+
+def _prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in range(2, 730) if _prime(p)
+                                 for m in range(1, 10) if p ** m <= 729] + [(2, 10)])
+def test_default_modulus_matches_sequential_search(p, m):
+    """Skipping candidates with a root in GF(p) never changes the choice."""
+    assert fields._default_modulus(p, m) == oracle.default_modulus(p, m)
 
 
 def test_modulus_override_spence_cubic():

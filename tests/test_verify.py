@@ -15,8 +15,10 @@ from diffsets import (
     ParameterError,
     ParameterMismatch,
     abelian_make,
+    aut_from_images,
     cayley_srg_check,
     difference_profile,
+    extension_closure,
     multiplier_check,
     pcp_pds,
     rds_base,
@@ -107,28 +109,85 @@ def test_difference_profile_matches_oracle():
         assert prof[z] == counts.get(z, 0)
 
 
-def test_character_counts_match_direct(corpus):
-    """The FFT route equals the direct count array for array on every corpus
-    design, base and lifted; only a nested extension base goes direct.  A
+def _corpus_member_sets(corpus, seed):
+    """(name, group, members) for every corpus design, base and lifted.  A
     lifted design is invariant under the automorphisms, so each lifted group
     also gets a seeded random subset, whose slices differ."""
-    rng = np.random.default_rng(7)
-    nested = 0
+    rng = np.random.default_rng(seed)
     for name, (inst, rep) in corpus.items():
         lifted = rep.new_group
         scattered = rng.choice(lifted.size, size=min(lifted.size // 3, 500), replace=False)
         for g, members in ((inst.design.group, inst.design.members),
                            (lifted, rep.new_design.members),
                            (lifted, np.sort(scattered))):
-            members = np.array(members, dtype=np.int64)
-            fast = verify._character_counts(g, members)
-            if isinstance(g, ExtensionGroup) and not isinstance(g.base, AbelianGroup):
-                assert fast is None
-                nested += 1
-                continue
-            assert fast is not None, name
-            assert np.array_equal(fast, verify._direct_counts(g, members)), name
+            yield name, g, np.array(members, dtype=np.int64)
+
+
+def _check_character_route(corpus, product, seed):
+    nested = 0
+    for name, g, members in _corpus_member_sets(corpus, seed):
+        fast = verify._character_counts(g, members, product)
+        if isinstance(g, ExtensionGroup) and not isinstance(g.base, AbelianGroup):
+            assert fast is None
+            nested += 1
+            continue
+        assert fast is not None, name
+        assert np.array_equal(fast, verify._direct_counts(g, members, product)), name
     assert nested
+
+
+def test_character_counts_match_direct(corpus):
+    """Verify's character route (per-target slice sums over an extension)
+    equals the direct quotient count array for array on every corpus design,
+    base and lifted, and on a random subset of every lifted group; only a
+    nested extension base goes direct."""
+    _check_character_route(corpus, False, 7)
+
+
+def test_srg_convolution_matches_direct(corpus):
+    """The same for the SRG check's product counts: convolutions with the
+    slice map on the left factor, summed per target a1 a2."""
+    _check_character_route(corpus, True, 8)
+
+
+def test_character_counts_over_nonabelian_automorphism_part():
+    """Over C3^2 x| GL(2,3) the automorphism parts do not commute, so a
+    slice sum that landed on a2 a1 instead of a1 a2 (or a2^-1 a1 instead of
+    a1 a2^-1) would show."""
+    c = abelian_make((3, 3))
+    auts = [aut_from_images(c, images) for images in ([1, 4], [3, 2], [2, 3])]
+    g = extension_closure(c, auts, [((), 1), ((), 3), ((0,), 0), ((1,), 0), ((2,), 0)],
+                          cap=9 * 48)
+    assert g.size == 432 and not np.array_equal(g.aut_mul, g.aut_mul.T)
+    rng = np.random.default_rng(5)
+    for size in (20, 100, 300):
+        members = np.sort(rng.choice(g.size, size=size, replace=False))
+        for product in (False, True):
+            fast = verify._character_counts(g, members, product)
+            assert fast is not None
+            assert np.array_equal(fast, verify._direct_counts(g, members, product))
+
+
+def _spoil_inverse_transform(monkeypatch):
+    """Shift every inverse character transform by 0.4, past the guard."""
+    real = AbelianGroup.character_transform
+
+    def shifted(self, f, inverse=False):
+        return real(self, f, inverse) + (0.4 if inverse else 0.0)
+
+    monkeypatch.setattr(AbelianGroup, "character_transform", shifted)
+
+
+def _spy_direct(monkeypatch):
+    calls = []
+    real_direct = verify._direct_counts
+
+    def spy(group, members, product=False):
+        calls.append((group, product))
+        return real_direct(group, members, product)
+
+    monkeypatch.setattr(verify, "_direct_counts", spy)
+    return calls
 
 
 @pytest.mark.parametrize("which", ["base", "lifted"])
@@ -136,20 +195,34 @@ def test_fft_guard_falls_back_to_direct(corpus, monkeypatch, which):
     inst, rep = corpus["dillon"]
     design = inst.design if which == "base" else rep.new_design
     expected = difference_profile(design)
-    real_irfftn = np.fft.irfftn
-    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **kw: real_irfftn(*a, **kw) + 0.4)
-    direct_calls = []
-    real_direct = verify._direct_counts
-
-    def spy(group, members):
-        direct_calls.append(group)
-        return real_direct(group, members)
-
-    monkeypatch.setattr(verify, "_direct_counts", spy)
+    _spoil_inverse_transform(monkeypatch)
+    direct_calls = _spy_direct(monkeypatch)
     members = np.array(design.members, dtype=np.int64)
     assert verify._character_counts(design.group, members) is None
     assert np.array_equal(difference_profile(design), expected)
-    assert direct_calls == [design.group]
+    assert direct_calls == [(design.group, False)]
+
+
+@pytest.mark.parametrize("which", ["base", "lifted"])
+def test_srg_guard_falls_back_to_direct(corpus, monkeypatch, which):
+    inst, rep = corpus["denniston_gr4_t3_k3"]
+    design = inst.design if which == "base" else rep.new_design
+    expected = cayley_srg_check(design)
+    monkeypatch.setattr(verify, "_CONV_FACTOR", 0)  # convolve at any size
+    _spoil_inverse_transform(monkeypatch)
+    direct_calls = _spy_direct(monkeypatch)
+    assert cayley_srg_check(design) == expected
+    assert direct_calls == [(design.group, True)]
+
+
+def test_srg_route_follows_size(corpus, monkeypatch):
+    """k^2 > 16 S n_b convolves; below it the products are counted directly."""
+    inst, rep = corpus["denniston_gr4_t3_k3"]
+    direct_calls = _spy_direct(monkeypatch)
+    cayley_srg_check(inst.design)      # k^2 / (S n_b) = 196^2 / 512, about 75
+    assert direct_calls == []
+    cayley_srg_check(rep.new_design)   # 196^2 / (7 * 512), about 10.7
+    assert direct_calls == [(rep.new_design.group, True)]
 
 
 def test_multiplier_check():
