@@ -42,6 +42,7 @@ from .groups import (
     Subgroup,
     abelian_make,
     aut_from_images,
+    element_orders,
     extension_closure,
     subgroup_closure,
 )
@@ -204,7 +205,7 @@ def dillon_forward(dihedral_design: DesignSet, target: AbelianGroup) -> DesignSe
     d2 = sorted(int(base.mul(c_ref, base.inv(int(mcode)))) for mcode in twisted)
 
     gens = _direct_basis(base, h_codes)
-    orders = [base.element_order(g) for g in gens]
+    orders = element_orders(base)[gens].tolist()
     tuples = list(_iproduct(*[range(o) for o in orders]))
     sources: List[int] = []
     for exps in tuples:
@@ -414,32 +415,23 @@ def denniston_even(m: int, r: int) -> TransferInstance:
         raise NoValidAlpha("no primitive element alpha satisfies tr(1/alpha) = 1")
 
     kbound = 2 ** r
-    members: List[int] = []
-    zero_count = 0
-    for a in range(q):
-        for b in range(q):
-            qval = F.add(F.add(F.mul(a, a), F.mul(F.mul(alpha, a), b)), F.mul(b, b))
-            if qval == 0 and (a or b):
-                zero_count += 1
-            if qval < kbound:
-                members.extend(c + q * F.mul(c, a) + q * q * F.mul(c, b)
-                               for c in range(1, q))
+    # Q(a, b) = a^2 + alpha a b + b^2 at every point, point a q + b
+    add, mul = F.additive.mul_many, F.mul_many
+    a, b = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    qval = add(add(mul(a, a), mul(mul(alpha, a), b)), mul(b, b))
+    zero_count = int(np.count_nonzero(qval[1:] == 0))  # point 0 is (0, 0)
+    c, pts = np.arange(1, q, dtype=np.int64), np.nonzero(qval < kbound)[0]
+    members = (c + q * mul(c, a[pts, None]) + q * q * mul(c, b[pts, None])).ravel()
     if zero_count:
         raise NoValidAlpha(f"Q vanishes at {zero_count} nonzero points; the form is degenerate")
     k1 = 2 ** (m + r) - 2 ** m + 2 ** r
     claimed = (q ** 3, k1 * (q - 1), q - kbound + k1 * (kbound - 2), k1 * (kbound - 1))
-    design = DesignSet(group, tuple(sorted(set(members))), "PDS", claimed,
+    design = DesignSet(group, tuple(sorted(set(members.tolist()))), "PDS", claimed,
                        log=[f"alpha = {F.element_str(alpha)}, K = codes below 2^{r}"])
     verify_pds(design, require_regular=True)
 
-    images: List[int] = []
-    for i in range(m):
-        images.append(2 ** i)
-    for i in range(m):
-        images.append(2 ** (2 * m + i))
-    for i in range(m):
-        images.append(2 ** (m + i))
-    phi = aut_from_images(group, images)
+    # the swap of the second and third coordinates, m digits each
+    phi = aut_from_images(group, [2 ** (j * m + i) for j in (0, 2, 1) for i in range(m)])
     u, basis = invariant_hyperplane(group, phi)
     cands = [((), x) for x in basis] + [((0,), u)]
     return make_instance(design, [phi], cands,

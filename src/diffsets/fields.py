@@ -177,6 +177,11 @@ class FiniteField:
             return 0
         return int(self.exp[(self.log[a] + self.log[b]) % (self.q - 1)])
 
+    def mul_many(self, a, b) -> np.ndarray:
+        a, b = np.asarray(a), np.asarray(b)
+        prod = self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return np.where((a == 0) | (b == 0), 0, prod)
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +52,6 @@ from .errors import (
     NotHomomorphism,
     ParameterError,
 )
-from .numtheory import factorint
 
 # Largest abelian group order accepted, checked before anything is allocated.
 # An abelian group keeps an order x factors int64 digit table and, once
@@ -72,6 +71,15 @@ BLOCK_ORDER = 256
 # its composition table (automorphisms x automorphisms).  The check runs as
 # the automorphism part grows, so none of them passes 128 MiB.
 MAX_PAIR_TABLE = 1 << 24
+
+
+def sorted_unique(x) -> np.ndarray:
+    """np.unique(x) by a sort and a neighbour test: a plain np.unique imports
+    numpy.ma under numpy 2, about 15 ms on its first call in a process."""
+    x = np.sort(np.asarray(x), axis=None)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 class Group:
@@ -291,12 +299,6 @@ class AbelianGroup(Group):
     def pow(self, a: int, e: int) -> int:
         return int(self.encode(self.digits[a] * e))
 
-    def element_order(self, a: int) -> int:
-        out = 1
-        for d, n in zip(self.digits[a].tolist(), self.orders):
-            out = lcm(out, n // gcd(d, n))
-        return out
-
     def element_name(self, a: int) -> str:
         return "(" + ",".join(str(d) for d in self.digits[a].tolist()) + ")"
 
@@ -422,6 +424,7 @@ class ExtensionGroup(Group):
         self.generators = gen_elements
         self.gen_pairs = gen_pairs
         self._nb = base.size
+        self._duals: Dict[int, np.ndarray] = {}
 
     def pair_of(self, z: int) -> Tuple[int, int]:
         return int(self.aut_part[z]), int(self.base_part[z])
@@ -469,6 +472,13 @@ class ExtensionGroup(Group):
         b = self.aut_perms[ai2[None, :], q]
         a = self.aut_mul[self.aut_part[x][:, None], ai2[None, :]]
         return self.pair_index[a * self._nb + b]
+
+    def aut_dual(self, a: int) -> np.ndarray:
+        """The dual map phi* of automorphism a on an abelian base (see
+        AbelianGroup.dual_perm), computed on first use and kept."""
+        if a not in self._duals:
+            self._duals[a] = self.base.dual_perm(self.aut_perms[a])
+        return self._duals[a]
 
     def element_name(self, z: int) -> str:
         a, b = self.pair_of(z)
@@ -534,10 +544,8 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
     na = len(perms)
     _check_pair_table(na, nb)
     aut_perms = np.stack(perms)
-    aut_mul = np.empty((na, na), dtype=np.int64)
-    for i in range(na):
-        for j in range(na):
-            aut_mul[i, j] = keys[perms[j][perms[i]].tobytes()]
+    aut_mul = np.array([[keys[pj[pi].tobytes()] for pj in perms] for pi in perms],
+                       dtype=np.int64)
     aut_inv = np.argmin(aut_mul, axis=1).astype(np.int64)  # aut_mul[i,j]==0 exactly once
 
     gen_pairs: List[Tuple[int, int]] = []
@@ -625,7 +633,7 @@ def subgroup_closure(group: Group, gens: Sequence[int]) -> Subgroup:
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size and gen_arr.size:
         prods = group.mul_outer(frontier, gen_arr).ravel()
-        frontier = np.unique(prods[~seen[prods]])
+        frontier = sorted_unique(prods[~seen[prods]])
         seen[frontier] = True
     return Subgroup(group, tuple(np.nonzero(seen)[0].tolist()), gens)
 
@@ -707,7 +715,7 @@ def coset_action_transitive(group: Group, sub: Subgroup,
         rep = reps[frontier]
         cids = np.concatenate([table.cosid[group.mul_many(perm[rep], g)]
                                for perm, g in acting])
-        frontier = np.unique(cids[~seen[cids]])
+        frontier = sorted_unique(cids[~seen[cids]])
         seen[frontier] = True
     reached = int(seen.sum())
     witness = None
@@ -721,8 +729,7 @@ def coset_action_transitive(group: Group, sub: Subgroup,
 # ---------------------------------------------------------------------------
 
 def element_order(group: Group, z: int) -> int:
-    k = 1
-    cur = z
+    k, cur = 1, z
     while cur != group.identity:
         cur = group.mul(cur, z)
         k += 1
@@ -731,36 +738,36 @@ def element_order(group: Group, z: int) -> int:
     return k
 
 
-def _pow_many(group: Group, x: np.ndarray, e: int) -> np.ndarray:
-    """x^e elementwise by repeated squaring, with mul_many passes only."""
-    out = np.full(x.shape, group.identity, dtype=np.int64)
-    while e:
-        if e & 1:
-            out = group.mul_many(out, x)
-        e >>= 1
-        if e:
-            x = group.mul_many(x, x)
-    return out
-
-
 def element_orders(group: Group) -> np.ndarray:
-    """Every element's order, one prime at a time: for p^a exactly dividing
-    |G|, y = x^(|G|/p^a) has order p^e exactly when p^e exactly divides the
-    order of x, and e <= a by Lagrange, so raising y to the p-th power at most
-    a times finds it."""
-    n = group.size
-    orders = np.ones(n, dtype=np.int64)
-    for p, a in factorint(n).items():
-        idx = np.arange(n, dtype=np.int64)
-        y = _pow_many(group, idx, n // p ** a)
-        for _ in range(a):
-            live = y != group.identity
-            idx, y = idx[live], y[live]
-            if not idx.size:
-                break
-            orders[idx] *= p
-            y = _pow_many(group, y, p)
-    return orders
+    """Every element's order, read from the group's structure.
+
+    Abelian: the lcm over blocks of the block coordinate's order, tabled per
+    block.  Extension: (a1, b1)(a2, b2) = (a1 a2, phi_a2(b1) b2) gives
+    (a, b)^j = (a^j, N_j) with N_1 = b and N_(j+1) = phi_a(N_j) b, so
+    ord(a, b) = ord(a) * ord_B(N_a(b)) with N_a(b) = N_ord(a), ord_B the
+    base's own element orders: one base product per power j < max ord(a),
+    over the elements whose automorphism part has order above j."""
+    if isinstance(group, AbelianGroup):
+        out = np.ones(group.size, dtype=np.int64)
+        for blk in group._kernel():
+            c = np.arange(blk.order, dtype=np.int64)
+            table, step = np.ones(blk.order, dtype=np.int64), 1
+            for n in blk.factors:
+                table, step = np.lcm(table, n // np.gcd(c // step % n, n)), step * n
+            out = np.lcm(out, table[blk.coord])
+        return out
+    base_ord = element_orders(group.base)
+    out = np.empty(group.size, dtype=np.int64)
+    # the live elements z = (a, b) with a^j = power and N_j = acc
+    live, power, acc, j = np.arange(group.size), group.aut_part, group.base_part, 1
+    while live.size:
+        done = power == 0
+        out[live[done]] = j * base_ord[acc[done]]
+        live, power, acc = live[~done], power[~done], acc[~done]
+        a = group.aut_part[live]
+        acc = group.base.mul_many(group.aut_perms[a, acc], group.base_part[live])
+        power, j = group.aut_mul[power, a], j + 1
+    return out
 
 
 def nonabelian_witness(group: Group) -> Optional[Tuple[int, int]]:
@@ -792,38 +799,32 @@ def fingerprint(group: Group, sylow: Optional[Dict[int, Subgroup]] = None) -> St
     orders = element_orders(group)
     vals, counts = np.unique(orders, return_counts=True)
     hist = tuple((int(v), int(c)) for v, c in zip(vals, counts))
-    exponent = 1
-    for v in vals.tolist():
-        exponent = lcm(exponent, int(v))
+    exponent = int(np.lcm.reduce(vals))
 
-    # one g x and x g per generator: the center is where they agree, and
-    # (g x)^-1 (x g) = [x, g] are the commutators of the generators
-    every = np.arange(n, dtype=np.int64)
-    central = np.ones(n, dtype=bool)
-    com_codes: set = set()
+    # the center: candidates that commute with each generator in turn
+    central = np.arange(n, dtype=np.int64)
     for g in group.generators:
-        left = group.mul_many(g, every)
-        right = group.mul_many(every, g)
-        central &= left == right
-        com_codes.update(np.unique(group.mul_many(group.inv_many(left), right)).tolist())
-    center_order = int(central.sum())
-    dgens: List[int] = []
-    derived = subgroup_closure(group, dgens)
-    for c in sorted(com_codes):
-        if not derived.mask[c]:
-            dgens.append(int(c))
-            derived = subgroup_closure(group, dgens)
-    derived_order = derived.order
+        central = central[group.mul_many(g, central) == group.mul_many(central, g)]
+    # the derived subgroup: the normal closure of the generator commutators
+    # [g_i, g_j] = g_i^-1 g_j^-1 g_i g_j, adding conjugates g^-1 s g of its
+    # generators s until none falls outside
+    gens = np.array(group.generators, dtype=np.int64)
+    inv = group.inv_many(gens)
+    coms = group.mul_many(group.mul_outer(inv, inv), group.mul_outer(gens, gens)).ravel()
+    dgens = sorted_unique(coms[coms != group.identity])
+    while True:
+        derived = subgroup_closure(group, dgens)
+        conj = group.mul_many(inv[:, None], group.mul_outer(dgens, gens).T)
+        fresh = sorted_unique(conj[~derived.mask[conj]])
+        if not fresh.size:
+            break
+        dgens = np.concatenate([dgens, fresh])
 
     sylow_flags: List[Tuple[int, bool]] = []
     if sylow:
         for p in sorted(sylow):
             sub = sylow[p]
-            expected = 1
-            m = n
-            while m % p == 0:
-                expected *= p
-                m //= p
+            expected = gcd(n, p ** n.bit_length())  # the p-part of n
             if sub.order != expected:
                 raise ParameterError(
                     f"supplied subgroup of order {sub.order} is not a Sylow {p}-subgroup "
@@ -836,8 +837,8 @@ def fingerprint(group: Group, sylow: Optional[Dict[int, Subgroup]] = None) -> St
         is_abelian=witness is None,
         exponent=exponent,
         order_histogram=hist,
-        center_order=center_order,
-        derived_order=derived_order,
+        center_order=int(central.size),
+        derived_order=derived.order,
         sylow_normal=tuple(sylow_flags),
         nonabelian_pair=witness,
     )

@@ -16,6 +16,7 @@ TransferInstance.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +36,7 @@ from .transfer import TransferInstance, make_instance
 from .verify import DesignSet
 
 FORMAT_TAG = "diffsets-text-1"
+_MARKED = re.compile(r"\n[\[#]")  # a line starting "[" or "#"
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +146,22 @@ def design_text(design: DesignSet, instance: Optional[TransferInstance] = None,
 # ---------------------------------------------------------------------------
 
 def _split_sections(text: str) -> List[Tuple[str, List[str]]]:
-    sections: List[Tuple[str, List[str]]] = []
-    current: Optional[List[str]] = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = []
-            sections.append((line[1:-1], current))
-            continue
-        if current is None:
+    # the stripped lines, each after a newline: the few header and comment
+    # lines are found by one regex pass and numbered by counting newlines
+    lines = list(map(str.strip, text.splitlines()))
+    joined = "\n" + "\n".join(lines)
+    heads, pos, row = [], 0, -1
+    for hit in _MARKED.finditer(joined):
+        row, pos = row + joined.count("\n", pos, hit.end()), hit.end()
+        if lines[row][0] == "#":
+            lines[row] = ""  # dropped like a blank line
+        elif lines[row].endswith("]"):
+            heads.append(row)
+    for ln, line in enumerate(lines[:heads[0] if heads else len(lines)], start=1):
+        if line:
             raise ParseError(f"line {ln}: content before any section header: {line!r}")
-        current.append(line)
-    return sections
+    return [(lines[lo][1:-1], list(filter(None, lines[lo + 1:hi])))
+            for lo, hi in zip(heads, heads[1:] + [len(lines)])]
 
 
 def _kv(lines: Sequence[str], section: str) -> Dict[str, List[str]]:

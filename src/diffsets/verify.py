@@ -38,7 +38,7 @@ from .errors import (
     ParameterError,
     ParameterMismatch,
 )
-from .groups import AbelianGroup, ExtensionGroup, Group, Subgroup
+from .groups import AbelianGroup, ExtensionGroup, Group, Subgroup, sorted_unique
 
 KINDS = ("DS", "PDS", "RDS")
 # Working set of the blocked loops: a direct count takes max(_BLOCK_ENTRIES, v)
@@ -197,9 +197,9 @@ def _slice_counts(group: ExtensionGroup, members: np.ndarray,
     act = slices if product else group.aut_inv[slices]
     target = group.aut_mul[slices[:, None], act[None, :]]  # [slice of a1, slice of a2]
     # automorphism 0 of a closure is the identity, and so is its dual map
-    duals = [None if a == 0 else base.dual_perm(group.aut_perms[a]) for a in act.tolist()]
+    duals = [None if a == 0 else group.aut_dual(a) for a in act.tolist()]
     out = np.zeros((group.aut_perms.shape[0], nb), dtype=np.int64)
-    todo = np.unique(target)
+    todo = sorted_unique(target)
     block = max(1, _BLOCK_ENTRIES // nb)
     for lo in range(0, todo.size, block):
         chunk = todo[lo:lo + block]
@@ -384,19 +384,17 @@ def cayley_srg_check(design: DesignSet) -> SrgResult:
     members = np.array(design.members, dtype=np.int64)
     k = len(members)
 
-    common = None
+    common, spread = None, n
     if isinstance(group, ExtensionGroup):
-        spread = np.unique(group.aut_part[members]).size * group.base.size
-    else:
-        spread = n
+        spread = sorted_unique(group.aut_part[members]).size * group.base.size
     if k * k > _CONV_FACTOR * spread:
         common = _character_counts(group, members, product=True)
     if common is None:
         common = _direct_counts(group, members, product=True)
     outside = ~mask
     outside[group.identity] = False
-    lam_vals = np.unique(common[mask])
-    mu_vals = np.unique(common[outside])
+    lam_vals = sorted_unique(common[mask])
+    mu_vals = sorted_unique(common[outside])
     if lam_vals.size > 1:
         raise NotSRG(f"adjacent common-neighbor counts vary: {lam_vals[:4].tolist()}")
     if mu_vals.size > 1:

@@ -134,6 +134,26 @@ def order_histogram(size: int, mul: MulFn,
     return tuple(sorted(counts.items()))
 
 
+def center_order(table: Sequence[Sequence[int]]) -> int:
+    """Elements whose row and column of the Cayley table agree."""
+    n = len(table)
+    return sum(all(table[x][y] == table[y][x] for y in range(n)) for x in range(n))
+
+
+def derived_order(table: Sequence[Sequence[int]], identity: int = 0) -> int:
+    """Order of the subgroup generated by every commutator x^-1 y^-1 x y,
+    closed under products of all its members until nothing new appears."""
+    n = len(table)
+    inv = [list(row).index(identity) for row in table]
+    members = {table[table[inv[x]][inv[y]]][table[x][y]] for x in range(n) for y in range(n)}
+    members.add(identity)
+    while True:
+        grown = members | {table[a][b] for a in members for b in members}
+        if len(grown) == len(members):
+            return len(members)
+        members = grown
+
+
 def is_abelian(size: int, mul: MulFn) -> bool:
     return all(mul(a, b) == mul(b, a)
                for a in range(size) for b in range(a + 1, size))

@@ -312,3 +312,40 @@ def test_tracer_hooks_resolve():
          "import passes; passes.install_tracer(passes.Tracer('t'))"],
         cwd=os.path.join(ROOT, "perfbench"), env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+NUMPY_MA_SCRIPT = """
+import os, sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    raise SystemExit
+from diffsets import cayley_srg_check, cli
+from diffsets.serialize import parse_design
+os.chdir(sys.argv[1])
+for family, flags in (("denniston-even", ["--m", "3", "--r", "1"]),
+                      ("denniston-gr4", ["--t", "3", "--k", "3"])):
+    assert cli.main(["construct", family, *flags, "--out", "d"]) == 0
+    assert cli.main(["transfer", "--design", "d.design.txt", "--out", "dx"]) == 0
+    assert cli.main(["verify", "--design", "dx.design.txt"]) == 0
+    for path in ("d.design.txt", "dx.design.txt"):
+        with open(path, encoding="utf-8") as fh:
+            cayley_srg_check(parse_design(fh.read())[0])
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_pipeline_never_loads_numpy_ma(tmp_path):
+    """Under numpy 2 a plain np.unique imports numpy.ma, about 15 ms; no
+    stage from construct to the SRG check may pay it.  Both SRG routes run:
+    the denniston-gr4 base design convolves, the other three are counted
+    directly."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip().endswith("preloaded"):
+        pytest.skip("importing numpy alone loads numpy.ma (numpy 1.x)")
+    assert proc.stdout.strip().endswith("False")

@@ -1,9 +1,13 @@
 """Family constructors: frozen parameters, witnesses, and error paths."""
 
+from math import gcd
+
 import pytest
 
 from diffsets import (
+    FiniteField,
     IndexNotTwo,
+    NoValidAlpha,
     NotReversible,
     ParameterError,
     ReindexObstruction,
@@ -19,6 +23,7 @@ from diffsets import (
     dillon_forward,
     element_order,
     element_orders,
+    field_make,
     fingerprint,
     mcfarland_base,
     mcfarland_even_witnesses,
@@ -166,6 +171,33 @@ def test_denniston_even(corpus, key, params):
 def test_denniston_even_m3_r2():
     inst = denniston_even(3, 2)
     assert verify_design(inst.design).params == (512, 196, 60, 84)
+
+
+@pytest.mark.parametrize("m,r", [(2, 1), (3, 2), (4, 1), (4, 3)])
+def test_denniston_even_members_pointwise(m, r):
+    """The array evaluation of Q(a, b) = a^2 + alpha a b + b^2 keeps the
+    member list of a scalar evaluation point by point."""
+    inst = denniston_even(m, r)
+    F, q = field_make(2, m), 2 ** m
+    # the canonical alpha: the first primitive power with tr(1/alpha) = 1
+    alpha = next(int(F.exp[e]) for e in range(1, q - 1)
+                 if gcd(e, q - 1) == 1 and F.trace(F.inv(int(F.exp[e]))) == 1)
+    assert inst.design.log[0].startswith(f"alpha = {F.element_str(alpha)},")
+    members = set()
+    for a in range(q):
+        for b in range(q):
+            qval = F.add(F.add(F.mul(a, a), F.mul(F.mul(alpha, a), b)), F.mul(b, b))
+            if qval < 2 ** r:
+                members.update(c + q * F.mul(c, a) + q * q * F.mul(c, b) for c in range(1, q))
+    assert inst.design.members == tuple(sorted(members))
+
+
+def test_denniston_even_degenerate_form_counted(monkeypatch):
+    """With the trace test forced, alpha = x is taken over GF(8), where
+    tr(1/x) = 0: Q is isotropic, zero on two lines of q - 1 nonzero points."""
+    monkeypatch.setattr(FiniteField, "trace", lambda self, a, sub_degree=1: 1)
+    with pytest.raises(NoValidAlpha, match="^Q vanishes at 14 nonzero points"):
+        denniston_even(3, 1)
 
 
 def test_denniston_even_histogram(corpus):

@@ -48,8 +48,9 @@ def test_abelian_matches_oracle(orders):
         assert g.mul(a, b) == oracle.abelian_mul(orders, a, b)
         assert g.inv(a) == oracle.abelian_inv(orders, a)
     mul = lambda a, b: oracle.abelian_mul(orders, a, b)
+    got = element_orders(g)
     for a in range(g.size):
-        assert g.element_order(a) == (oracle.element_order(mul, a) if a else 1)
+        assert got[a] == (oracle.element_order(mul, a) if a else 1)
 
 
 @pytest.mark.parametrize("orders, blocks", [
@@ -270,15 +271,44 @@ def test_cosets_match_reference(d4, corpus):
             check(closure, sub, [(ident, g)])
 
 
+def _small_closures(corpus):
+    """Every corpus closure of order <= 1000, nested bases among them."""
+    out = {name: rep.new_group for name, (_, rep) in corpus.items()
+           if rep.new_group.size <= 1000}
+    assert any(isinstance(g.base, ExtensionGroup) for g in out.values())
+    return out
+
+
 def test_element_orders_vectorized(d4, corpus):
     orders = element_orders(d4)
     assert [element_order(d4, z) for z in range(d4.size)] == list(orders)
-    # prime-power testing on orders with several primes: 81, 351 = 3^3 * 13,
-    # 378 = 2 * 3^3 * 7
-    for name in ("pgroup_3_2_s2", "spence_d1", "mcfarland_odd_q3_s2"):
-        g = corpus[name][1].new_group
+    # the automorphism norm over every small closure, among them orders with
+    # several primes (351 = 3^3 * 13, 378 = 2 * 3^3 * 7) and the nested base
+    # of mcfarland_even_d2_v3
+    closures = _small_closures(corpus)
+    assert "mcfarland_even_d2_v3" in closures
+    for name, g in closures.items():
         want = [oracle.element_order(g.mul, z) for z in range(g.size)]
         assert element_orders(g).tolist() == want, name
+
+
+def test_center_and_derived_match_brute_force(d4, corpus):
+    """fingerprint reads the center and derived subgroup from the generators;
+    the oracle takes every element and every commutator from the full
+    Cayley table."""
+    # in C3^2 x| <two automorphisms> of order 216 the commutators of the
+    # generators span a subgroup of order 36 whose normal closure has order
+    # 72; in the corpus closures the two agree
+    c = abelian_make((3, 3))
+    auts = [aut_from_images(c, images) for images in ([1, 4], [3, 2])]
+    c216 = extension_closure(c, auts, [((), 1), ((0,), 0), ((1,), 0)], cap=216)
+    closures = {"d4": d4, "c216": c216, **_small_closures(corpus)}
+    for name, g in closures.items():
+        every = np.arange(g.size)
+        table = g.mul_outer(every, every).tolist()
+        fp = fingerprint(g)
+        assert fp.center_order == oracle.center_order(table), name
+        assert fp.derived_order == oracle.derived_order(table), name
 
 
 @pytest.mark.parametrize("orders", [(2,) * 9, (3,) * 9, (7, 7, 7, 58), (300,), (3, 3, 364)],

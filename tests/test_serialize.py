@@ -15,6 +15,7 @@ from diffsets import (
     transfer_rds,
 )
 from diffsets.serialize import (
+    _split_sections,
     design_text,
     dot_text,
     edges_text,
@@ -122,6 +123,17 @@ def test_missing_sections_rejected():
         parse_design("[design]\nkind = DS\nclaimed = 7,3,1\n")
     with pytest.raises(ParseError):
         parse_group("[group]\nlevels = 1\n")
+
+
+def test_split_sections_rules():
+    """Lines are stripped; blank lines and "#" comments are dropped anywhere;
+    a stripped line in brackets opens a section; a line break may be any that
+    str.splitlines knows."""
+    text = "# tag\r\n\n  [a]  \nx = 1\n  # note\n\t y = 2 \r\n[b]\x85[c\n]\n#[d]\n[]\n"
+    assert _split_sections(text) == [("a", ["x = 1", "y = 2"]), ("b", ["[c", "]"]), ("", [])]
+    assert _split_sections("") == [] and _split_sections("\n# c\n") == []
+    with pytest.raises(ParseError, match=r"^line 3: content before any section header: 'x'$"):
+        _split_sections("# c\n\n x \n[a]\n")
 
 
 def test_edges_undirected_convention():

@@ -225,6 +225,30 @@ def test_srg_route_follows_size(corpus, monkeypatch):
     assert direct_calls == [(rep.new_design.group, True)]
 
 
+def test_dual_maps_shared_by_verify_and_srg(corpus, monkeypatch):
+    """The occupied slices of an inverse-closed design are closed under
+    inversion, so verify's duals (of a2^-1) are the SRG check's (of a2):
+    each automorphism's dual map is computed once per group."""
+    from diffsets.serialize import design_text, parse_design
+    _, rep = corpus["denniston_gr4_t3_k3"]
+    design, _ = parse_design(design_text(rep.new_design))  # no cached maps yet
+    expected = cayley_srg_check(design)
+    calls = []
+    real = AbelianGroup.dual_perm
+
+    def spy(self, perm):
+        calls.append(perm.tobytes())
+        return real(self, perm)
+
+    monkeypatch.setattr(AbelianGroup, "dual_perm", spy)
+    monkeypatch.setattr(verify, "_CONV_FACTOR", 0)  # convolve at any size
+    verify_design(design)
+    slices = np.unique(design.group.aut_part[list(design.members)])
+    assert len(calls) == len(set(calls)) == np.count_nonzero(slices) > 1
+    assert cayley_srg_check(design) == expected
+    assert len(calls) == np.count_nonzero(slices)
+
+
 def test_multiplier_check():
     g = abelian_make((7,))
     d = DesignSet(g, FANO, "DS", (7, 3, 1))
