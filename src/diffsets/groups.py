@@ -29,10 +29,12 @@ concrete kinds are provided:
   group, so extensions nest.
 
 Automorphisms are certified at construction: the generator-image map is
-extended to a full permutation, then bijectivity is checked and the
-homomorphism property is proved exactly from perm(x g) = perm(x) img(g) for
-every element x and every generator g (every element is a positive word in
-the generators, so induction on word length covers all products).
+extended to a full permutation, checked to be a bijection, and proved a
+homomorphism exactly - over an abelian group, the sum of the C_(n_i) on the
+e_i, by its presentation n_i img(e_i) = 1; over an extension by
+perm(x g) = perm(x) img(g) for every element x and generator g (every
+element is a positive word in the generators, so induction on word length
+covers all products).  The closure keys automorphisms on generator images.
 """
 
 from __future__ import annotations
@@ -286,10 +288,14 @@ class AbelianGroup(Group):
         phi(e_j) has order dividing m_j.  phi* is additive, so it is the
         product of the images of each block's coordinates."""
         img = self.digits[np.asarray(perm)[list(self.generators)]]
-        dual = (self._orders_arr[:, None] * img // self._orders_arr[None, :]).T
+        return self.linear_perm((self._orders_arr[:, None] * img // self._orders_arr[None, :]).T)
+
+    def linear_perm(self, mat: np.ndarray) -> np.ndarray:
+        """x -> encode(digits(x) @ mat) on every element: encode is additive,
+        so this is the product over blocks of one table of block coordinates."""
         out = None
         for blk in self._kernel():
-            part = self.encode(self.digits[np.arange(blk.order) * blk.radix] @ dual)
+            part = self.encode(self.digits[np.arange(blk.order) * blk.radix] @ mat)
             out = part[blk.coord] if out is None else self.mul_many(out, part[blk.coord])
         return out
 
@@ -345,8 +351,7 @@ class GroupAutomorphism:
 
 def _extend_images_to_perm(group: Group, images: Sequence[int]) -> np.ndarray:
     if isinstance(group, AbelianGroup):
-        img_digits = group.digits[np.asarray(images, dtype=np.int64)]
-        return group.encode(group.digits @ img_digits)
+        return group.linear_perm(group.digits[np.asarray(images, dtype=np.int64)])
     if isinstance(group, ExtensionGroup):
         # perm(z) = perm(parent) * image(generator), one BFS layer at a time:
         # bfs_parent is nondecreasing, so the elements whose parents are all
@@ -364,7 +369,9 @@ def _extend_images_to_perm(group: Group, images: Sequence[int]) -> np.ndarray:
 
 
 def aut_from_images(group: Group, images: Sequence[int]) -> GroupAutomorphism:
-    """Certify that the generator-image map extends to an automorphism.
+    """Certify that the generator-image map extends to an automorphism: a
+    bijection obeying an abelian group's relations n_i img_i = 1, or on an
+    extension perm(x g) = perm(x) img(g) (see module notes).
 
     Raises NotBijective / NotHomomorphism with a witness otherwise.
     """
@@ -386,6 +393,17 @@ def aut_from_images(group: Group, images: Sequence[int]) -> GroupAutomorphism:
             f"elements {group.element_name(int(hits[0]))} and "
             f"{group.element_name(int(hits[1]))} share the image {group.element_name(dup)}")
 
+    if isinstance(group, AbelianGroup):
+        # e_i -> img_i extends to a homomorphism, which is then perm, iff
+        # every n_i img_i is the identity
+        powers = group.encode(group.digits[list(images)] * group._orders_arr[:, None])
+        name = group.element_name
+        for g, img, n_i, p in zip(group.generators, images, group.orders, powers.tolist()):
+            if p:
+                raise NotHomomorphism(
+                    f"generator {name(g)} of order {n_i} goes to {name(img)}, which breaks "
+                    f"the relation {n_i}*{name(g)} = identity: {n_i}*{name(img)} = {name(p)}")
+        return GroupAutomorphism(group, images, perm)
     # perm(1) = 1 by construction; pinning perm(x g) = perm(x) img for every
     # x and generator g (at x = 1 this also fixes perm(g) = img) extends to
     # all products by induction on word length.
@@ -514,38 +532,36 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
         if a.group is not base:
             raise ParameterError("automorphism acts on a different group than the base")
 
-    # close the automorphism part first
-    ident = np.arange(nb, dtype=np.int64)
-    perms: List[np.ndarray] = [ident]
-    keys: Dict[bytes, int] = {ident.tobytes(): 0}
+    # close the automorphism part first, keyed on generator images: p_j after
+    # p_i costs r lookups, and a full permutation is composed only when new
+    gens_b = np.array(base.generators, dtype=np.int64)
+    perms: List[np.ndarray] = [np.arange(nb, dtype=np.int64)]
+    keys: Dict[bytes, int] = {gens_b.tobytes(): 0}
     gen_aut_idx: List[int] = []
     for a in auts:
-        k = a.perm.tobytes()
+        k = a.perm[gens_b].astype(np.int64).tobytes()
         if k not in keys:
             keys[k] = len(perms)
             perms.append(a.perm.astype(np.int64))
         gen_aut_idx.append(keys[k])
-    frontier = list(range(len(perms)))
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in gen_aut_idx:
-                comp = perms[j][perms[i]]
-                k = comp.tobytes()
-                if k not in keys:
-                    keys[k] = len(perms)
-                    perms.append(comp)
-                    nxt.append(keys[k])
-                    if len(perms) > cap:
-                        raise ClosureOverflow(
-                            f"automorphism part exceeded the cap of {cap}")
-                    _check_pair_table(len(perms), nb)
-        frontier = nxt
+    i = 0
+    while i < len(perms):  # breadth-first: perms grows behind i
+        img = perms[i][gens_b]
+        for j in gen_aut_idx:
+            k = perms[j][img].tobytes()
+            if k not in keys:
+                keys[k] = len(perms)
+                perms.append(perms[j][perms[i]])
+                if len(perms) > cap:
+                    raise ClosureOverflow(f"automorphism part exceeded the cap of {cap}")
+                _check_pair_table(len(perms), nb)
+        i += 1
     na = len(perms)
     _check_pair_table(na, nb)
     aut_perms = np.stack(perms)
-    aut_mul = np.array([[keys[pj[pi].tobytes()] for pj in perms] for pi in perms],
-                       dtype=np.int64)
+    # aut_mul[i, j] is p_j after p_i, whose generator images are p_j[img_i]
+    aut_mul = np.array([[keys[k.tobytes()] for k in aut_perms[:, img]]
+                        for img in aut_perms[:, gens_b]], dtype=np.int64)
     aut_inv = np.argmin(aut_mul, axis=1).astype(np.int64)  # aut_mul[i,j]==0 exactly once
 
     gen_pairs: List[Tuple[int, int]] = []
@@ -577,9 +593,12 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
         a = aut_mul[front_a[:, None], gen_a[None, :]]
         b = base.mul_many(aut_perms[gen_a[None, :], front_b[:, None]], gen_b[None, :])
         keys = (a * nb + b).ravel()
-        fresh = np.nonzero(pair_index[keys] < 0)[0]
-        _, first = np.unique(keys[fresh], return_index=True)
-        take = fresh[np.sort(first)]
+        fresh = np.flatnonzero(pair_index[keys] < 0)
+        # first occurrences, sort-free: pair_index[key] = least position of key
+        k, pos = keys[fresh], np.arange(fresh.size)
+        pair_index[k] = fresh.size
+        np.minimum.at(pair_index, k, pos)
+        take = fresh[pair_index[k] == pos]
         if size + take.size > cap:
             raise ClosureOverflow(f"closure exceeded the cap of {cap} elements")
         new_keys = keys[take]

@@ -5,8 +5,10 @@ stack of levels (the innermost abelian group first, one section per extension
 layer), followed by its full element enumeration, one element per line, as
 comma-separated exponent tuples (extension elements prefix the automorphism
 part with a semicolon).  Parsing does not trust the file: automorphisms are
-re-certified, closures are re-run, and the stored enumeration is compared
-line by line against the rebuilt group, so corrupted group data cannot load.
+re-certified (groups.aut_from_images), closures are re-run, and the stored
+enumeration is compared line by line against the rebuilt group, so corrupted
+group data cannot load.  The enumeration is built one string table per level:
+an extension line is its automorphism's prefix "a;" plus its base line.
 
 Design files embed their group, the member indices (one per line), the
 forbidden subgroup for relative difference sets, and optionally the transfer
@@ -67,9 +69,10 @@ def _element_strings(levels: List[Group]) -> List[str]:
     for n in reversed(orders[:-1]):
         heads = [f"{d}," for d in range(n)]
         strs = [h + rest for rest in strs for h in heads]
+    # extension level: "a;" + the base line of b, joined as object arrays
     for lev in levels[1:]:
-        strs = [f"{a};{strs[b]}"
-                for a, b in zip(lev.aut_part.tolist(), lev.base_part.tolist())]
+        prefix = np.array([f"{a};" for a in range(lev.aut_perms.shape[0])], dtype=object)
+        strs = (prefix[lev.aut_part] + np.array(strs, dtype=object)[lev.base_part]).tolist()
     return strs
 
 

@@ -159,6 +159,58 @@ def is_abelian(size: int, mul: MulFn) -> bool:
                for a in range(size) for b in range(a + 1, size))
 
 
+def abelian_automorphism(orders: Sequence[int],
+                         images: Sequence[int]) -> Optional[List[int]]:
+    """The permutation x -> img_0^d_0 img_1^d_1 ... (d the digits of x), if
+    it is a bijective homomorphism, else None.  Any homomorphism with these
+    generator images is this map; the homomorphism test runs over the whole
+    Cayley table."""
+    size = 1
+    for n in orders:
+        size *= n
+    perm = []
+    for x in range(size):
+        acc = 0
+        for d, img in zip(decode(orders, x), images):
+            for _ in range(d):
+                acc = abelian_mul(orders, acc, img)
+        perm.append(acc)
+    if len(set(perm)) != size:
+        return None
+    for x in range(size):
+        for y in range(size):
+            if perm[abelian_mul(orders, x, y)] != abelian_mul(orders, perm[x], perm[y]):
+                return None
+    return perm
+
+
+def aut_closure(n: int, perms: Sequence[Sequence[int]]):
+    """Close permutations of range(n) under composition, comparing whole
+    permutations: the identity first, then each listed permutation not seen
+    yet, then p_j after p_i for every listed j, taking i in order of
+    discovery.
+
+    Returns (closed, gen_idx, mul): gen_idx[w] is the position of listed
+    permutation w, and mul[i][j] that of p_j after p_i, i.e. x -> p_j(p_i(x)).
+    """
+    closed = [list(range(n))]
+    gen_idx = []
+    for p in perms:
+        p = list(p)
+        if p not in closed:
+            closed.append(p)
+        gen_idx.append(closed.index(p))
+    i = 0
+    while i < len(closed):
+        for j in gen_idx:
+            comp = [closed[j][x] for x in closed[i]]
+            if comp not in closed:
+                closed.append(comp)
+        i += 1
+    mul = [[closed.index([q[x] for x in p]) for q in closed] for p in closed]
+    return closed, gen_idx, mul
+
+
 def closure_bfs(base_mul: MulFn, aut_perms: Sequence[Sequence[int]],
                 aut_mul: Sequence[Sequence[int]],
                 gen_pairs: Sequence[Tuple[int, int]], nb: int):

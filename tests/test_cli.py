@@ -163,6 +163,26 @@ def test_hand_edited_aut_images_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_transfer_aut_breaking_a_relation_exits_3(tmp_path, capsys):
+    """A bijective [transfer] map that sends a generator of order n to an
+    element of another order is named by the relation it breaks."""
+    run(capsys, "construct", "spence", "--d", "1", "--out", str(tmp_path / "sp"))
+    path = tmp_path / "sp.design.txt"
+    lines = path.read_text().splitlines()
+    i = lines.index("[transfer]")
+    i += next(j for j, ln in enumerate(lines[i:]) if ln.startswith("aut0 = "))
+    # C3^3 x C13, generators 1, 3, 9, 27: the shear e_0 -> e_0 + e_3 is a
+    # bijection, but 3 (e_0 + e_3) = 3 e_3 is not the identity
+    lines[i] = "aut0 = 28,3,9,27"
+    path.write_text("\n".join(lines) + "\n")
+    code, _, stderr = run(capsys, "transfer", "--design", str(path),
+                          "--out", str(tmp_path / "spt"))
+    assert code == 3
+    assert ("generator (1,0,0,0) of order 3 goes to (1,0,0,1), which breaks the "
+            "relation 3*(1,0,0,0) = identity: 3*(1,0,0,1) = (0,0,0,3)") in stderr
+    assert "Traceback" not in stderr
+
+
 @pytest.mark.parametrize("entry, message", [
     ("|99999999999999999999", "candidate base element 99999999999999999999 out of range"),
     ("|-1", "candidate base element -1 out of range"),

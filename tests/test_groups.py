@@ -1,6 +1,7 @@
 """Group layer: abelian tables, automorphism certification, extension
 closures, subgroups, cosets, and fingerprints."""
 
+import itertools
 import random
 
 import numpy as np
@@ -131,8 +132,29 @@ def test_aut_exact_on_large_group():
     h = abelian_make((4,) * 7 + (2,))
     images = list(h.generators)
     images[-1] = h.mul(h.generators[0], h.generators[-1])
-    with pytest.raises(NotHomomorphism):
+    with pytest.raises(NotHomomorphism, match=r"breaks the relation 2\*\(0,0,0,0,0,0,0,1\)"
+                                              r" = identity: 2\*\(1,0,0,0,0,0,0,1\) = "
+                                              r"\(2,0,0,0,0,0,0,0\)$"):
         aut_from_images(h, images)
+
+
+@pytest.mark.parametrize("orders, n_auts", [
+    ((4, 2), 8), ((2, 2, 2), 168), ((3, 3), 48), ((6,), 2), ((2, 4), 8)])
+def test_aut_certificate_matches_brute_force(orders, n_auts):
+    """Every generator-image tuple: the relation certificate accepts exactly
+    the bijective homomorphisms of the full Cayley table, with their
+    permutation."""
+    g = abelian_make(orders)
+    accepted = 0
+    for images in itertools.product(range(g.size), repeat=len(orders)):
+        want = oracle.abelian_automorphism(orders, images)
+        if want is None:
+            with pytest.raises((NotBijective, NotHomomorphism)):
+                aut_from_images(g, images)
+        else:
+            assert aut_from_images(g, images).perm.tolist() == want
+            accepted += 1
+    assert accepted == n_auts  # |Aut(G)|
 
 
 def test_extension_closure_builds_dihedral(d4):
@@ -154,6 +176,10 @@ def test_extension_closure_cap_and_membership(d4):
     inv = aut_from_images(c4, [3])
     with pytest.raises(ClosureOverflow):
         extension_closure(c4, [inv], [((), 1), ((0,), 0)], cap=4)
+    c16 = abelian_make((16,))
+    units = [aut_from_images(c16, [3]), aut_from_images(c16, [5])]
+    with pytest.raises(ClosureOverflow, match="automorphism part exceeded the cap of 4"):
+        extension_closure(c16, units, [((0,), 1)], cap=4)
     # a closure that is a proper subset of the pair space
     tiny = extension_closure(c4, [inv], [((0,), 0)])
     assert tiny.size == 2
@@ -175,8 +201,65 @@ def test_extension_closure_matches_reference_bfs(corpus):
             base_mul = lambda x, y, o=base.orders: oracle.abelian_mul(o, x, y)
         else:
             base_mul = base.mul
-        ref = oracle.closure_bfs(base_mul, g.aut_perms.tolist(), g.aut_mul.tolist(),
-                                 g.gen_pairs, base.size)
+        # the automorphism part is closed and its table composes whole
+        # permutations
+        perms, _, mul = oracle.aut_closure(base.size, g.aut_perms.tolist())
+        assert g.aut_perms.tolist() == perms
+        assert g.aut_mul.tolist() == mul
+        ref = oracle.closure_bfs(base_mul, perms, mul, g.gen_pairs, base.size)
+        got = (g.aut_part, g.base_part, g.bfs_parent, g.bfs_genidx, g.pair_index)
+        for want, have in zip(ref, got):
+            assert have.tolist() == want
+
+
+def _closure_cases(corpus, d4):
+    """(base, automorphisms, generators) of every corpus transfer closure, and
+    of automorphism lists that the closure must complete: not closed, with
+    duplicates, with the identity, generating a nonabelian group, and over an
+    extension base."""
+    cases = [(inst.design.group, inst.aut_gens, inst.candidate_gens)
+             for inst, rep in corpus.values() if rep.new_group is not None]
+    c7 = abelian_make((7, 7))
+    triple = aut_from_images(c7, [3, 21])             # x -> 3x, order 6
+    swap = aut_from_images(c7, [7, 1])
+    ident = aut_from_images(c7, list(c7.generators))
+    gens = [((), 1), ((0,), 0)]
+    cases += [(c7, [triple], gens),
+              (c7, [swap, triple, swap, triple], [((0, 1), 8), ((3,), 0)]),
+              (c7, [ident, swap, triple], [((), 1), ((1,), 0), ((2, 2), 0)]),
+              (c7, [ident], gens),
+              (c7, [], [((), 1)])]
+    c3 = abelian_make((3, 3))
+    shears = [aut_from_images(c3, [1, 4]), aut_from_images(c3, [4, 3])]  # SL(2, 3)
+    cases.append((c3, shears, [((), 1), ((0,), 0), ((1, 0), 0)]))
+    r, s = d4.generators                               # the rotation and the flip
+    twist = aut_from_images(d4, [r, d4.mul(s, r)])   # s -> s r, order 4
+    cases.append((d4, [twist, twist], [((), s), ((0,), 0)]))
+    return cases
+
+
+def test_extension_closure_matches_oracle_closure(corpus, d4):
+    """The closure keyed on generator images builds the automorphism part,
+    its composition and inverse tables, and the element enumeration exactly
+    as whole-permutation composition and a one-at-a-time BFS do."""
+    for base, auts, gens in _closure_cases(corpus, d4):
+        g = extension_closure(base, auts, gens, cap=base.size * 24)
+        perms, gen_idx, mul = oracle.aut_closure(base.size, [a.perm.tolist() for a in auts])
+        assert g.aut_perms.tolist() == perms
+        assert g.aut_mul.tolist() == mul
+        assert g.aut_inv.tolist() == [row.index(0) for row in mul]
+        pairs = []
+        for word, b in gens:
+            a = 0
+            for w in word:
+                a = mul[a][gen_idx[w]]
+            pairs.append((a, b))
+        assert g.gen_pairs == pairs
+        if isinstance(base, AbelianGroup):
+            base_mul = lambda x, y, o=base.orders: oracle.abelian_mul(o, x, y)
+        else:
+            base_mul = base.mul
+        ref = oracle.closure_bfs(base_mul, perms, mul, pairs, base.size)
         got = (g.aut_part, g.base_part, g.bfs_parent, g.bfs_genidx, g.pair_index)
         for want, have in zip(ref, got):
             assert have.tolist() == want

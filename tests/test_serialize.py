@@ -2,7 +2,9 @@
 
 import pytest
 
+import oracle
 from diffsets import (
+    AbelianGroup,
     DesignSet,
     ForbiddenNotSubgroup,
     ParseError,
@@ -60,6 +62,27 @@ def test_nested_extension_round_trip(corpus):
     d2, _ = parse_design(txt)
     assert d2.members == rep.new_design.members
     assert design_text(d2) == txt
+
+
+def _element_line(group, z):
+    """One [elements] line, element by element: the digits of an abelian
+    element, or "a;" before the base element's line."""
+    if isinstance(group, AbelianGroup):
+        return ",".join(str(d) for d in oracle.decode(group.orders, z))
+    a, b = group.pair_of(z)
+    return f"{a};{_element_line(group.base, b)}"
+
+
+def test_element_lines_spelled_out(corpus):
+    """The [elements] table of every corpus closure, the nested one among
+    them, reads as each element spelled out on its own."""
+    for _, rep in corpus.values():
+        if rep.new_group is None:
+            continue
+        g = rep.new_group
+        lines = group_text(g).splitlines()
+        got = lines[lines.index("[elements]") + 1:]
+        assert got == [_element_line(g, z) for z in range(g.size)]
 
 
 def test_transfer_instance_round_trip(corpus):
