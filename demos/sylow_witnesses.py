@@ -8,7 +8,7 @@ witnesses showing non-normality.  Every witness below is a triple
 """
 
 from diffsets import (
-    element_order,
+    element_orders,
     fingerprint,
     mcfarland_even,
     mcfarland_even_witnesses,
@@ -47,7 +47,7 @@ def main() -> int:
     show_subgroup(rep.new_group, spence_sylow3(rep), "Sylow 3-subgroup")
     phi_a3 = rep.new_group.generators[-1]
     print(f"  twisted generator {rep.new_group.element_name(phi_a3)} "
-          f"has order {element_order(rep.new_group, phi_a3)}")
+          f"has order {element_orders(rep.new_group)[phi_a3]}")
 
     print()
     print("McFarland even family, d = 2, all three transfer variants:")

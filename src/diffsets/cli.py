@@ -194,6 +194,10 @@ def _fingerprint_lines(report) -> List[str]:
 def cmd_transfer(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args.design:
+        ignored = [f"--{f}" for f in ("family",) + PARAM_FLAGS if getattr(args, f) is not None]
+        if ignored:
+            raise ParameterError("transfer --design takes its instance from the file; "
+                                 "drop " + ", ".join(ignored))
         design, instance = parse_design(_read(args.design))
         if instance is None:
             raise ParameterError(f"{args.design} has no [transfer] section")

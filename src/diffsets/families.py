@@ -570,6 +570,25 @@ def denniston_odd(p: int, t: int) -> TransferInstance:
 # McFarland difference sets
 # ---------------------------------------------------------------------------
 
+def _cycles(image: Sequence[int]) -> Tuple[List[int], List[List[int]]]:
+    """The fixed points and the longer cycles of the permutation
+    i -> image[i], each cycle from its least entry, in increasing order."""
+    fixed: List[int] = []
+    cycles: List[List[int]] = []
+    seen = [False] * len(image)
+    for i in range(len(image)):
+        cyc, j = [], i
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j)
+            j = image[j]
+        if len(cyc) > 1:
+            cycles.append(cyc)
+        elif cyc:
+            fixed.append(i)
+    return fixed, cycles
+
+
 def _plane_codes(plane, q: int) -> List[int]:
     if isinstance(plane.members[0], tuple):
         return [x + q * y for (x, y) in plane.members]
@@ -609,25 +628,6 @@ def mcfarland_base(q: int, s: int) -> DesignSet:
     return design
 
 
-def _swap_pairing(planes):
-    """Index pairs of the hyperplane list under the coordinate swap, plus the
-    unique fixed plane."""
-    by_set = {frozenset(pl.members): i for i, pl in enumerate(planes)}
-    image = []
-    for pl in planes:
-        image.append(by_set[frozenset((y, x) for (x, y) in pl.members)])
-    fixed = [i for i, j in enumerate(image) if i == j]
-    assert len(fixed) == 1, "the swap should fix exactly the diagonal"
-    pairs = []
-    seen = set(fixed)
-    for i in range(len(planes)):
-        if i in seen:
-            continue
-        seen.update((i, image[i]))
-        pairs.append((i, image[i]))
-    return fixed[0], pairs
-
-
 def mcfarland_even(d: int, variant: int) -> TransferInstance:
     """McFarland design over E = GF(q)^2, q = 2^d, tail C_(q+2) (variants 1
     and 2) or dihedral of order q+2 (variant 3), with the coordinate swap
@@ -641,7 +641,10 @@ def mcfarland_even(d: int, variant: int) -> TransferInstance:
     # variant 3's group is the base of its dihedral-tail extension
     group = abelian_make((2,) * (2 * d) + (q + 2 if variant in (1, 2) else half,))
     planes = hyperplanes(field_make(2, d), ambient_dim=2)
-    fixed, pairs = _swap_pairing(planes)
+    by_set = {frozenset(pl.members): i for i, pl in enumerate(planes)}
+    # the coordinate swap fixes the diagonal alone and pairs the other planes
+    [fixed], pairs = _cycles([by_set[frozenset((y, x) for (x, y) in pl.members)]
+                              for pl in planes])
     e_size = q * q
     plane_codes = [_plane_codes(pl, q) for pl in planes]
     e1, e2 = 1, q
@@ -780,20 +783,9 @@ def mcfarland_odd(q: int, s: int) -> TransferInstance:
     by_set = {frozenset(int(z) for z in mem): i for i, mem in enumerate(plane_members)}
     plane_image = [by_set[frozenset(int(z) for z in m_aut.perm[mem])]
                    for mem in plane_members]
-    fixed = [i for i, j in enumerate(plane_image) if i == j]
+    fixed, plane_orbits = _cycles(plane_image)
     assert len(fixed) == 1 and normals[fixed[0]] == q ** s, \
         "the column action should fix exactly the hyperplane with normal e_(s+1)"
-    plane_orbits = []
-    seen = set(fixed)
-    for i in range(r):
-        if i in seen:
-            continue
-        orbit = [i]
-        while plane_image[orbit[-1]] not in orbit:
-            orbit.append(plane_image[orbit[-1]])
-        assert len(orbit) == q
-        seen.update(orbit)
-        plane_orbits.append(orbit)
 
     c = None
     for cand in range(2, twop):
@@ -801,18 +793,9 @@ def mcfarland_odd(q: int, s: int) -> TransferInstance:
             c = cand
             break
     assert c is not None, "no residue of multiplicative order q mod 2p"
-    k_orbits = []
-    seen_k = {0, pp}
-    for x in range(1, twop):
-        if x in seen_k:
-            continue
-        orbit = [x]
-        while (orbit[-1] * c) % twop != x:
-            orbit.append((orbit[-1] * c) % twop)
-        assert len(orbit) == q
-        seen_k.update(orbit)
-        k_orbits.append(orbit)
-    assert len(k_orbits) == len(plane_orbits)
+    k_fixed, k_orbits = _cycles([x * c % twop for x in range(twop)])
+    assert k_fixed == [0, pp] and len(k_orbits) == len(plane_orbits)
+    assert {len(o) for o in plane_orbits + k_orbits} == {q}
 
     assign = [0] * r
     assign[fixed[0]] = pp
@@ -854,6 +837,21 @@ def _rds_group(d: int) -> Tuple[AbelianGroup, FiniteField, int]:
     return group, field_make(2, 2 * d), q * q
 
 
+def _spread_rds(group: AbelianGroup, planes, ladder: Sequence[int], log: str) -> DesignSet:
+    """The spread RDS in C_(q^2) x GF(q^2)^2: slot i, the i-th power of w
+    for i = 1 .. q^2, carries hyperplane ladder[i]; the forbidden subgroup is
+    the first coordinate axis."""
+    qq = group.orders[0]
+    members: List[int] = []
+    for i in range(1, qq + 1):
+        members.extend(i % qq + qq * (x + qq * y) for (x, y) in planes[ladder[i]].members)
+    forbidden = subgroup_closure(group, tuple(qq * 2 ** i for i in range(qq.bit_length() - 1)))
+    design = DesignSet(group, tuple(sorted(members)), "RDS", (qq * qq, qq, qq * qq, qq),
+                       forbidden=forbidden, log=[log])
+    verify_rds(design)
+    return design
+
+
 def rds_base(d: int) -> DesignSet:
     """The spread RDS: pair the i-th power of w with the i-th hyperplane of
     GF(q^2)^2 in base order; any bijection onto the planes other than the
@@ -861,18 +859,8 @@ def rds_base(d: int) -> DesignSet:
     if d < 1:
         raise ParameterError("d must be positive")
     group, F, qq = _rds_group(d)
-    planes = hyperplanes(F, ambient_dim=2)
-    members: List[int] = []
-    for i in range(1, qq + 1):
-        w = i % qq
-        members.extend(w + qq * (x + qq * y) for (x, y) in planes[i].members)
-    forbidden = subgroup_closure(group, tuple(qq * 2 ** i for i in range(2 * d)))
-    assert forbidden.order == qq
-    design = DesignSet(group, tuple(sorted(members)), "RDS",
-                       (qq * qq, qq, qq * qq, qq), forbidden=forbidden,
-                       log=["slot i carries hyperplane i of the base ordering"])
-    verify_rds(design)
-    return design
+    return _spread_rds(group, hyperplanes(F, ambient_dim=2), range(qq + 1),
+                       "slot i carries hyperplane i of the base ordering")
 
 
 def rds_transfer(d: int, variant: int) -> TransferInstance:
@@ -888,9 +876,8 @@ def rds_transfer(d: int, variant: int) -> TransferInstance:
     q = 2 ** d
     planes = hyperplanes(F, ambient_dim=2)
     by_set = {frozenset(pl.members): i for i, pl in enumerate(planes)}
-    image = [by_set[frozenset((int(F.frob(x, d)), int(F.frob(y, d)))
-                              for (x, y) in pl.members)] for pl in planes]
-    fixed = [i for i, j in enumerate(image) if i == j]
+    fixed, pairs = _cycles([by_set[frozenset((int(F.frob(x, d)), int(F.frob(y, d)))
+                                             for (x, y) in pl.members)] for pl in planes])
     if len(fixed) != 3:
         raise ReindexObstruction(
             f"the coordinatewise {q}-power map fixes {len(fixed)} of the {qq + 1} "
@@ -901,24 +888,11 @@ def rds_transfer(d: int, variant: int) -> TransferInstance:
     ladder = [-1] * (qq + 1)
     ladder[0], ladder[qq // 2], ladder[qq] = 0, 1, 2
     slot = 1
-    seen = set(fixed)
-    for i in range(len(planes)):
-        if i in seen:
-            continue
-        seen.update((i, image[i]))
+    for i, j in pairs:
         while ladder[slot] != -1:
             slot += 1
-        ladder[slot] = i
-        ladder[qq - slot] = image[i]
-    members: List[int] = []
-    for i in range(1, qq + 1):
-        w = i % qq
-        members.extend(w + qq * (x + qq * y) for (x, y) in planes[ladder[i]].members)
-    forbidden = subgroup_closure(group, tuple(qq * 2 ** i for i in range(2 * d)))
-    design = DesignSet(group, tuple(sorted(members)), "RDS",
-                       (qq * qq, qq, qq * qq, qq), forbidden=forbidden,
-                       log=[f"ladder {ladder}"])
-    verify_rds(design)
+        ladder[slot], ladder[qq - slot] = i, j
+    design = _spread_rds(group, planes, ladder, f"ladder {ladder}")
 
     images_g = [qq - 1]
     images_g += [qq * int(F.frob(2 ** i, d)) for i in range(2 * d)]

@@ -220,12 +220,6 @@ class FiniteField:
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.m}; {_poly_str(self.modulus)})"
 
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return id(self)
-
 
 @functools.lru_cache(maxsize=None)
 def _field_cached(p: int, m: int, modulus: Tuple[int, ...]) -> FiniteField:

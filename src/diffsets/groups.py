@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,7 +105,7 @@ class Group:
 
     def quotient_outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """All pairwise a_i * b_j^(-1), shape (len(a), len(b))."""
-        raise NotImplementedError
+        return self.mul_outer(a, self.inv_many(b))
 
     def mul_outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.mul_many(np.asarray(a)[:, None], np.asarray(b)[None, :])
@@ -256,9 +256,6 @@ class AbelianGroup(Group):
             else:
                 out += term
         return out
-
-    def quotient_outer(self, a, b):
-        return self.mul_outer(a, self.inv_many(b))
 
     def character_transform(self, f, inverse: bool = False) -> np.ndarray:
         """Character sums F[..., k] = sum_x f[..., x] chi_k(x) along the last
@@ -482,15 +479,6 @@ class ExtensionGroup(Group):
         bi = self.aut_perms[ai, self.base.inv_many(self.base_part[x])]
         return self.pair_index[ai * self._nb + bi]
 
-    def quotient_outer(self, x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        ai2 = self.aut_inv[self.aut_part[y]]
-        q = self.base.quotient_outer(self.base_part[x], self.base_part[y])
-        b = self.aut_perms[ai2[None, :], q]
-        a = self.aut_mul[self.aut_part[x][:, None], ai2[None, :]]
-        return self.pair_index[a * self._nb + b]
-
     def aut_dual(self, a: int) -> np.ndarray:
         """The dual map phi* of automorphism a on an abelian base (see
         AbelianGroup.dual_perm), computed on first use and kept."""
@@ -670,10 +658,6 @@ def normality_witness(group: Group, sub: Subgroup) -> Optional[Tuple[int, int, i
     return None
 
 
-def is_normal(group: Group, sub: Subgroup) -> bool:
-    return normality_witness(group, sub) is None
-
-
 @dataclass(frozen=True)
 class CosetTable:
     reps: Tuple[int, ...]
@@ -747,16 +731,6 @@ def coset_action_transitive(group: Group, sub: Subgroup,
 # structure fingerprint
 # ---------------------------------------------------------------------------
 
-def element_order(group: Group, z: int) -> int:
-    k, cur = 1, z
-    while cur != group.identity:
-        cur = group.mul(cur, z)
-        k += 1
-        if k > group.size:
-            raise ParameterError("element order exceeded group order")
-    return k
-
-
 def element_orders(group: Group) -> np.ndarray:
     """Every element's order, read from the group's structure.
 
@@ -808,11 +782,10 @@ class StructureReport:
     order_histogram: Tuple[Tuple[int, int], ...]
     center_order: int
     derived_order: int
-    sylow_normal: Tuple[Tuple[int, bool], ...]
     nonabelian_pair: Optional[Tuple[int, int]]
 
 
-def fingerprint(group: Group, sylow: Optional[Dict[int, Subgroup]] = None) -> StructureReport:
+def fingerprint(group: Group) -> StructureReport:
     """Isomorphism-invariant summary used to compare construction outputs."""
     n = group.size
     orders = element_orders(group)
@@ -839,17 +812,6 @@ def fingerprint(group: Group, sylow: Optional[Dict[int, Subgroup]] = None) -> St
             break
         dgens = np.concatenate([dgens, fresh])
 
-    sylow_flags: List[Tuple[int, bool]] = []
-    if sylow:
-        for p in sorted(sylow):
-            sub = sylow[p]
-            expected = gcd(n, p ** n.bit_length())  # the p-part of n
-            if sub.order != expected:
-                raise ParameterError(
-                    f"supplied subgroup of order {sub.order} is not a Sylow {p}-subgroup "
-                    f"(expected order {expected})")
-            sylow_flags.append((p, is_normal(group, sub)))
-
     witness = nonabelian_witness(group)
     return StructureReport(
         order=n,
@@ -858,6 +820,5 @@ def fingerprint(group: Group, sylow: Optional[Dict[int, Subgroup]] = None) -> St
         order_histogram=hist,
         center_order=int(central.size),
         derived_order=derived.order,
-        sylow_normal=tuple(sylow_flags),
         nonabelian_pair=witness,
     )

@@ -139,30 +139,16 @@ def check_conditions(inst: TransferInstance) -> TransferReport:
     x_sub = Subgroup(group, tuple(int(b) for b in x_members),
                      tuple(int(b) for b in x_members))
 
-    cond_ii = True
+    # (ii) in the closure holds: 1xX is the kernel of the projection (a, b) -> a
     wit = normality_witness(group, x_sub)
+    cond_ii = wit is None
     if wit is not None:
         g, s, c = wit
-        cond_ii = False
         witnesses["ii"] = (f"X is not normal in the base group: "
                            f"{group.element_name(g)}^-1 * {group.element_name(s)} * "
                            f"{group.element_name(g)} = {group.element_name(c)}")
-    if cond_ii:
-        # the pair (identity, b) has key 0 * |G| + b = b
-        x_in_closure = closure.pair_index[x_members]
-        for z in closure.generators:
-            conj = closure.mul_many(closure.mul_many(closure.inv(z), x_in_closure), z)
-            bad = np.nonzero(~x_sub.mask[closure.base_part[conj]])[0]
-            if bad.size:
-                cond_ii = False
-                x0 = int(x_in_closure[bad[0]])
-                witnesses["ii"] = (f"1xX is not normal in the closure: conjugating "
-                                   f"{closure.element_name(x0)} by {closure.element_name(z)}"
-                                   f" leaves the slice")
-                break
 
-    acting = [(inst_perm, g) for inst_perm, g in
-              ((closure.aut_perms[a], b) for a, b in closure.gen_pairs)]
+    acting = [(closure.aut_perms[a], b) for a, b in closure.gen_pairs]
     trans = coset_action_transitive(group, x_sub, acting)
     cond_iii = trans.transitive
     if not cond_iii:

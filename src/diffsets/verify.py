@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -229,13 +229,21 @@ class VerifyResult:
     regular: Optional[bool] = None     # PDS: inverse-closed and identity-free
 
 
-def _offenders(group: Group, counts: np.ndarray, where: np.ndarray,
-               expected: int, limit: int = 3) -> str:
-    bad = np.nonzero(where & (counts != expected))[0]
-    shown = ", ".join(
-        f"{group.element_name(int(z))}: {int(counts[z])} (expected {expected})"
-        for z in bad[:limit])
-    return f"{bad.size} offender(s); first {min(limit, bad.size)}: {shown}"
+def _require(group: Group, counts: np.ndarray,
+             regions: Sequence[Tuple[str, np.ndarray, int]]) -> None:
+    """Raise ParameterMismatch naming each (label, mask, expected) region
+    where a count differs from the expected one, with its first offenders."""
+    problems = []
+    for label, where, expected in regions:
+        bad = np.nonzero(where & (counts != expected))[0]
+        if bad.size:
+            shown = ", ".join(
+                f"{group.element_name(int(z))}: {int(counts[z])} (expected {expected})"
+                for z in bad[:3])
+            problems.append(f"{label}: {bad.size} offender(s); "
+                            f"first {min(3, bad.size)}: {shown}")
+    if problems:
+        raise ParameterMismatch("; ".join(problems))
 
 
 def verify_ds(design: DesignSet) -> VerifyResult:
@@ -250,10 +258,7 @@ def verify_ds(design: DesignSet) -> VerifyResult:
     counts = difference_profile(design)
     nonident = np.ones(group.size, dtype=bool)
     nonident[group.identity] = False
-    if np.any(counts[nonident] != lam):
-        raise ParameterMismatch(
-            "quotient counts are not uniformly lambda: "
-            + _offenders(group, counts, nonident, lam))
+    _require(group, counts, [("quotient counts are not uniformly lambda", nonident, lam)])
     return VerifyResult("DS", (v, k, lam), reversible=design.is_inverse_closed())
 
 
@@ -277,13 +282,8 @@ def verify_pds(design: DesignSet, require_regular: bool = False) -> VerifyResult
     inside[group.identity] = False
     outside = ~mask
     outside[group.identity] = False
-    problems = []
-    if np.any(counts[inside] != lam):
-        problems.append("on-design counts: " + _offenders(group, counts, inside, lam))
-    if np.any(counts[outside] != mu):
-        problems.append("off-design counts: " + _offenders(group, counts, outside, mu))
-    if problems:
-        raise ParameterMismatch("; ".join(problems))
+    _require(group, counts, [("on-design counts", inside, lam),
+                             ("off-design counts", outside, mu)])
     return VerifyResult("PDS", (v, k, lam, mu), regular=regular)
 
 
@@ -318,13 +318,8 @@ def verify_rds(design: DesignSet) -> VerifyResult:
     inside = sub.mask.copy()
     inside[group.identity] = False
     outside = ~sub.mask
-    problems = []
-    if np.any(counts[inside] != 0):
-        problems.append("forbidden quotients occur: " + _offenders(group, counts, inside, 0))
-    if np.any(counts[outside] != lam):
-        problems.append("outside counts: " + _offenders(group, counts, outside, lam))
-    if problems:
-        raise ParameterMismatch("; ".join(problems))
+    _require(group, counts, [("forbidden quotients occur", inside, 0),
+                             ("outside counts", outside, lam)])
     return VerifyResult("RDS", (m, u, k, lam))
 
 

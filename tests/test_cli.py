@@ -116,6 +116,21 @@ def test_transfer_via_family_flags(tmp_path, capsys):
     assert "PDS(64,18,2,6) OK" in stdout
 
 
+@pytest.mark.parametrize("flags, named", [
+    (("--family", "spence", "--d", "7"), "--family, --d"),
+    (("--variant", "2"), "--variant"),
+])
+def test_transfer_design_with_family_flags_exits_2(tmp_path, capsys, flags, named):
+    out = str(tmp_path / "sp")
+    run(capsys, "construct", "spence", "--d", "1", "--out", out)
+    code, stdout, stderr = run(capsys, "transfer", "--design", out + ".design.txt",
+                               *flags, "--out", str(tmp_path / "spt"))
+    assert code == 2 and stdout == ""
+    assert stderr == ("error: transfer --design takes its instance from the file; "
+                      f"drop {named}\n")
+    assert not (tmp_path / "spt.design.txt").exists()
+
+
 def test_identity_transfer_via_file(tmp_path, capsys):
     from diffsets import make_instance, pcp_pds
     from diffsets.serialize import design_text

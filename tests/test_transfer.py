@@ -1,5 +1,6 @@
 """Transfer engine: condition checks, design lifting, failure reporting."""
 
+import numpy as np
 import pytest
 
 import oracle
@@ -7,11 +8,14 @@ from diffsets import (
     ConditionsFailed,
     DesignNotFixed,
     DesignSet,
+    Subgroup,
     abelian_make,
     aut_from_images,
     check_conditions,
+    extension_closure,
     fingerprint,
     make_instance,
+    normality_witness,
     pcp_pds,
     rds_transfer,
     spence,
@@ -64,6 +68,43 @@ def test_closure_too_small_is_condition_i_failure():
     inst = make_instance(d, [], [])
     report = check_conditions(inst)
     assert report.cond_i is False
+
+
+def test_translation_slice_is_the_kernel_of_the_projection(corpus):
+    """Condition (ii) on the closure side holds by construction: every
+    closure multiplies automorphism parts by aut_mul, so (a, b) -> a is a
+    homomorphism and its kernel 1xX is normal.  All pairs up to order 1000;
+    above that x * g over every x and generator g, which gives all pairs by
+    induction on the length of y as a word in the generators (all pairs at
+    order 19683 take about 17 s)."""
+    for name, (_, rep) in corpus.items():
+        g = rep.new_group
+        x = np.arange(g.size)
+        y = x if g.size <= 1000 else np.array(g.generators)
+        assert np.array_equal(g.aut_part[g.mul_outer(x, y)],
+                              g.aut_mul[g.aut_part[:, None], g.aut_part[y][None, :]]), name
+        kernel = tuple(np.flatnonzero(g.aut_part == 0).tolist())
+        assert normality_witness(g, Subgroup(g, kernel, kernel)) is None, name
+        assert sorted(g.base_part[list(kernel)].tolist()) == list(rep.x_subgroup.members)
+
+
+def test_condition_ii_failure_over_a_nonabelian_base():
+    """Over S3 = C3 x| C2 the closure of (1, s) and (x -> r x r^-1, r) has
+    order 6 and translation slice X = <s>, which is not normal in S3."""
+    c3 = abelian_make((3,))
+    s3 = extension_closure(c3, [aut_from_images(c3, [2])], [((), 1), ((0,), 0)])
+    r, s = s3.generators
+    conj = aut_from_images(s3, [s3.mul(s3.mul(r, z), s3.inv(r)) for z in s3.generators])
+    d = DesignSet(s3, (0,), "DS", (6, 1, 0))
+    rep = check_conditions(make_instance(d, [conj], [((), s), ((0,), r)]))
+    assert (rep.cond_i, rep.cond_ii, rep.cond_iii) == (True, False, True)
+    assert rep.x_subgroup.members == (0, s)
+    g, x, c = normality_witness(s3, rep.x_subgroup)
+    assert rep.witnesses["ii"] == (
+        f"X is not normal in the base group: {s3.element_name(g)}^-1 * "
+        f"{s3.element_name(x)} * {s3.element_name(g)} = {s3.element_name(c)}")
+    with pytest.raises(ConditionsFailed, match=r"condition \(ii\): fail"):
+        transfer_pds(make_instance(d, [conj], [((), s), ((0,), r)]))
 
 
 def test_spence_transfer_full_report(corpus):
