@@ -117,7 +117,7 @@ def invariant_hyperplane(group: AbelianGroup,
     dim = len(group.orders)
     span = _SpanGF(dim, p)
     for g in group.generators:
-        span.add((group.digits[aut.apply(g)] - group.digits[g]) % p)
+        span.add((group.digits[aut.perm[g]] - group.digits[g]) % p)
     u_digits = next((e for e in np.eye(dim, dtype=np.int64) if not span.contains(e)), None)
     if u_digits is None:
         raise ParameterError("phi - 1 is surjective; no invariant hyperplane avoids anything")

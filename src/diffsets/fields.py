@@ -10,19 +10,42 @@ are the coefficient vectors.  Field multiplication goes through exp/log tables
 of the primitive element, built once per (p, m, modulus) triple and cached;
 ring multiplication reduces the polynomial product on demand.
 
+Every table is GF(p)-linear algebra on coefficient vectors.  Multiplication
+by x modulo a monic x^m + c_{m-1} x^(m-1) + ... + c_0 is the companion
+matrix C, whose row i is the vector of x^(i+1); for m = 1 it is the 1 x 1
+matrix (-c_0), so "x" is that root.  The vector of x^e is row 0 of C^e.
+
+* Exp tables double: the vectors of x^L .. x^(2L-1) are those of
+  x^0 .. x^(L-1) times C^L, and C^(2L) = (C^L)^2, so GF(p^m) takes about
+  log2(p^m) small matmuls.  The GR(4,t) powers `hpow` are built the same
+  way mod 4.
+* x has multiplicative order exactly n iff x^n = 1 and x^(n/l) != 1 for
+  each prime l | n (Lidl and Niederreiter, Finite Fields, Thm 3.16).  One
+  square-and-multiply over the bits of n, on stacked companion matrices,
+  checks every exponent for a batch of moduli at once.  Order exactly
+  p^m - 1 makes the p^m - 1 powers of x distinct units, which with 0
+  exhaust the quotient ring; so the modulus is irreducible and primitive.
+  GR(4,t) certifies its lifted modulus the same way, with n = 2^t - 1.
+
 Moduli are always monic and are selected deterministically: the default is the
 first primitive polynomial when coefficient vectors (c_0, ..., c_{m-1}) are
-compared lexicographically low-degree-first.  The search skips candidates
-with a root in GF(p) (every c_0 = 0 among them), which cannot be primitive,
-and is cached per (p, m).  Primitivity of the chosen (or overridden) modulus
-is certified by checking that x has multiplicative order exactly p^m - 1,
-which also implies irreducibility.
+compared lexicographically low-degree-first.  The search walks that order in
+chunks that start small and double up to a cap, and is cached per (p, m).
+Candidates with c_0 = 0 are never visited (x is zero or a zero divisor); in
+each chunk a vectorized root test drops those with a root in GF(p), which
+for m >= 2 are reducible, and the batched certificate picks the first
+primitive survivor.  An overridden modulus passes the same certificate.
+
+Every matmul sums at most m + 1 products of residues below p (below 4 for
+the rings), so its entries stay below (m + 1)(p - 1)^2 < 2^41 for every
+p^m <= MAX_GROUP_ORDER: exact in int64, whose bound is m (p - 1)^2 < 2^63
+(float64 BLAS would need < 2^53).  The GR(4,t) product reduces a
+convolution, whose 2t - 1 coefficients stay below 9t, as exactly.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,86 +56,80 @@ from .errors import LiftFailure, NonPrimitiveModulus, ParameterError
 from .groups import AbelianGroup, abelian_make
 from .numtheory import factorint, isprime
 
+# The default-modulus search tests this many candidates first, then twice as
+# many per chunk up to the cap: a small field pays for a few candidates only,
+# and a chunk's stacked companion matrices stay below 2 MiB at m = 20.
+_FIRST_CHUNK = 8
+_CHUNK_CAP = 512
+
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (coefficient lists, low degree first)
+# linear algebra on coefficient vectors (low degree first)
 # ---------------------------------------------------------------------------
 
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> List[int]:
-    """Product of a and b reduced modulo a monic modulus, coefficients mod p."""
-    m = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            prod[i + j] = (prod[i + j] + ca * cb) % p
-    for d in range(len(prod) - 1, m - 1, -1):
-        c = prod[d]
-        if c == 0:
-            continue
-        prod[d] = 0
-        for j in range(m + 1):
-            prod[d - m + j] = (prod[d - m + j] - c * modulus[j]) % p
-    out = prod[:m] + [0] * max(0, m - len(prod))
-    return out[:m] if m > 0 else []
+def _companions(tails: np.ndarray, p: int) -> np.ndarray:
+    """Stacked companion matrices of the monic moduli x^m + tail over Z/p:
+    row i of each is the vector of x^(i+1), so v @ C is v times x."""
+    n, m = tails.shape
+    comp = np.zeros((n, m, m), dtype=np.int64)
+    comp[:, np.arange(m - 1), np.arange(1, m)] = 1
+    comp[:, -1] = -tails % p
+    return comp
 
 
-def _poly_powmod(a: Sequence[int], e: int, modulus: Sequence[int], p: int) -> List[int]:
-    m = len(modulus) - 1
-    result = [1] + [0] * (m - 1)
-    base = list(a[:m]) + [0] * (m - len(a))
-    while e > 0:
-        if e & 1:
-            result = _poly_mulmod(result, base, modulus, p)
-        base = _poly_mulmod(base, base, modulus, p)
-        e >>= 1
-    return result
+def _x_has_order(tails: np.ndarray, p: int, n: int) -> np.ndarray:
+    """For each monic modulus x^m + tail over Z/p, whether x has
+    multiplicative order exactly n: x^n = 1 and x^(n/l) != 1 for every prime
+    l | n.  Each stack holds the vectors of x^e, one row per exponent e,
+    above C^(2^k); step k multiplies by C^(2^k) the rows of the exponents
+    with bit k set and the matrix rows, which squares the matrix."""
+    exps = [n] + [n // ell for ell in factorint(n)]
+    e, bits = len(exps), n.bit_length()
+    acc = np.zeros((len(tails), e + tails.shape[1], tails.shape[1]), dtype=np.int64)
+    acc[:, :e, 0] = 1
+    acc[:, e:] = _companions(tails, p)
+    take = np.ones((bits, acc.shape[1], 1), dtype=bool)
+    take[:, :e, 0] = [[ex >> k & 1 for ex in exps] for k in range(bits)]
+    for k in range(bits):
+        acc = np.where(take[k], acc @ acc[:, e:] % p, acc)
+    acc[:, :e, 0] -= 1  # a row is now zero iff its power of x is 1
+    not_one = acc[:, :e].any(axis=2)
+    return ~not_one[:, 0] & not_one[:, 1:].all(axis=1)
 
 
-def _is_one(a: Sequence[int]) -> bool:
-    return len(a) >= 1 and a[0] == 1 and all(c == 0 for c in a[1:])
-
-
-def _modulus_is_primitive(modulus: Sequence[int], p: int, m: int) -> bool:
-    """True when x has multiplicative order exactly p^m - 1 modulo the modulus.
-
-    Order exactly p^m - 1 forces the p^m - 1 powers of x to be distinct units,
-    which together with 0 exhaust the ring; the quotient is then a field, so
-    the modulus is irreducible, and x generates the multiplicative group.
-    """
-    q1 = p ** m - 1
-    if q1 == 0:
-        return False
-    x = [0, 1] if m > 1 else [(-modulus[0]) % p]
-    if not _is_one(_poly_powmod(x, q1, modulus, p)):
-        return False
-    for ell in factorint(q1):
-        if _is_one(_poly_powmod(x, q1 // ell, modulus, p)):
-            return False
-    return True
-
-
-def _has_root(poly: Sequence[int], p: int) -> bool:
-    """Whether poly (low degree first) vanishes at some element of GF(p)."""
-    a = np.arange(p, dtype=np.int64)
-    val = np.zeros(p, dtype=np.int64)
-    for c in reversed(poly):
-        val = (val * a + c) % p
-    return not val.all()
+def _powers(tail: Sequence[int], p: int, count: int) -> np.ndarray:
+    """Vectors of x^0 .. x^(count-1) modulo x^m + tail over Z/p, by doubling:
+    rows L .. 2L-1 are rows 0 .. L-1 times C^L."""
+    step = _companions(np.array([tail], dtype=np.int64), p)[0]
+    out = np.zeros((count, len(tail)), dtype=np.int64)
+    out[0, 0] = 1
+    done = 1
+    while done < count:
+        k = min(done, count - done)
+        out[done:done + k] = out[:k] @ step % p
+        step = step @ step % p
+        done += k
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def _default_modulus(p: int, m: int) -> Tuple[int, ...]:
-    """The first primitive candidate in lexicographic order.  A candidate
-    with a root in GF(p) has a linear factor, so for m >= 2 it is reducible
-    and skipped before the order test; for m = 1 only x (c_0 = 0) is."""
-    for tail in itertools.product(range(p), repeat=m):
-        cand = list(tail) + [1]
-        if (m == 1 and tail[0] == 0) or (m >= 2 and _has_root(cand, p)):
-            continue
-        if _modulus_is_primitive(cand, p, m):
-            return tuple(cand)
+    """The first primitive candidate in lexicographic order, tails
+    (c_0, ..., c_{m-1}) with c_0 the most significant digit (see module notes)."""
+    q = p ** m
+    weights = np.array([p ** j for j in range(m - 1, -1, -1)])
+    # row j holds a^j for a in GF(p).  A root in GF(p) is a linear factor, so
+    # for m >= 2 such candidates are dropped; at m = 1 every candidate has one.
+    apow = np.array([[pow(a, j, p) for a in range(p)] for j in range(m + 1)]) if m > 1 else None
+    lo, size = p ** (m - 1), _FIRST_CHUNK
+    while lo < q:
+        tails = np.arange(lo, min(lo + size, q))[:, None] // weights % p
+        if apow is not None:
+            tails = tails[((tails @ apow[:m] + apow[m]) % p).all(axis=1)]
+        hit = np.flatnonzero(_x_has_order(tails, p, q - 1))
+        if hit.size:
+            return tuple(tails[hit[0]].tolist()) + (1,)
+        lo, size = lo + size, min(2 * size, _CHUNK_CAP)
     raise NonPrimitiveModulus(f"no primitive degree-{m} polynomial found over GF({p})")
 
 
@@ -141,7 +158,8 @@ def _elementary(p: int, m: int) -> AbelianGroup:
 
 
 class FiniteField:
-    """GF(p^m): addition in the additive group, multiplication by exp/log tables."""
+    """GF(p^m): addition in the additive group, multiplication by exp/log
+    tables.  The modulus must be primitive; field_make certifies it."""
 
     def __init__(self, p: int, m: int, modulus: Tuple[int, ...]):
         self.p = p
@@ -152,18 +170,9 @@ class FiniteField:
         self.digits = self.additive.digits
 
         # exp/log tables: exp[i] is the code of x^i
-        exp = np.empty(self.q - 1, dtype=np.int64)
-        cur = [0] * m
-        cur[0] = 1
-        for i in range(self.q - 1):
-            exp[i] = sum(c * p ** k for k, c in enumerate(cur))
-            cur = _poly_mulmod(cur, [0, 1] if m > 1 else [(-self.modulus[0]) % p], self.modulus, p)
-        if len(set(exp.tolist())) != self.q - 1:
-            raise NonPrimitiveModulus(
-                f"modulus {_poly_str(self.modulus)} over GF({p}) is not primitive")
-        self.exp = exp
+        self.exp = self.additive.encode(_powers(self.modulus[:m], p, self.q - 1))
         log = np.full(self.q, -1, dtype=np.int64)
-        log[exp] = np.arange(self.q - 1)
+        log[self.exp] = np.arange(self.q - 1)
         self.log = log
         self._embeddings: Dict[int, np.ndarray] = {}
 
@@ -238,7 +247,7 @@ def field_make(p: int, m: int, modulus_override: Optional[Sequence[int]] = None)
         if len(mod) != m + 1 or modulus_override[m] != 1:
             raise ParameterError(
                 f"modulus override must be monic of degree {m}, got {list(modulus_override)}")
-        if not _modulus_is_primitive(mod, p, m):
+        if not _x_has_order(np.array([mod[:m]]), p, p ** m - 1)[0]:
             raise NonPrimitiveModulus(
                 f"override {_poly_str(mod)} over GF({p}) is reducible or not primitive")
         return _field_cached(p, m, mod)
@@ -248,40 +257,25 @@ def field_make(p: int, m: int, modulus_override: Optional[Sequence[int]] = None)
 def field_embed(small: FiniteField, big: FiniteField) -> np.ndarray:
     """Code-to-code embedding table of `small` into `big`.
 
-    The image of the generator is the first power of big's primitive element
-    that is a root of small's modulus; the table maps each small code to the
-    corresponding big code.
+    The image of the generator is the first power g^(j step) of big's
+    primitive element g, over j coprime to small.q - 1 in increasing order
+    with step = (big.q - 1) / (small.q - 1), that is a root of small's
+    modulus.  Its powers y^i form the matrix B, and the table is
+    encode(small.digits @ B mod p).
     """
     key = id(small)
     if key in big._embeddings:
         return big._embeddings[key]
     if small.p != big.p or big.m % small.m != 0:
         raise ParameterError(f"{small!r} is not a subfield of {big!r}")
-    if small.q == big.q:
-        step = 1
-    else:
-        step = (big.q - 1) // (small.q - 1)
-    root = None
-    for j in range(1, small.q):
-        if gcd(j, small.q - 1) != 1 and small.q > 2:
-            continue
-        y = int(big.exp[(j * step) % (big.q - 1)]) if small.q > 2 else 1
-        acc = 0
-        for i, c in enumerate(small.modulus):
-            acc = big.add(acc, big.mul(c % big.p, big.pow(y, i)))
-        if acc == 0:
-            root = y
-            break
-        if small.q == 2:
-            break
-    if root is None:
+    step = (big.q - 1) // (small.q - 1)
+    js = np.array([j for j in range(1, small.q) if gcd(j, small.q - 1) == 1])
+    # ypow[c, i] is the vector of y_c^i for the candidate root y_c = g^(js[c] step)
+    ypow = big.digits[big.exp[np.outer(js * step, np.arange(small.m + 1)) % (big.q - 1)]]
+    hit = np.flatnonzero(~(np.array(small.modulus) @ ypow % big.p).any(axis=1))
+    if not hit.size:
         raise ParameterError(f"no root of {_poly_str(small.modulus)} found in {big!r}")
-    table = np.zeros(small.q, dtype=np.int64)
-    for code in range(small.q):
-        acc = 0
-        for i, c in enumerate(small.digits[code].tolist()):
-            acc = big.add(acc, big.mul(c, big.pow(root, i)))
-        table[code] = acc
+    table = big.additive.encode(small.digits @ ypow[hit[0], :small.m])
     big._embeddings[key] = table
     return table
 
@@ -313,21 +307,17 @@ def hyperplanes(field: FiniteField, ambient_dim: int = 1) -> List[Hyperplane]:
     """
     q, p = field.q, field.p
     if ambient_dim == 1:
-        count = (q - 1) // (p - 1)
-        h0 = tuple(sorted(a for a in range(q) if field.trace(a) == 0))
-        planes = [Hyperplane(0, h0)]
-        for i in range(1, count):
-            s = int(field.exp[i])
-            planes.append(Hyperplane(i, tuple(sorted(field.mul(x, s) for x in h0))))
-        if len({pl.members for pl in planes}) != count:
-            raise ParameterError("hyperplane translates collided; modulus not primitive?")
-        return planes
+        # the absolute trace is GF(p)-linear: tr(a) = digits(a) . tr(x^i)
+        tr = np.array([field.trace(p ** i) for i in range(field.m)])
+        h0 = np.flatnonzero(field.digits @ tr % p == 0)
+        rows = np.sort(field.mul_many(h0, field.exp[:(q - 1) // (p - 1), None]), axis=1)
+        return [Hyperplane(i, tuple(row)) for i, row in enumerate(rows.tolist())]
     if ambient_dim == 2:
-        planes = [Hyperplane(0, tuple((x, 0) for x in range(q))),
-                  Hyperplane(1, tuple((0, y) for y in range(q)))]
-        for j in range(q - 1):
-            s = int(field.exp[j]) if q > 2 else 1
-            planes.append(Hyperplane(2 + j, tuple(sorted((c, field.mul(c, s)) for c in range(q)))))
+        codes = range(q)
+        planes = [Hyperplane(0, tuple((x, 0) for x in codes)),
+                  Hyperplane(1, tuple((0, y) for y in codes))]
+        slopes = field.mul_many(np.arange(q), field.exp[:, None]).tolist()
+        planes.extend(Hyperplane(2 + j, tuple(zip(codes, ys))) for j, ys in enumerate(slopes))
         return planes
     raise ParameterError(f"ambient_dim must be 1 or 2, got {ambient_dim}")
 
@@ -336,32 +326,19 @@ def hyperplanes(field: FiniteField, ambient_dim: int = 1) -> List[Hyperplane]:
 # Galois rings GR(4, t)
 # ---------------------------------------------------------------------------
 
-def _z4_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int]) -> List[int]:
-    return _poly_mulmod(a, b, modulus, 4)
-
-
 def _graeffe_step(f: List[int]) -> List[int]:
     """One coefficient-doubling step: f(x) -> +-(e(x)^2 - x*o(x)^2) mod 4.
 
-    e and o collect the even and odd coefficients of f.  The result is
-    normalized to be monic.
+    e and o collect the even and odd coefficients of f, so f_a f_b lands on
+    degree (a + b)/2 for a, b of equal parity, negated when they are odd.
+    The result is normalized to be monic.
     """
     deg = len(f) - 1
-    e = f[0::2]
-    o = f[1::2]
-    ee = [0] * (2 * len(e) - 1)
-    for i, ci in enumerate(e):
-        for j, cj in enumerate(e):
-            ee[i + j] = (ee[i + j] + ci * cj) % 4
-    oo = [0] * (2 * len(o) - 1) if o else []
-    for i, ci in enumerate(o):
-        for j, cj in enumerate(o):
-            oo[i + j] = (oo[i + j] + ci * cj) % 4
     out = [0] * (deg + 1)
-    for i, c in enumerate(ee):
-        out[i] = (out[i] + c) % 4
-    for i, c in enumerate(oo):
-        out[i + 1] = (out[i + 1] - c) % 4
+    for a, fa in enumerate(f):
+        for b in range(a % 2, deg + 1, 2):
+            out[(a + b) // 2] += (-1) ** a * fa * f[b]
+    out = [c % 4 for c in out]
     if out[deg] == 3:
         out = [(-c) % 4 for c in out]
     if out[deg] != 1:
@@ -396,34 +373,24 @@ class GaloisRing:
         self.phi = _hensel_lift(self.phi2, t)
         if tuple(c % 2 for c in self.phi) != self.phi2:
             raise LiftFailure("lifted modulus does not reduce to the binary modulus")
-        self._check_divides_cyclotomic()
+        # x of order exactly 2^t - 1 over Z4: phi divides x^(2^t-1) - 1 and the
+        # powers of h (the residue of x) are distinct
+        n1 = 2 ** t - 1
+        if not _x_has_order(np.array([self.phi[:t]]), 4, n1)[0]:
+            raise LiftFailure(f"x does not have order {n1} modulo the lifted modulus "
+                              f"{_poly_str(self.phi)} over Z4")
 
         self.residue_field = field_make(2, t, modulus_override=self.phi2)
-
-        # powers of h (the residue of x); h must have order 2^t - 1
-        n1 = 2 ** t - 1
-        hp = np.empty(n1, dtype=np.int64)
-        cur = [1] + [0] * (t - 1)
-        for i in range(n1):
-            hp[i] = sum(c * 4 ** k for k, c in enumerate(cur))
-            cur = _z4_mulmod(cur, [0, 1], self.phi)
-        if not _is_one(cur) or len(set(hp.tolist())) != n1:
-            raise LiftFailure("residue of x does not have the full Teichmueller order")
-        self.hpow = hp
+        hvecs = _powers(self.phi[:t], 4, n1)
+        self.hpow = self.additive.encode(hvecs)
+        self._xpow = hvecs[:2 * t - 1]  # x^0 .. x^(2t-2), to reduce products
 
         # reduction mod 2: the residue field's encode takes every Z4 digit mod 2
         self.proj_table = self.residue_field.additive.encode(self.digits)
         # 2R is the image of the Teichmueller set under doubling: g^i -> 2 h^i
         iso = np.zeros(2 ** t, dtype=np.int64)
-        iso[self.residue_field.exp] = self.additive.mul_many(hp, hp)
+        iso[self.residue_field.exp] = self.additive.mul_many(self.hpow, self.hpow)
         self.iso_table = iso
-
-    def _check_divides_cyclotomic(self) -> None:
-        n1 = 2 ** self.t - 1
-        rem = _poly_powmod([0, 1], n1, self.phi, 4)
-        if not _is_one(rem):
-            raise LiftFailure(
-                f"lifted modulus {_poly_str(self.phi)} does not divide x^{n1} - 1 over Z4")
 
     # -- arithmetic -------------------------------------------------------
 
@@ -431,8 +398,8 @@ class GaloisRing:
         return self.additive.mul(a, b)
 
     def mul(self, a: int, b: int) -> int:
-        v = _z4_mulmod(self.digits[a].tolist(), self.digits[b].tolist(), self.phi)
-        return sum(c * 4 ** k for k, c in enumerate(v))
+        prod = np.convolve(self.digits[a], self.digits[b])
+        return int(self.additive.encode(prod @ self._xpow))
 
     def pow(self, a: int, e: int) -> int:
         acc = 1

@@ -326,21 +326,6 @@ class GroupAutomorphism:
         self.images = images
         self.perm = perm
 
-    def apply(self, a: int) -> int:
-        return int(self.perm[a])
-
-    @property
-    def order(self) -> int:
-        cur = self.perm
-        n = 1
-        ident = np.arange(self.group.size)
-        while not np.array_equal(cur, ident):
-            cur = self.perm[cur]
-            n += 1
-            if n > self.group.size:
-                raise ParameterError("permutation order exceeded group order")
-        return n
-
     def __repr__(self) -> str:
         imgs = ",".join(self.group.element_name(i) for i in self.images)
         return f"Aut[{imgs}]"

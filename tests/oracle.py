@@ -10,6 +10,7 @@ mixed radix with the first coordinate varying fastest:
 idx = d0 + orders[0] * (d1 + orders[1] * (d2 + ...)).
 """
 
+from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
@@ -326,3 +327,70 @@ def default_modulus(p: int, m: int) -> Tuple[int, ...]:
                 power(x, q1 // ell, modulus) != one for ell in _prime_divisors(q1)):
             return tuple(modulus)
     raise ValueError(f"no primitive polynomial of degree {m} over GF({p})")
+
+
+def _poly_code(p: int, coeffs: Sequence[int]) -> int:
+    return sum(c * p ** i for i, c in enumerate(coeffs))
+
+
+def _poly_of(p: int, m: int, code: int) -> List[int]:
+    return [code // p ** i % p for i in range(m)]
+
+
+def field_powers(p: int, modulus: Sequence[int], count: int) -> List[int]:
+    """Codes of x^0 .. x^(count-1) modulo a monic modulus over Z/p (for
+    m = 1 "x" is the residue -c_0), one schoolbook multiplication at a time.
+    p need not be prime: p = 4 gives the powers in a Galois ring."""
+    m = len(modulus) - 1
+    x = [0, 1] if m > 1 else [(-modulus[0]) % p]
+    cur = [1] + [0] * (m - 1)
+    out = []
+    for _ in range(count):
+        out.append(_poly_code(p, cur))
+        cur = _poly_mulmod(cur, x, modulus, p)
+    return out
+
+
+def field_embedding(p: int, small_mod: Sequence[int],
+                    big_mod: Sequence[int]) -> List[int]:
+    """The embedding of GF(p)[x]/(small_mod) into GF(p)[x]/(big_mod), both
+    primitive, as a code table: the generator goes to the first y = x^(j s),
+    s = (Q - 1) / (q - 1) and j = 1, 2, ... coprime to q - 1, at which
+    small_mod vanishes; the element with digits d goes to sum d_i y^i."""
+    m, big_m = len(small_mod) - 1, len(big_mod) - 1
+    q, big_q = p ** m, p ** big_m
+    step = (big_q - 1) // (q - 1)
+    powers = field_powers(p, big_mod, big_q - 1)
+
+    def at(y_code: int, coeffs: Sequence[int]) -> List[int]:
+        y, acc, term = _poly_of(p, big_m, y_code), [0] * big_m, [1] + [0] * (big_m - 1)
+        for c in coeffs:
+            acc = [(a + c * t) % p for a, t in zip(acc, term)]
+            term = _poly_mulmod(term, y, big_mod, p)
+        return acc
+
+    for j in range(1, q):
+        if gcd(j, q - 1) == 1:
+            y = powers[j * step % (big_q - 1)]
+            if not any(at(y, small_mod)):
+                return [_poly_code(p, at(y, _poly_of(p, m, c))) for c in range(q)]
+    raise ValueError("no root of the small modulus")
+
+
+def trace_kernel(p: int, modulus: Sequence[int]) -> List[int]:
+    """Codes a with a + a^p + ... + a^(p^(m-1)) = 0, each power a^p taken
+    by p - 1 schoolbook multiplications."""
+    m = len(modulus) - 1
+    kernel = []
+    for code in range(p ** m):
+        a = _poly_of(p, m, code)
+        frob, total = a, list(a)
+        for _ in range(m - 1):
+            nxt = frob
+            for _ in range(p - 1):
+                nxt = _poly_mulmod(nxt, frob, modulus, p)
+            frob = nxt
+            total = [(s + f) % p for s, f in zip(total, frob)]
+        if not any(total):
+            kernel.append(code)
+    return kernel

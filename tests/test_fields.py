@@ -1,6 +1,7 @@
 """Field and ring layer: table arithmetic, Frobenius, trace, hyperplanes,
 subfield embeddings, and GR(4,t) structure."""
 
+import functools
 import random
 
 import numpy as np
@@ -102,11 +103,91 @@ def _prime(n):
     return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
-@pytest.mark.parametrize("p,m", [(p, m) for p in range(2, 730) if _prime(p)
-                                 for m in range(1, 10) if p ** m <= 729] + [(2, 10)])
+DEFAULT_FIELDS = [(p, m) for p in range(2, 730) if _prime(p)
+                  for m in range(1, 10) if p ** m <= 729]
+
+
+@pytest.mark.parametrize("p,m", DEFAULT_FIELDS + [(2, 10), (2, 11), (2, 12), (3, 7), (7, 4)])
 def test_default_modulus_matches_sequential_search(p, m):
-    """Skipping candidates with a root in GF(p) never changes the choice."""
+    """The chunked search, its skip of c_0 = 0, its root filter and its
+    batched certificate never change the choice."""
     assert fields._default_modulus(p, m) == oracle.default_modulus(p, m)
+
+
+CHUNKED_FIELDS = [(2, 8), (2, 10), (3, 6), (5, 4), (7, 3), (7, 4), (11, 2), (13, 2), (727, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _sequential_modulus(p, m):
+    return oracle.default_modulus(p, m)
+
+
+@pytest.mark.parametrize("first,cap", [(1, 1), (1, 2), (2, 3), (3, 7), (8, 16)])
+def test_default_modulus_ignores_chunk_geometry(monkeypatch, first, cap):
+    """With chunk boundaries at nearly every candidate, a candidate skipped
+    or dropped at a boundary, or a later hit taken before an earlier one,
+    changes some choice."""
+    monkeypatch.setattr(fields, "_FIRST_CHUNK", first)
+    monkeypatch.setattr(fields, "_CHUNK_CAP", cap)
+    fields._default_modulus.cache_clear()
+    try:
+        for p, m in CHUNKED_FIELDS:
+            assert fields._default_modulus(p, m) == _sequential_modulus(p, m), (p, m)
+    finally:
+        fields._default_modulus.cache_clear()
+
+
+@pytest.mark.parametrize("p,m,override", [(p, m, None) for p, m in DEFAULT_FIELDS] + [
+    (3, 3, (1, 2, 0, 1)),     # the Spence cubic x^3 + 2x + 1
+    (2, 4, (1, 1, 0, 0, 1)),  # x^4 + x + 1, primitive but not the default
+])
+def test_exp_table_matches_repeated_multiplication(p, m, override):
+    F = field_make(p, m, modulus_override=override)
+    assert F.modulus == (override or oracle.default_modulus(p, m))
+    assert F.exp.tolist() == oracle.field_powers(p, F.modulus, F.q - 1)
+    assert F.log[F.exp].tolist() == list(range(F.q - 1)) and F.log[0] == -1
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_galois_ring_tables_match_repeated_multiplication(t):
+    """The residue field (x^3 + x + 1 pinned at t = 3) and the Teichmueller
+    powers hpow, taken mod 4, against one schoolbook product at a time."""
+    ring = galois_ring_make(t)
+    F = ring.residue_field
+    assert F.modulus == ((1, 1, 0, 1) if t == 3 else oracle.default_modulus(2, t))
+    assert F.exp.tolist() == oracle.field_powers(2, F.modulus, F.q - 1)
+    assert ring.hpow.tolist() == oracle.field_powers(4, ring.phi, 2 ** t - 1)
+    assert oracle.field_powers(4, ring.phi, 2 ** t)[-1] == 1
+
+
+@pytest.mark.parametrize("override", [
+    (1, 1, 1, 1, 1),  # x^4 + x^3 + x^2 + x + 1: irreducible, but x has order 5
+    (1, 0, 1, 0, 1),  # x^4 + x^2 + 1 = (x^2 + x + 1)^2: reducible
+    (0, 1, 0, 0, 1),  # x^4 + x: x is a zero divisor
+])
+def test_nonprimitive_override_is_rejected(override):
+    with pytest.raises(NonPrimitiveModulus):
+        field_make(2, 4, modulus_override=override)
+
+
+@pytest.mark.parametrize("p,m,big_m", [(3, 3, 6), (2, 2, 4), (2, 3, 6)])
+def test_field_embed_matches_scalar_definition(p, m, big_m):
+    small, big = field_make(p, m), field_make(p, big_m)
+    assert field_embed(small, big).tolist() == oracle.field_embedding(
+        p, small.modulus, big.modulus)
+
+
+@pytest.mark.parametrize("p,m,override", [
+    (2, 3, None), (2, 4, None), (3, 2, None), (5, 2, None), (7, 3, None), (3, 6, None),
+    (3, 3, (1, 2, 0, 1)),
+])
+def test_hyperplanes_dim1_translate_the_power_sum_trace_kernel(p, m, override):
+    F = field_make(p, m, modulus_override=override)
+    h0 = oracle.trace_kernel(p, F.modulus)
+    planes = hyperplanes(F, 1)
+    assert [pl.index for pl in planes] == list(range((F.q - 1) // (p - 1)))
+    assert [pl.members for pl in planes] == [
+        tuple(sorted(F.mul(a, int(F.exp[i])) for a in h0)) for i in range(len(planes))]
 
 
 def test_modulus_override_spence_cubic():

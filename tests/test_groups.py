@@ -106,7 +106,8 @@ def test_aut_certification_accepts_and_rejects():
     g = abelian_make((4, 2))
     # negation is an automorphism
     neg = aut_from_images(g, [g.inv(x) for x in g.generators])
-    assert neg.order == 2
+    ident = np.arange(g.size)
+    assert np.array_equal(neg.perm[neg.perm], ident) and not np.array_equal(neg.perm, ident)
     # collapsing map is not bijective
     with pytest.raises(NotBijective):
         aut_from_images(g, [0, 0])
@@ -124,7 +125,10 @@ def test_aut_certification_accepts_and_rejects():
 def test_aut_exact_on_large_group():
     g = abelian_make((3,) * 9)  # order 19683
     doubling = aut_from_images(g, [g.mul(x, x) for x in g.generators])
-    assert doubling.order == 2  # 2*2 = 4 = 1 mod 3
+    # doubling is an involution but not the identity: 2*2 = 4 = 1 mod 3
+    ident = np.arange(g.size)
+    assert np.array_equal(doubling.perm[doubling.perm], ident)
+    assert not np.array_equal(doubling.perm, ident)
     # order 32768: fix every generator of C4^7 x C2 but send the C2 generator
     # to g_0 * g_last.  The map is bijective, but that image has order 4.
     h = abelian_make((4,) * 7 + (2,))
