@@ -277,16 +277,6 @@ class AbelianGroup(Group):
             x = x.reshape(rows, -1, blk.order).transpose(0, 2, 1)
         return x.reshape(f.shape)
 
-    def dual_perm(self, perm: np.ndarray) -> np.ndarray:
-        """The character map phi* of the automorphism with element
-        permutation perm: chi_k(phi x) = chi_(phi* k)(x), so the spectrum of
-        phi(S) is that of S read at phi* k.  Digit by digit,
-        (phi* k)_j = m_j sum_i k_i phi(e_j)_i / m_i mod m_j, integral because
-        phi(e_j) has order dividing m_j.  phi* is additive, so it is the
-        product of the images of each block's coordinates."""
-        img = self.digits[np.asarray(perm)[list(self.generators)]]
-        return self.linear_perm((self._orders_arr[:, None] * img // self._orders_arr[None, :]).T)
-
     def linear_perm(self, mat: np.ndarray) -> np.ndarray:
         """x -> encode(digits(x) @ mat) on every element: encode is additive,
         so this is the product over blocks of one table of block coordinates."""
@@ -424,7 +414,6 @@ class ExtensionGroup(Group):
         self.generators = gen_elements
         self.gen_pairs = gen_pairs
         self._nb = base.size
-        self._duals: Dict[int, np.ndarray] = {}
 
     def pair_of(self, z: int) -> Tuple[int, int]:
         return int(self.aut_part[z]), int(self.base_part[z])
@@ -463,13 +452,6 @@ class ExtensionGroup(Group):
         ai = self.aut_inv[self.aut_part[x]]
         bi = self.aut_perms[ai, self.base.inv_many(self.base_part[x])]
         return self.pair_index[ai * self._nb + bi]
-
-    def aut_dual(self, a: int) -> np.ndarray:
-        """The dual map phi* of automorphism a on an abelian base (see
-        AbelianGroup.dual_perm), computed on first use and kept."""
-        if a not in self._duals:
-            self._duals[a] = self.base.dual_perm(self.aut_perms[a])
-        return self._duals[a]
 
     def element_name(self, z: int) -> str:
         a, b = self.pair_of(z)
@@ -778,9 +760,11 @@ def fingerprint(group: Group) -> StructureReport:
     hist = tuple((int(v), int(c)) for v, c in zip(vals, counts))
     exponent = int(np.lcm.reduce(vals))
 
-    # the center: candidates that commute with each generator in turn
+    # the center: candidates that commute with each generator in turn, those
+    # with an automorphism part first (base translations barely shrink it)
+    abelian = isinstance(group, AbelianGroup)
     central = np.arange(n, dtype=np.int64)
-    for g in group.generators:
+    for g in sorted(group.generators, key=lambda g: abelian or group.aut_part[g] == 0):
         central = central[group.mul_many(g, central) == group.mul_many(central, g)]
     # the derived subgroup: the normal closure of the generator commutators
     # [g_i, g_j] = g_i^-1 g_j^-1 g_i g_j, adding conjugates g^-1 s g of its

@@ -10,23 +10,24 @@ The count is a character sum (Pott, Finite Geometry and Character Theory,
 LNM 1601; Ma, "A survey of partial difference sets", DCC 4, 1994): over an
 abelian group it is the autocorrelation of the member indicator under the
 block character transform of AbelianGroup, rounded under an exactness
-guard (see _character_counts, which bounds the error by
-c * k * sum(m_b) * 2^-53 over the blocks b).  Over an extension of an
-abelian base each occupied automorphism slice is transformed once, an
-automorphism phi acts on a spectrum by the dual map phi*, and the
-dual-permuted products are summed per target automorphism part, so each
-target takes one inverse transform.  The SRG cross-check counts products
-with the same kernel - its own slice map on the left factor, its own
-targets a1 a2 - when k^2 is large against the slices, and directly below
-that.  Anything else, and any count the guard rejects, is counted directly
-from the k^2 quotients or products.
+guard (see _character_counts).  Over an extension of an abelian base the
+slices S_a = {b : (a, b) in D} are moved by the automorphism parts before
+they are transformed, and rows are merged wherever the data allow (see
+_slice_counts): targets with disjoint fibres share one inverse row, and
+columns with equal left factors share one product.  A design fixed by its
+automorphism parts over a regular closure, as every transfer output is,
+takes two forward rows and one inverse row.  The SRG cross-check counts
+products with the same kernel - its own slice map on the left factor, its
+own targets a1 a2 - when k^2 is large against the slices, and directly
+below that.  Anything else, and any count the guard rejects, is counted
+directly from the k^2 quotients or products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,18 +44,18 @@ from .groups import AbelianGroup, ExtensionGroup, Group, Subgroup, sorted_unique
 KINDS = ("DS", "PDS", "RDS")
 # Working set of the blocked loops: a direct count takes max(_BLOCK_ENTRIES, v)
 # products at a time, so each block amortizes its O(v) bincount, and a slice
-# sum max(1, _BLOCK_ENTRIES // n_b) targets per inverse transform.  2^14 int64
-# entries (128 KiB) stay in L2 cache and below malloc's mmap threshold; at
-# 2^21 the lifted denniston-even m=4 r=1 SRG row took 7.5 ms in a fresh
-# process against 3.3 ms.
+# count max(1, _BLOCK_ENTRIES // n_b) target ranks per inverse transform.
+# 2^14 int64 entries (128 KiB) stay in L2 cache and below malloc's mmap
+# threshold; at 2^21 the lifted denniston-even m=4 r=1 SRG row took 7.5 ms in
+# a fresh process against 3.3 ms.
 _BLOCK_ENTRIES = 1 << 14
 # cayley_srg_check convolves when k^2 > _CONV_FACTOR * S * n_b (see there).
-# Measured on 2 vCPUs, best of 5, convolution against direct count: below a
-# ratio k^2 / (S n_b) of about 16 the direct count wins or ties
-# (denniston-gr4 t=3 k=3 lifted, 10.7: 1.9 against 1.2 ms; mcfarland-odd
-# q=3 s=2 and spence d=1 lifted, 12.1 and 15.1: ties), above it the
-# convolution wins (denniston-even m=4 r=1 base, 17.8: 0.58 against 0.71 ms;
-# denniston-odd p=3 t=1 lifted, 37: 7.6 against 88 ms).
+# Measured on 2 vCPUs, best of 5, convolution against direct count, the
+# merged-row kernel wins at every calibration ratio k^2 / (S n_b):
+# denniston-gr4 t=3 k=3 lifted, 10.7: 0.45 against 0.75 ms; mcfarland-odd
+# q=3 s=2 and spence d=1 lifted, 12.1 and 15.1: 0.16 against 0.27 and 0.29 ms;
+# denniston-even m=4 r=1 base, 17.8: 0.49 against 0.55 ms; denniston-odd
+# p=3 t=1 lifted, 37: 4.8 against 59 ms.  The rule keeps its earlier value.
 _CONV_FACTOR = 16
 
 
@@ -136,17 +137,19 @@ def _character_counts(group: Group, members: np.ndarray,
 
     Over an abelian group they are the inverse transform of F(S) conj(F(S))
     (quotients) or F(S)^2 (products), F the block character transform of the
-    member indicator S.  Exactness: every count is at most k (Cauchy-Schwarz
-    on 0/1 indicators), and a dense block matmul of length m loses O(m)
-    units of 2^-53 relative to the norms it sums, an FFT O(log m), so each
-    entry is off by at most c * k * sum(m_b) * 2^-53 over the blocks b.  With
-    k <= v <= 2^20 (the group ceiling) there are at most five blocks, each
-    a matmul of order <= BLOCK_ORDER or one FFT, so sum(m_b) <= 2^11 and the
-    error stays below 1e-6 * c, far below 1/2 for the small constant c of a
-    dense or radix sum; a slice sum adds products whose norms again total at
-    most k.  Rounding
-    therefore recovers the integer count; the guard re-checks that on the
-    data: every residual under 0.25, no negative count, and the counts
+    member indicator S.  Exactness: every transformed row is a multiset of
+    total mass at most k (the indicator here, a merged row in _slice_counts,
+    whose left rows are sets and whose right rows of one rank hold each
+    member once), so |F| <= k.  A dense block matmul of length m loses O(m)
+    units of 2^-53 relative to the norms it sums, an FFT O(log m), and by
+    Parseval and Cauchy-Schwarz the products of one inverse row have norms
+    totalling sum ||L||_2 ||R||_2 <= k^1.5, so each count is off by at most
+    c * k^1.5 * sum(m_b) * 2^-53 over the blocks b.  With k <= v <= 2^20 (the
+    group ceiling) there are at most five blocks, each a matmul of order
+    <= BLOCK_ORDER or one FFT, so sum(m_b) <= 2^11 and the error stays below
+    3e-4 * c, far below 1/2 for the small constant c of a dense or radix sum.
+    Rounding therefore recovers the integer count; the guard re-checks that
+    on the data: every residual under 0.25, no negative count, and the counts
     summing to k^2.
     """
     if isinstance(group, AbelianGroup):
@@ -176,49 +179,62 @@ def _rounded(raw: np.ndarray) -> Optional[np.ndarray]:
 
 def _slice_counts(group: ExtensionGroup, members: np.ndarray,
                   product: bool = False) -> Optional[np.ndarray]:
-    """Counts for an extension over an abelian base from the spectra of its
-    slices S_a = {b : (a, b) in D}, one inverse transform per target
-    automorphism part; None if a target fails to round.
+    """Counts for an extension over an abelian base from merged rows of the
+    slices S_a = {b : (a, b) in D}; None if a row fails to round.
 
     Quotients: (a1, b1)(a2, b2)^-1 = (a1 a2^-1, phi(b1 - b2)) with phi the
     automorphism a2^-1, so the count at (c, w) sums corr(phi S_a1, phi S_a2)[w]
-    over a1 a2^-1 = c, whose spectrum is (F(S_a1) conj F(S_a2)) read at phi* k.
-    Products: (a1, b1)(a2, b2) = (a1 a2, phi(b1) + b2) with phi = a2, so
-    the count at (c, w) sums conv(phi S_a1, S_a2)[w] over a1 a2 = c, whose
-    spectrum is F(S_a1)[phi* k] F(S_a2).
+    over the columns a2, a1 = c a2.  Products: (a1, b1)(a2, b2) =
+    (a1 a2, phi(b1) + b2) with phi = a2 sums conv(phi S_a1, S_a2)[w], a1 = c a2^-1.
+
+    Target c's counts lie on its fibre {w : (c, w) in G}, a kernel coset;
+    two fibres agree iff the parts share a coset H c of the stabiliser
+    H = {h : (h, 1) in G}.  c's rank is the position in H of the h with h c
+    least in H c, so targets of one rank have disjoint fibres and share an
+    inverse row.  Per rank, a column's left factors merge into the set
+    L = phi(union of its S_a1), and columns with equal L add their right
+    factors, as F(L) conj F(R1) + F(L) conj F(R2) = F(L) conj F(R1 + R2).
     """
-    base = group.base
-    nb = base.size
-    slices, row = np.unique(group.aut_part[members], return_inverse=True)
-    ind = np.zeros((slices.size, nb))
-    ind[row, group.base_part[members]] = 1.0
-    spec = base.character_transform(ind)
-    right = spec if product else spec.conj()
+    base, nb = group.base, group.base.size
+    parts, b = group.aut_part[members], group.base_part[members]
+    slices = sorted_unique(parts)
+    s, col = slices.size, np.searchsorted(slices, parts)
     act = slices if product else group.aut_inv[slices]
-    target = group.aut_mul[slices[:, None], act[None, :]]  # [slice of a1, slice of a2]
-    # automorphism 0 of a closure is the identity, and so is its dual map
-    duals = [None if a == 0 else group.aut_dual(a) for a in act.tolist()]
-    out = np.zeros((group.aut_perms.shape[0], nb), dtype=np.int64)
-    todo = sorted_unique(target)
-    block = max(1, _BLOCK_ENTRIES // nb)
-    for lo in range(0, todo.size, block):
-        chunk = todo[lo:lo + block]
-        acc = np.zeros((chunk.size, nb), dtype=complex)
-        for r, c in enumerate(chunk.tolist()):
-            # a1 is determined by c and a2, so each slice a2 occurs once
-            for i1, i2 in zip(*np.nonzero(target == c)):
-                psi = duals[i2]
-                if product:
-                    acc[r] += (spec[i1] if psi is None else spec[i1][psi]) * right[i2]
-                else:
-                    term = spec[i1] * right[i2]
-                    acc[r] += term if psi is None else term[psi]
+    stab = np.flatnonzero(group.pair_index[::nb] >= 0)
+    rank = group.aut_mul[stab].argmin(axis=0)
+    # member j against column c: the rank of its target and phi_c(b_j)
+    tr = rank[group.aut_mul[parts[:, None], act]]
+    moved = group.aut_perms[act, b[:, None]]
+    right = b if product else moved[np.arange(b.size), col]
+    out = np.zeros((stab.size, nb), dtype=np.int64)
+    per = max(1, _BLOCK_ENTRIES // nb)  # ranks per inverse transform
+    for lo in (sorted_unique(tr // per) * per).tolist():
+        inb, nr = (tr >= lo) & (tr < lo + per), min(per, stab.size - lo)
+        left = np.zeros((nr * s, nb), dtype=bool)  # row (rank - lo) * s + column
+        left[((tr - lo) * s + np.arange(s))[inb], moved[inb]] = True
+        keys = np.flatnonzero(left.any(axis=1)).tolist()
+        # equal L rows share an id; one merged row per (rank, L id) gathers
+        # the right factors of its columns
+        lefts: Dict[bytes, Tuple[int, int]] = {}
+        merged: Dict[Tuple[int, int], int] = {}
+        where = np.full((nr, s), -1)
+        for key, packed in zip(keys, np.packbits(left[keys], axis=1)):
+            lid = lefts.setdefault(packed.tobytes(), (len(lefts), key))[0]
+            where[key // s, key % s] = merged.setdefault((key // s, lid), len(merged))
+        row = where[:, col]
+        gathered = np.bincount((row * nb + right)[row >= 0], minlength=len(merged) * nb)
+        spec = base.character_transform(np.concatenate(
+            [left[[key for _, key in lefts.values()]], gathered.reshape(-1, nb)]))
+        rspec = spec[len(lefts):] if product else spec[len(lefts):].conj()
+        ranks = np.array([r for r, _ in merged])
+        present = sorted_unique(ranks)
+        acc = (ranks == present[:, None]) @ (spec[[lid for _, lid in merged]] * rspec)
         cnt = _rounded(base.character_transform(acc, inverse=True).real)
         if cnt is None:
             return None
-        out[chunk] = cnt
+        out[lo + present] = cnt
     # mass on a pair outside the closure would show as a short sum
-    return out[group.aut_part, group.base_part]
+    return out[rank[group.aut_part], group.base_part]
 
 
 @dataclass(frozen=True)

@@ -425,27 +425,3 @@ def test_character_transform_matches_fftn(orders):
     assert np.abs(g.character_transform(f, inverse=True) - inv).max() < 1e-9
     assert np.abs(g.character_transform(f[0]) - fwd[0]).max() < 1e-9 * g.size
     assert np.abs(g.character_transform(fwd[1], inverse=True) - f[1]).max() < 1e-9
-
-
-def test_dual_perm_permutes_spectra(corpus):
-    """F(phi S) = F(S) read at phi* k for every automorphism in the corpus
-    over an abelian group: the transfer generators and every automorphism
-    part of each closure."""
-    rng = np.random.default_rng(11)
-    checked = 0
-    for name, (inst, rep) in corpus.items():
-        auts = [(a.group, a.perm) for a in inst.aut_gens]
-        auts += [(rep.new_group.base, perm) for perm in rep.new_group.aut_perms]
-        for base, perm in auts:
-            if not isinstance(base, AbelianGroup):
-                continue
-            subset = rng.choice(base.size, size=max(1, base.size // 5), replace=False)
-            ind, moved = np.zeros(base.size), np.zeros(base.size)
-            ind[subset] = 1.0
-            moved[perm[subset]] = 1.0
-            dual = base.dual_perm(perm)
-            assert np.array_equal(np.sort(dual), np.arange(base.size)), name
-            spec = base.character_transform(ind)
-            assert np.abs(base.character_transform(moved) - spec[dual]).max() < 1e-8, name
-            checked += 1
-    assert checked > len(corpus)

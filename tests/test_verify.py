@@ -150,14 +150,49 @@ def test_srg_convolution_matches_direct(corpus):
     _check_character_route(corpus, True, 8)
 
 
-def test_character_counts_over_nonabelian_automorphism_part():
-    """Over C3^2 x| GL(2,3) the automorphism parts do not commute, so a
-    slice sum that landed on a2 a1 instead of a1 a2 (or a2^-1 a1 instead of
-    a1 a2^-1) would show."""
+def _agl_2_3():
+    """C3^2 x| GL(2,3), order 432: every automorphism part fixes 0."""
     c = abelian_make((3, 3))
     auts = [aut_from_images(c, images) for images in ([1, 4], [3, 2], [2, 3])]
-    g = extension_closure(c, auts, [((), 1), ((), 3), ((0,), 0), ((1,), 0), ((2,), 0)],
-                          cap=9 * 48)
+    return extension_closure(c, auts, [((), 1), ((), 3), ((0,), 0), ((1,), 0), ((2,), 0)],
+                             cap=9 * 48)
+
+
+def _spy_transform(monkeypatch):
+    """Record (inverse, rows) for every AbelianGroup.character_transform call."""
+    calls = []
+    real = AbelianGroup.character_transform
+
+    def spy(self, f, inverse=False):
+        calls.append((inverse, np.asarray(f).reshape(-1, self.size).shape[0]))
+        return real(self, f, inverse)
+
+    monkeypatch.setattr(AbelianGroup, "character_transform", spy)
+    return calls
+
+
+def _check_agl_pullback(g, monkeypatch):
+    """Check the quotient and product recounts of the pullback of the
+    nonzero vectors against the direct count; return the transform calls of
+    the product recount."""
+    calls = _spy_transform(monkeypatch)
+    members = np.flatnonzero(g.base_part != 0)
+    for product in (False, True):
+        calls.clear()
+        fast = verify._character_counts(g, members, product)
+        assert fast is not None
+        assert np.array_equal(fast, verify._direct_counts(g, members, product))
+    return calls
+
+
+def test_character_counts_over_nonabelian_automorphism_part(monkeypatch):
+    """Over C3^2 x| GL(2,3) the automorphism parts do not commute, so a
+    slice sum that landed on a2 a1 instead of a1 a2 (or a2^-1 a1 instead of
+    a1 a2^-1) would show.  The closure is not regular: all 48 parts share
+    the fibre C3^2 and take ranks 0 .. 47.  The pullback of the nonzero
+    vectors is fixed by every part, so each rank's 48 columns share one
+    left row: 1 + 48 forward rows and 48 inverse rows."""
+    g = _agl_2_3()
     assert g.size == 432 and not np.array_equal(g.aut_mul, g.aut_mul.T)
     rng = np.random.default_rng(5)
     for size in (20, 100, 300):
@@ -166,6 +201,35 @@ def test_character_counts_over_nonabelian_automorphism_part():
             fast = verify._character_counts(g, members, product)
             assert fast is not None
             assert np.array_equal(fast, verify._direct_counts(g, members, product))
+    assert _check_agl_pullback(g, monkeypatch) == [(False, 49), (True, 48)]
+
+
+def test_slice_counts_split_ranks_over_blocks(monkeypatch):
+    """A small _BLOCK_ENTRIES spreads the 48 ranks of the pullback over
+    inverse transforms of at most 5 rows, each block with its own left row."""
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 9 * 5)
+    calls = _check_agl_pullback(_agl_2_3(), monkeypatch)
+    assert calls == [(False, 6), (True, 5)] * 9 + [(False, 4), (True, 3)]
+
+
+def test_lifted_recounts_take_two_forward_rows_and_one_inverse(corpus, monkeypatch):
+    """Every transfer output is fixed by its automorphism parts over a
+    regular closure: one target rank and one left row, so the quotient and
+    product recounts each hand the transform 2 forward rows and 1 inverse
+    row, however many slices the design occupies."""
+    calls = _spy_transform(monkeypatch)
+    slices = []
+    for name, (_, rep) in corpus.items():
+        g = rep.new_group
+        if not isinstance(g.base, AbelianGroup):
+            continue  # mcfarland-even variant 3 has a nested base
+        members = np.array(rep.new_design.members, dtype=np.int64)
+        slices.append(np.unique(g.aut_part[members]).size)
+        for product in (False, True):
+            calls.clear()
+            assert verify._character_counts(g, members, product) is not None, name
+            assert calls == [(False, 2), (True, 1)], (name, product)
+    assert len(slices) == len(corpus) - 1 and max(slices) == 7
 
 
 def _spoil_inverse_transform(monkeypatch):
@@ -223,30 +287,6 @@ def test_srg_route_follows_size(corpus, monkeypatch):
     assert direct_calls == []
     cayley_srg_check(rep.new_design)   # 196^2 / (7 * 512), about 10.7
     assert direct_calls == [(rep.new_design.group, True)]
-
-
-def test_dual_maps_shared_by_verify_and_srg(corpus, monkeypatch):
-    """The occupied slices of an inverse-closed design are closed under
-    inversion, so verify's duals (of a2^-1) are the SRG check's (of a2):
-    each automorphism's dual map is computed once per group."""
-    from diffsets.serialize import design_text, parse_design
-    _, rep = corpus["denniston_gr4_t3_k3"]
-    design, _ = parse_design(design_text(rep.new_design))  # no cached maps yet
-    expected = cayley_srg_check(design)
-    calls = []
-    real = AbelianGroup.dual_perm
-
-    def spy(self, perm):
-        calls.append(perm.tobytes())
-        return real(self, perm)
-
-    monkeypatch.setattr(AbelianGroup, "dual_perm", spy)
-    monkeypatch.setattr(verify, "_CONV_FACTOR", 0)  # convolve at any size
-    verify_design(design)
-    slices = np.unique(design.group.aut_part[list(design.members)])
-    assert len(calls) == len(set(calls)) == np.count_nonzero(slices) > 1
-    assert cayley_srg_check(design) == expected
-    assert len(calls) == np.count_nonzero(slices)
 
 
 def test_multiplier_check():
