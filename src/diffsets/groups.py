@@ -19,8 +19,8 @@ concrete kinds are provided:
   digit-wise inverse table per block, and a quotient a * b^-1 multiplies by
   the looked-up inverses.  A lone factor above the bound (C364 in Spence
   d = 2) has no table and adds coordinates modulo its order.  The tables are
-  built on the first product, one factor at a time, so a group never
-  multiplied costs nothing.
+  built on the first product, each grown one factor at a time from the
+  table of the factors before it, so a group never multiplied costs nothing.
 
 * ExtensionGroup - a group of pairs (automorphism, base element) inside the
   semidirect product Aut(B) x B, multiplied by
@@ -121,8 +121,8 @@ class _Block:
     `coord[x]` is the block's part of element x, 0 .. order-1, so that
     x = sum over blocks of coord[x] * radix.  `table[c1 * order + c2]` is
     radix times the coordinate of c1 + c2 and `neg[c]` radix times that of
-    -c, both digit by digit; a lone factor above BLOCK_ORDER has neither and
-    adds modulo its order.
+    -c, both digit by digit and grown one factor at a time (_build_blocks);
+    a lone factor above BLOCK_ORDER has neither and adds modulo its order.
     """
 
     radix: int
@@ -144,23 +144,20 @@ def _build_blocks(orders: Tuple[int, ...], radix: np.ndarray) -> List[_Block]:
             m *= orders[hi]
             hi += 1
         weight = int(radix[lo])
-        coord = np.arange(size, dtype=np.int64) // weight % m
+        # x // weight % m: each of 0 .. m-1 repeated weight times, tiled
+        coord = np.broadcast_to(np.arange(m, dtype=np.int64)[:, None],
+                                (size // (weight * m), m, weight)).reshape(-1)
         table = neg = None
         if m <= BLOCK_ORDER:
-            # one factor at a time, with (m, m) temporaries only
-            c = np.arange(m, dtype=np.int64)
-            table = np.zeros(m * m, dtype=np.int64)
-            neg = np.zeros(m, dtype=np.int64)
-            step = 1
+            # grown one factor at a time: over the factors so far, of product
+            # s, the next factor's digit d turns coordinate c into c + s d
+            table, neg, step = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), weight
             for n in orders[lo:hi]:
-                d = c // step % n
-                s = (d[:, None] + d[None, :]).ravel()
-                s -= n * (s >= n)
-                table += s * step
-                neg += (n - d) % n * step
-                step *= n
-            table *= weight
-            neg *= weight
+                d, s = np.arange(n, dtype=np.int64), neg.size
+                table = (((d[:, None] + d) % n * step)[:, None, :, None]
+                         + table.reshape(s, s)[None, :, None, :]).ravel()
+                neg = (((n - d) % n * step)[:, None] + neg).ravel()
+                step *= n  # the radix times s
         blocks.append(_Block(weight, m, orders[lo:hi], coord, table, neg))
         lo = hi
     return blocks

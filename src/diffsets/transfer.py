@@ -136,8 +136,8 @@ def check_conditions(inst: TransferInstance) -> TransferReport:
 
     # X = base parts of the pure-translation slice (identity automorphism part)
     x_members = np.sort(closure.base_part[closure.aut_part == 0])
-    x_sub = Subgroup(group, tuple(int(b) for b in x_members),
-                     tuple(int(b) for b in x_members))
+    x_tuple = tuple(x_members.tolist())
+    x_sub = Subgroup(group, x_tuple, x_tuple)
 
     # (ii) in the closure holds: 1xX is the kernel of the projection (a, b) -> a
     wit = normality_witness(group, x_sub)
@@ -161,7 +161,7 @@ def check_conditions(inst: TransferInstance) -> TransferReport:
 def _lift_members(closure: ExtensionGroup, member_set: set) -> Tuple[int, ...]:
     mask = np.zeros(closure.base.size, dtype=bool)
     mask[list(member_set)] = True
-    return tuple(int(z) for z in np.nonzero(mask[closure.base_part])[0])
+    return tuple(np.flatnonzero(mask[closure.base_part]).tolist())
 
 
 def _require_pass(report: TransferReport) -> ExtensionGroup:

@@ -13,14 +13,14 @@ block character transform of AbelianGroup, rounded under an exactness
 guard (see _character_counts).  Over an extension of an abelian base the
 slices S_a = {b : (a, b) in D} are moved by the automorphism parts before
 they are transformed, and rows are merged wherever the data allow (see
-_slice_counts): targets with disjoint fibres share one inverse row, and
-columns with equal left factors share one product.  A design fixed by its
-automorphism parts over a regular closure, as every transfer output is,
-takes two forward rows and one inverse row.  The SRG cross-check counts
-products with the same kernel - its own slice map on the left factor, its
-own targets a1 a2 - when k^2 is large against the slices, and directly
-below that.  Anything else, and any count the guard rejects, is counted
-directly from the k^2 quotients or products.
+_slice_counts): targets with disjoint fibres share one inverse row,
+columns with equal left factors share one product, and equal rows one
+forward transform.  A design fixed by its automorphism parts over a regular
+closure, as every transfer output is, takes one forward row and one inverse
+row.  The SRG cross-check counts products with the same kernel - its own
+slice map on the left factor, its own targets a1 a2 - when k^2 is large
+against the slices, and directly below that.  Anything else, and any count
+the guard rejects, is counted directly from the k^2 quotients or products.
 """
 
 from __future__ import annotations
@@ -223,8 +223,11 @@ def _slice_counts(group: ExtensionGroup, members: np.ndarray,
             where[key // s, key % s] = merged.setdefault((key // s, lid), len(merged))
         row = where[:, col]
         gathered = np.bincount((row * nb + right)[row >= 0], minlength=len(merged) * nb)
-        spec = base.character_transform(np.concatenate(
-            [left[[key for _, key in lefts.values()]], gathered.reshape(-1, nb)]))
+        rows = np.concatenate([left[[key for _, key in lefts.values()]], gathered.reshape(-1, nb)])
+        # one forward row per distinct row: a transfer output's L is its merged row
+        distinct: Dict[bytes, Tuple[int, int]] = {}
+        ids = [distinct.setdefault(r.tobytes(), (len(distinct), i))[0] for i, r in enumerate(rows)]
+        spec = base.character_transform(rows[[i for _, i in distinct.values()]])[ids]
         rspec = spec[len(lefts):] if product else spec[len(lefts):].conj()
         ranks = np.array([r for r, _ in merged])
         present = sorted_unique(ranks)

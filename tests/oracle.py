@@ -38,6 +38,20 @@ def abelian_inv(orders: Sequence[int], a: int) -> int:
     return encode(orders, [-d for d in decode(orders, a)])
 
 
+def block_tables(factors: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(table, neg) over the coordinates 0 .. m-1 of a run of cyclic factors
+    of product m: table[c1 * m + c2] is the coordinate of the digit-by-digit
+    sum of c1 and c2, neg[c] that of the digit-by-digit negation of c."""
+    m = 1
+    for n in factors:
+        m *= n
+    digits = [decode(factors, c) for c in range(m)]
+    table = [encode(factors, [x + y for x, y in zip(d1, d2)])
+             for d1 in digits for d2 in digits]
+    neg = [encode(factors, [-x for x in d]) for d in digits]
+    return table, neg
+
+
 MulFn = Callable[[int, int], int]
 InvFn = Callable[[int], int]
 

@@ -85,6 +85,37 @@ def test_block_kernel_matches_oracle(orders, blocks):
         [[mul(x, inv(y)) for y in right] for x in left]
 
 
+@pytest.mark.parametrize("orders, blocks", [
+    ((2,) * 8, [256]),             # one full block
+    ((4,) * 4, [256]),
+    ((4, 2, 3), [24]),
+    ((7, 7, 7, 58), [49, 7, 58]),
+    ((3,) * 9, [243, 81]),         # the C3^5 block and the C3^4 block
+    ((300,), [300]),               # a lone factor above the bound: no table
+])
+def test_block_tables_match_oracle_everywhere(orders, blocks):
+    """Every entry of each block's coord, table and neg against digit-by-digit
+    arithmetic (test_block_kernel_matches_oracle samples products)."""
+    g = abelian_make(orders)
+    kernel = g._kernel()
+    assert [b.order for b in kernel] == blocks
+    digits = [oracle.decode(orders, x) for x in range(g.size)]
+    lo = 0
+    for blk in kernel:
+        hi = lo + len(blk.factors)
+        assert blk.factors == orders[lo:hi]
+        assert blk.radix == oracle.encode(orders, [0] * lo + [1])
+        assert blk.coord.tolist() == [oracle.encode(blk.factors, d[lo:hi]) for d in digits]
+        if blk.order > groups.BLOCK_ORDER:
+            assert blk.table is None and blk.neg is None
+        else:
+            table, neg = oracle.block_tables(blk.factors)
+            assert blk.table.tolist() == [blk.radix * c for c in table]
+            assert blk.neg.tolist() == [blk.radix * c for c in neg]
+        lo = hi
+    assert lo == len(orders)
+
+
 def test_abelian_digit_roundtrip():
     g = abelian_make((4, 2, 3))
     for idx in range(g.size):

@@ -191,7 +191,8 @@ def test_character_counts_over_nonabelian_automorphism_part(monkeypatch):
     a1 a2^-1) would show.  The closure is not regular: all 48 parts share
     the fibre C3^2 and take ranks 0 .. 47.  The pullback of the nonzero
     vectors is fixed by every part, so each rank's 48 columns share one
-    left row: 1 + 48 forward rows and 48 inverse rows."""
+    left row, and the 48 ranks' merged right rows are equal: 2 forward rows
+    and 48 inverse rows."""
     g = _agl_2_3()
     assert g.size == 432 and not np.array_equal(g.aut_mul, g.aut_mul.T)
     rng = np.random.default_rng(5)
@@ -201,22 +202,24 @@ def test_character_counts_over_nonabelian_automorphism_part(monkeypatch):
             fast = verify._character_counts(g, members, product)
             assert fast is not None
             assert np.array_equal(fast, verify._direct_counts(g, members, product))
-    assert _check_agl_pullback(g, monkeypatch) == [(False, 49), (True, 48)]
+    assert _check_agl_pullback(g, monkeypatch) == [(False, 2), (True, 48)]
 
 
 def test_slice_counts_split_ranks_over_blocks(monkeypatch):
     """A small _BLOCK_ENTRIES spreads the 48 ranks of the pullback over
-    inverse transforms of at most 5 rows, each block with its own left row."""
+    inverse transforms of at most 5 rows, each block with its own left row
+    and one distinct right row."""
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 9 * 5)
     calls = _check_agl_pullback(_agl_2_3(), monkeypatch)
-    assert calls == [(False, 6), (True, 5)] * 9 + [(False, 4), (True, 3)]
+    assert calls == [(False, 2), (True, 5)] * 9 + [(False, 2), (True, 3)]
 
 
-def test_lifted_recounts_take_two_forward_rows_and_one_inverse(corpus, monkeypatch):
+def test_lifted_recounts_take_one_forward_row_and_one_inverse(corpus, monkeypatch):
     """Every transfer output is fixed by its automorphism parts over a
-    regular closure: one target rank and one left row, so the quotient and
-    product recounts each hand the transform 2 forward rows and 1 inverse
-    row, however many slices the design occupies."""
+    regular closure: one target rank, and one left row equal to its merged
+    right row, so the quotient and product recounts each hand the transform
+    1 forward row and 1 inverse row, however many slices the design
+    occupies."""
     calls = _spy_transform(monkeypatch)
     slices = []
     for name, (_, rep) in corpus.items():
@@ -228,7 +231,7 @@ def test_lifted_recounts_take_two_forward_rows_and_one_inverse(corpus, monkeypat
         for product in (False, True):
             calls.clear()
             assert verify._character_counts(g, members, product) is not None, name
-            assert calls == [(False, 2), (True, 1)], (name, product)
+            assert calls == [(False, 1), (True, 1)], (name, product)
     assert len(slices) == len(corpus) - 1 and max(slices) == 7
 
 
