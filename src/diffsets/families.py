@@ -116,8 +116,9 @@ def invariant_hyperplane(group: AbelianGroup,
         raise ParameterError("invariant hyperplanes need an elementary abelian group")
     dim = len(group.orders)
     span = _SpanGF(dim, p)
-    for g in group.generators:
-        span.add((group.digits[aut.perm[g]] - group.digits[g]) % p)
+    # the generators are the unit digit vectors
+    for row in group.digits_of(aut.perm[list(group.generators)]) - np.eye(dim, dtype=np.int64):
+        span.add(row)
     u_digits = next((e for e in np.eye(dim, dtype=np.int64) if not span.contains(e)), None)
     if u_digits is None:
         raise ParameterError("phi - 1 is surjective; no invariant hyperplane avoids anything")
@@ -762,16 +763,17 @@ def mcfarland_odd(q: int, s: int) -> TransferInstance:
     group = abelian_make((q,) * n + (twop,))
     espace = abelian_make((q,) * n)
     e_size = q ** n
+    edigits = espace.digits_of(np.arange(e_size))
 
     normals = []
     plane_members = []
     for fcode in range(1, e_size):
-        f = espace.digits[fcode]
+        f = edigits[fcode]
         nz = np.nonzero(f)[0]
         if f[nz[0]] != 1:
             continue
         normals.append(fcode)
-        plane_members.append(np.nonzero((espace.digits @ f) % q == 0)[0])
+        plane_members.append(np.nonzero((edigits @ f) % q == 0)[0])
     assert len(normals) == r
 
     # column action of the unipotent bidiagonal block: e_1 -> e_1,

@@ -5,10 +5,10 @@ the integer code sum(c_i * p**i), so the q field elements are coded exactly by
 0 .. q-1, with 0 the zero element and 1 the one element.  The same convention
 holds for the rings with radix 4.  These codes are the element indices of the
 additive group - C_p^m for GF(p^m), C_4^t for GR(4,t) - so each structure
-keeps that AbelianGroup as `additive`: addition is its product, and its digits
-are the coefficient vectors.  Field multiplication goes through exp/log tables
-of the primitive element, built once per (p, m, modulus) triple and cached;
-ring multiplication reduces the polynomial product on demand.
+keeps that AbelianGroup as `additive`: addition is its product, and `digits`
+tables its digits, the coefficient vectors.  Field multiplication goes through
+exp/log tables of the primitive element, built once per (p, m, modulus) triple
+and cached; ring multiplication reduces the polynomial product on demand.
 
 Every table is GF(p)-linear algebra on coefficient vectors.  Multiplication
 by x modulo a monic x^m + c_{m-1} x^(m-1) + ... + c_0 is the companion
@@ -167,7 +167,7 @@ class FiniteField:
         self.q = p ** m
         self.modulus = tuple(int(c) for c in modulus)
         self.additive = _elementary(p, m)
-        self.digits = self.additive.digits
+        self.digits = self.additive.digits_of(np.arange(self.q))
 
         # exp/log tables: exp[i] is the code of x^i
         self.exp = self.additive.encode(_powers(self.modulus[:m], p, self.q - 1))
@@ -365,7 +365,7 @@ class GaloisRing:
         self.t = t
         self.q = 4 ** t
         self.additive = abelian_make((4,) * t)
-        self.digits = self.additive.digits
+        self.digits = self.additive.digits_of(np.arange(self.q))
         if t == 3:
             self.phi2: Tuple[int, ...] = (1, 1, 0, 1)
         else:

@@ -56,11 +56,10 @@ from .errors import (
 )
 
 # Largest abelian group order accepted, checked before anything is allocated.
-# An abelian group keeps an order x factors int64 digit table and, once
-# multiplied, an order x blocks int64 coordinate table plus one table of at
-# most BLOCK_ORDER^2 int64s (512 KiB) per block; at 2^20 the digits dominate
-# (C2^20: 160 MiB of digits, 24 MiB of coordinates, 1 MiB of tables).  It
-# leaves room for Spence d = 2 (order 265356).
+# A group holds no per-element table until its first product; then it holds
+# an order x blocks int64 coordinate table and per block a Cayley table of at
+# most BLOCK_ORDER^2 int64s (512 KiB) and a digit table (C2^20: 24 MiB of
+# coordinates, 1 MiB of tables).  It leaves room for Spence d = 2 (265356).
 MAX_GROUP_ORDER = 1 << 20
 
 # Largest block of an abelian group's arithmetic tables (see module notes):
@@ -119,9 +118,9 @@ class _Block:
     """A run of consecutive cyclic factors of an abelian group.
 
     `coord[x]` is the block's part of element x, 0 .. order-1, so that
-    x = sum over blocks of coord[x] * radix.  `table[c1 * order + c2]` is
-    radix times the coordinate of c1 + c2 and `neg[c]` radix times that of
-    -c, both digit by digit and grown one factor at a time (_build_blocks);
+    x = sum over blocks of coord[x] * radix, and `digits[c]` c's digits.
+    `table[c1 * order + c2]` is radix times the coordinate of c1 + c2 and
+    `neg[c]` radix times that of -c, grown one factor at a time (_build_blocks);
     a lone factor above BLOCK_ORDER has neither and adds modulo its order.
     """
 
@@ -129,6 +128,7 @@ class _Block:
     order: int
     factors: Tuple[int, ...]
     coord: np.ndarray
+    digits: np.ndarray
     table: Optional[np.ndarray]
     neg: Optional[np.ndarray]
 
@@ -147,6 +147,7 @@ def _build_blocks(orders: Tuple[int, ...], radix: np.ndarray) -> List[_Block]:
         # x // weight % m: each of 0 .. m-1 repeated weight times, tiled
         coord = np.broadcast_to(np.arange(m, dtype=np.int64)[:, None],
                                 (size // (weight * m), m, weight)).reshape(-1)
+        digits = np.arange(m, dtype=np.int64)[:, None] // (radix[lo:hi] // weight) % orders[lo:hi]
         table = neg = None
         if m <= BLOCK_ORDER:
             # grown one factor at a time: over the factors so far, of product
@@ -158,7 +159,7 @@ def _build_blocks(orders: Tuple[int, ...], radix: np.ndarray) -> List[_Block]:
                          + table.reshape(s, s)[None, :, None, :]).ravel()
                 neg = (((n - d) % n * step)[:, None] + neg).ravel()
                 step *= n  # the radix times s
-        blocks.append(_Block(weight, m, orders[lo:hi], coord, table, neg))
+        blocks.append(_Block(weight, m, orders[lo:hi], coord, digits, table, neg))
         lo = hi
     return blocks
 
@@ -193,22 +194,16 @@ class AbelianGroup(Group):
         self.orders = orders
         self.size = size
         self._orders_arr = np.array(orders, dtype=np.int64)
-        radix = np.ones(len(orders), dtype=np.int64)
-        for i in range(1, len(orders)):
-            radix[i] = radix[i - 1] * orders[i - 1]
-        self._radix = radix
-        codes = np.arange(self.size, dtype=np.int64)
-        digs = np.empty((self.size, len(orders)), dtype=np.int64)
-        rem = codes.copy()
-        for i, n in enumerate(orders):
-            digs[:, i] = rem % n
-            rem //= n
-        self.digits = digs
-        self.generators = tuple(int(r) for r in radix)
+        self._radix = np.cumprod((1,) + orders[:-1], dtype=np.int64)
+        self.generators = tuple(self._radix.tolist())
         self._blocks: Optional[List[_Block]] = None
 
     def encode(self, digs: np.ndarray) -> np.ndarray:
         return (digs % self._orders_arr) @ self._radix
+
+    def digits_of(self, a) -> np.ndarray:
+        """The mixed-radix digits of the indices a, shape a.shape + (factors,)."""
+        return np.asarray(a, dtype=np.int64)[..., None] // self._radix % self._orders_arr
 
     def _kernel(self) -> List[_Block]:
         if self._blocks is None:
@@ -275,22 +270,23 @@ class AbelianGroup(Group):
         return x.reshape(f.shape)
 
     def linear_perm(self, mat: np.ndarray) -> np.ndarray:
-        """x -> encode(digits(x) @ mat) on every element: encode is additive,
-        so this is the product over blocks of one table of block coordinates."""
-        out = None
+        """x -> encode(digits(x) @ mat) on every element: encode is additive, so
+        this is the product over blocks of encode(block digits @ block rows)."""
+        out, lo = None, 0
         for blk in self._kernel():
-            part = self.encode(self.digits[np.arange(blk.order) * blk.radix] @ mat)
+            part = self.encode(blk.digits @ mat[lo:lo + len(blk.factors)])
             out = part[blk.coord] if out is None else self.mul_many(out, part[blk.coord])
+            lo += len(blk.factors)
         return out
 
     def pow_many(self, a, e: int):
-        return self.encode(self.digits[np.asarray(a)] * e)
+        return self.encode(self.digits_of(a) * e)
 
     def pow(self, a: int, e: int) -> int:
-        return int(self.encode(self.digits[a] * e))
+        return sum(int(a) // r % n * int(e) % n * r for r, n in zip(self.generators, self.orders))
 
     def element_name(self, a: int) -> str:
-        return "(" + ",".join(str(d) for d in self.digits[a].tolist()) + ")"
+        return "(" + ",".join(str(a // r % n) for r, n in zip(self.generators, self.orders)) + ")"
 
     def __repr__(self) -> str:
         return " x ".join(f"C{n}" for n in self.orders)
@@ -320,7 +316,7 @@ class GroupAutomorphism:
 
 def _extend_images_to_perm(group: Group, images: Sequence[int]) -> np.ndarray:
     if isinstance(group, AbelianGroup):
-        return group.linear_perm(group.digits[np.asarray(images, dtype=np.int64)])
+        return group.linear_perm(group.digits_of(images))
     if isinstance(group, ExtensionGroup):
         # perm(z) = perm(parent) * image(generator), one BFS layer at a time:
         # bfs_parent is nondecreasing, so the elements whose parents are all
@@ -364,8 +360,8 @@ def aut_from_images(group: Group, images: Sequence[int]) -> GroupAutomorphism:
 
     if isinstance(group, AbelianGroup):
         # e_i -> img_i extends to a homomorphism, which is then perm, iff
-        # every n_i img_i is the identity
-        powers = group.encode(group.digits[list(images)] * group._orders_arr[:, None])
+        # every n_i img_i = perm((n_i - 1) e_i) * img_i is the identity
+        powers = group.mul_many(perm[(group._orders_arr - 1) * group._radix], images)
         name = group.element_name
         for g, img, n_i, p in zip(group.generators, images, group.orders, powers.tolist()):
             if p:
@@ -468,6 +464,37 @@ def _check_pair_table(na: int, nb: int) -> None:
             f"{MAX_PAIR_TABLE}")
 
 
+def close_automorphisms(base: Group, gen_perms: Sequence[np.ndarray], cap: int
+                        ) -> Tuple[List[np.ndarray], Dict[bytes, int], List[int]]:
+    """Close the base permutations gen_perms breadth-first from the identity,
+    keyed on generator images (p_j after p_i costs r lookups, and a full
+    permutation is composed only when new): (perms, key -> index, the index
+    of each of gen_perms).  Raises ClosureOverflow past `cap` automorphisms."""
+    gens_b = np.array(base.generators, dtype=np.int64)
+    perms: List[np.ndarray] = [np.arange(base.size, dtype=np.int64)]
+    keys: Dict[bytes, int] = {gens_b.tobytes(): 0}
+    gen_idx: List[int] = []
+    for p in gen_perms:
+        k = p[gens_b].astype(np.int64).tobytes()
+        if k not in keys:
+            keys[k] = len(perms)
+            perms.append(p.astype(np.int64, copy=False))
+        gen_idx.append(keys[k])
+    i = 0
+    while i < len(perms):  # perms grows behind i
+        img = perms[i][gens_b]
+        for j in gen_idx:
+            k = perms[j][img].tobytes()
+            if k not in keys:
+                keys[k] = len(perms)
+                perms.append(perms[j][perms[i]])
+                if len(perms) > cap:
+                    raise ClosureOverflow(f"automorphism part exceeded the cap of {cap}")
+                _check_pair_table(len(perms), base.size)
+        i += 1
+    return perms, keys, gen_idx
+
+
 def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
                       gens: Sequence[Tuple[Sequence[int], int]],
                       cap: Optional[int] = None) -> ExtensionGroup:
@@ -484,36 +511,13 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
         if a.group is not base:
             raise ParameterError("automorphism acts on a different group than the base")
 
-    # close the automorphism part first, keyed on generator images: p_j after
-    # p_i costs r lookups, and a full permutation is composed only when new
-    gens_b = np.array(base.generators, dtype=np.int64)
-    perms: List[np.ndarray] = [np.arange(nb, dtype=np.int64)]
-    keys: Dict[bytes, int] = {gens_b.tobytes(): 0}
-    gen_aut_idx: List[int] = []
-    for a in auts:
-        k = a.perm[gens_b].astype(np.int64).tobytes()
-        if k not in keys:
-            keys[k] = len(perms)
-            perms.append(a.perm.astype(np.int64))
-        gen_aut_idx.append(keys[k])
-    i = 0
-    while i < len(perms):  # breadth-first: perms grows behind i
-        img = perms[i][gens_b]
-        for j in gen_aut_idx:
-            k = perms[j][img].tobytes()
-            if k not in keys:
-                keys[k] = len(perms)
-                perms.append(perms[j][perms[i]])
-                if len(perms) > cap:
-                    raise ClosureOverflow(f"automorphism part exceeded the cap of {cap}")
-                _check_pair_table(len(perms), nb)
-        i += 1
+    perms, keys, gen_aut_idx = close_automorphisms(base, [a.perm for a in auts], cap)
     na = len(perms)
     _check_pair_table(na, nb)
     aut_perms = np.stack(perms)
     # aut_mul[i, j] is p_j after p_i, whose generator images are p_j[img_i]
     aut_mul = np.array([[keys[k.tobytes()] for k in aut_perms[:, img]]
-                        for img in aut_perms[:, gens_b]], dtype=np.int64)
+                        for img in aut_perms[:, list(base.generators)]], dtype=np.int64)
     aut_inv = np.argmin(aut_mul, axis=1).astype(np.int64)  # aut_mul[i,j]==0 exactly once
 
     gen_pairs: List[Tuple[int, int]] = []
@@ -707,10 +711,7 @@ def element_orders(group: Group) -> np.ndarray:
     if isinstance(group, AbelianGroup):
         out = np.ones(group.size, dtype=np.int64)
         for blk in group._kernel():
-            c = np.arange(blk.order, dtype=np.int64)
-            table, step = np.ones(blk.order, dtype=np.int64), 1
-            for n in blk.factors:
-                table, step = np.lcm(table, n // np.gcd(c // step % n, n)), step * n
+            table = np.lcm.reduce(blk.factors // np.gcd(blk.digits, blk.factors), axis=1)
             out = np.lcm(out, table[blk.coord])
         return out
     base_ord = element_orders(group.base)

@@ -5,7 +5,8 @@ stack of levels (the innermost abelian group first, one section per extension
 layer), followed by its full element enumeration, one element per line, as
 comma-separated exponent tuples (extension elements prefix the automorphism
 part with a semicolon).  Parsing does not trust the file: automorphisms are
-re-certified (groups.aut_from_images), closures are re-run, and the stored
+re-certified (groups.aut_from_images) unless they are products of ones
+certified before them, closures are re-run, and the stored
 enumeration is compared line by line against the rebuilt group, so corrupted
 group data cannot load.  The enumeration is built one string table per level:
 an extension line is its automorphism's prefix "a;" plus its base line.
@@ -31,6 +32,7 @@ from .groups import (
     GroupAutomorphism,
     abelian_make,
     aut_from_images,
+    close_automorphisms,
     extension_closure,
     subgroup_closure,
 )
@@ -230,12 +232,27 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]]) -> Group:
             size = _int(_one(kv, "size", name), f"[{name}] size")
             na = _int(_one(kv, "auts", name), f"[{name}] auts")
             auts: List[GroupAutomorphism] = []
+            # an automorphism with the generator images of a product of ones
+            # certified before it is that product: only the others are certified
+            certified: Optional[List[np.ndarray]] = []
+            perms, keys, _ = close_automorphisms(group, certified, size)
             for ai in range(na):
                 images = _ints(_one(kv, f"aut{ai}", name), f"[{name}] aut{ai}")
                 if len(images) != len(group.generators):
                     raise ParseError(f"[{name}] aut{ai} has {len(images)} images, "
                                      f"base group has {len(group.generators)} generators")
+                key = (np.array(images, dtype=np.int64).tobytes()
+                       if all(0 <= i < group.size for i in images) else None)
+                if certified is not None and key in keys:
+                    auts.append(GroupAutomorphism(group, tuple(images), perms[keys[key]]))
+                    continue
                 auts.append(aut_from_images(group, images))
+                if certified is not None:
+                    certified.append(auts[-1].perm)
+                    try:
+                        perms, keys, _ = close_automorphisms(group, certified, size)
+                    except (ClosureOverflow, ParameterError):
+                        certified = None  # extension_closure below reports it
             ng = _int(_one(kv, "gens", name), f"[{name}] gens")
             gens = []
             for gi in range(ng):

@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from diffsets import serialize
 from diffsets.cli import main
 
 
@@ -196,6 +200,57 @@ def test_transfer_aut_breaking_a_relation_exits_3(tmp_path, capsys):
     assert ("generator (1,0,0,0) of order 3 goes to (1,0,0,1), which breaks the "
             "relation 3*(1,0,0,0) = identity: 3*(1,0,0,1) = (0,0,0,3)") in stderr
     assert "Traceback" not in stderr
+
+
+@pytest.fixture(scope="module")
+def lifted_mcfarland(tmp_path_factory):
+    """The lifted mcfarland-odd q=7 s=2 design file: its extension level
+    lists the 7 automorphisms of a cyclic part, aut0 the identity and aut1 a
+    generator of the rest."""
+    work = tmp_path_factory.mktemp("mcf7")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["construct", "mcfarland-odd", "--q", "7", "--s", "2",
+                     "--out", str(work / "m")]) == 0
+        assert main(["transfer", "--design", str(work / "m.design.txt"),
+                     "--out", str(work / "mx")]) == 0
+    return (work / "mx.design.txt").read_text()
+
+
+def test_parse_certifies_only_new_automorphisms(lifted_mcfarland, monkeypatch):
+    """Parsing certifies aut1 alone: aut0 and aut2..aut6 have the generator
+    images of products of automorphisms certified before them."""
+    real, seen = serialize.aut_from_images, []
+    monkeypatch.setattr(serialize, "aut_from_images",
+                        lambda group, images: seen.append(images) or real(group, images))
+    group = serialize.parse_design(lifted_mcfarland)[0].group
+    assert seen == [[1, 8, 56, 2401]]
+    gens = list(group.base.generators)
+    for perm in group.aut_perms:
+        assert np.array_equal(real(group.base, perm[gens]).perm, perm)
+
+
+@pytest.mark.parametrize("old, new, code, message", [
+    ("aut3", "1,8,56,2402", 3,
+     "generator (0,0,0,1) of order 58 goes to (1,0,0,7), which breaks the relation "
+     "58*(0,0,0,1) = identity: 58*(1,0,0,7) = (2,0,0,0)"),
+    ("aut3", "aut2", 2, "element 48 reads '3;1,3,3,0' but the rebuilt group "
+                        "enumerates '6;1,3,3,0'; the file is corrupted"),
+    ("aut0", "aut1", 2, "[level 1] closure has more than the 19894 elements the file claims"),
+], ids=["relation", "copy", "identity-replaced"])
+def test_edited_extension_automorphisms(tmp_path, capsys, lifted_mcfarland,
+                                        old, new, code, message):
+    """An edited automorphism row of the lifted file is still rejected with
+    the check that fails: a certified relation, the enumeration, or the
+    closure size.  `new` is images or the name of the row to copy."""
+    lines = lifted_mcfarland.splitlines()
+    rows = {ln.partition(" = ")[0]: i for i, ln in enumerate(lines) if ln.startswith("aut")}
+    images = lines[rows[new]].partition(" = ")[2] if new in rows else new
+    lines[rows[old]] = f"{old} = {images}"
+    path = tmp_path / "edited.design.txt"
+    path.write_text("\n".join(lines) + "\n")
+    got, _, stderr = run(capsys, "verify", "--design", str(path))
+    assert got == code
+    assert message in stderr and "Traceback" not in stderr
 
 
 @pytest.mark.parametrize("entry, message", [

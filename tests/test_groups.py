@@ -3,6 +3,7 @@ closures, subgroups, cosets, and fingerprints."""
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,10 +120,48 @@ def test_block_tables_match_oracle_everywhere(orders, blocks):
 def test_abelian_digit_roundtrip():
     g = abelian_make((4, 2, 3))
     for idx in range(g.size):
-        assert g.encode(g.digits[idx]) == idx
+        assert g.encode(g.digits_of(idx)) == idx
     # generators are the unit digit vectors
-    assert [tuple(g.digits[gen]) for gen in g.generators] == [
-        (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert g.digits_of(g.generators).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("orders, sample", [
+    ((4, 2, 3), None),
+    ((3,) * 5, None),
+    ((7, 7, 7, 58), 500),          # the lone factor 58 is a block of its own
+    ((3,) * 6 + (364,), 500),      # 364 is above BLOCK_ORDER
+], ids=["4x2x3", "C3^5", "C7^3xC58", "C3^6xC364"])
+def test_digits_on_demand_match_oracle(orders, sample):
+    """digits_of, pow, element_name and each block's digit table against
+    oracle.decode, on every element or on a sample."""
+    g = abelian_make(orders)
+    xs = list(range(g.size)) if sample is None else \
+        [0, g.size - 1] + random.Random(7).sample(range(g.size), sample)
+    want = [oracle.decode(orders, x) for x in xs]
+    assert g.digits_of(xs).tolist() == want
+    pairs = np.array(xs[:len(xs) // 2 * 2]).reshape(-1, 2)
+    assert g.digits_of(pairs).tolist() == [want[i:i + 2] for i in range(0, pairs.size, 2)]
+    for x, d in zip(xs[:50], want):
+        assert g.element_name(x) == "(" + ",".join(map(str, d)) + ")"
+        assert g.pow(x, 5) == oracle.encode(orders, [5 * v for v in d])
+    assert g.pow_many(xs, -2).tolist() == [oracle.encode(orders, [-2 * v for v in d])
+                                           for d in want]
+    for blk in g._kernel():
+        assert blk.digits.tolist() == [oracle.decode(blk.factors, c)
+                                       for c in range(blk.order)]
+
+
+def test_building_a_group_holds_no_element_table():
+    """A group keeps no per-element table until it is multiplied: C2^18 holds
+    under 1 MiB (an 2^18 x 18 int64 digit table would be 36 MiB)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = abelian_make((2,) * 18)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.size == 1 << 18 and held < 1 << 20
 
 
 def test_group_order_ceiling():
