@@ -5,17 +5,22 @@ output files byte for byte (the manifest's elapsed-time line is the only
 exception).  Exit codes: 0 on success, 2 for bad parameters or unparseable
 files, 3 for mathematical failures (verification mismatches, failed transfer
 conditions, corrupted designs).
+
+The argument parser is built on the first `main()` call and reused by every
+later call in the process: parsing does not modify it, each call gets a fresh
+namespace, and it holds no per-call state.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 import time
 from typing import Callable, Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
-from .errors import MathError, ParameterError
+from .errors import MathError, ParameterError, ParseError
 from .families import (
     corollary_chain,
     denniston_even,
@@ -249,6 +254,9 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                         f"at offset {exc.start}") from None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -286,6 +294,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffsets",

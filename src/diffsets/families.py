@@ -9,8 +9,14 @@ orbit representative, a basis completion), the choice here is canonical -
 smallest index first - and recorded in the construction log, so reruns are
 byte-identical and the verifier confirms correctness regardless.
 
-Each family makes its abelian group before any field, ring, plane or member,
-so a request above groups.MAX_GROUP_ORDER fails at once with a ParameterError.
+Each family checks its group's order before any power of its parameters,
+factor tuple, field, ring, plane or member is formed, so a request above
+groups.MAX_GROUP_ORDER fails at once with a ParameterError.  The check reads
+exponents: `check_power_order(p, e)` rejects p^e when e * (bit length of
+p - 1) exceeds 64, since p^e is at least 2 to that power, and otherwise forms
+p^e, which is then below 2^128.  A family whose order has a cyclic tail as
+well checks its prime-power part this way, and `abelian_make` checks the
+whole order.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .groups import (
     Subgroup,
     abelian_make,
     aut_from_images,
+    check_power_order,
     element_orders,
     extension_closure,
     subgroup_closure,
@@ -283,6 +290,7 @@ def pcp_pds(p: int, n: int, s: int) -> DesignSet:
     if s < 2:
         raise ParameterError("s must be at least 2; one line minus the identity "
                              "is only degenerately a PDS")
+    check_power_order(p, 2 * n)
     if s > p + 1:
         raise TooManyLines(f"at most {p + 1} lines of C_{p**n} x C_{p**n} intersect "
                            f"pairwise trivially; requested {s}")
@@ -343,6 +351,7 @@ def spence(d: int) -> TransferInstance:
     if d < 1:
         raise ParameterError("d must be positive")
     m = 3 * d
+    check_power_order(3, m)
     r = (3 ** m - 1) // 2
     group = abelian_make((3,) * m + (r,))
     override = (1, 2, 0, 1) if d == 1 else None
@@ -401,6 +410,7 @@ def denniston_even(m: int, r: int) -> TransferInstance:
     invariant hyperplane."""
     if m < 2 or not 1 <= r < m:
         raise ParameterError("need m >= 2 and 1 <= r < m")
+    check_power_order(2, 3 * m)
     group = abelian_make((2,) * (3 * m))
     F = field_make(2, m)
     q = 2 ** m
@@ -448,6 +458,7 @@ def denniston_gr4(t: int, k: int) -> TransferInstance:
         raise ParameterError("t must be at least 2")
     if not 1 <= k <= t:
         raise ParameterError("need 1 <= k <= t")
+    check_power_order(2, 3 * t)
     group = abelian_make((4,) * t + (2,) * t)
     ring = galois_ring_make(t)
     F = ring.residue_field
@@ -533,6 +544,7 @@ def denniston_odd(p: int, t: int) -> TransferInstance:
     if t < 1:
         raise ParameterError("t must be positive")
     m = p * t
+    check_power_order(p, 3 * m)
     q1 = p ** m
     q2 = p ** (2 * m)
     group = abelian_make((p,) * (3 * m))
@@ -601,6 +613,7 @@ def mcfarland_base(q: int, s: int) -> DesignSet:
     tail C_(r+1); the union of the tagged hyperplanes is a difference set."""
     if q < 2 or s < 1:
         raise ParameterError("need q >= 2 and s >= 1")
+    check_power_order(q, s + 1)
     factors = factorint(q)
     if len(factors) != 1:
         raise ParameterError(f"q = {q} is not a prime power")
@@ -637,6 +650,7 @@ def mcfarland_even(d: int, variant: int) -> TransferInstance:
         raise ParameterError("(q+2)/2 must be odd, which needs d >= 2")
     if variant not in (1, 2, 3):
         raise ParameterError("variant must be 1, 2, or 3")
+    check_power_order(2, 2 * d)
     q = 2 ** d
     half = (q + 2) // 2
     # variant 3's group is the base of its dihedral-tail extension
@@ -751,6 +765,7 @@ def mcfarland_odd(q: int, s: int) -> TransferInstance:
         raise ParameterError(f"q = {q} must be an odd prime")
     if s < 1:
         raise ParameterError("s must be positive")
+    check_power_order(q, s + 1)
     r = (q ** (s + 1) - 1) // (q - 1)
     twop = r + 1
     pp = twop // 2
@@ -834,6 +849,7 @@ def mcfarland_odd_sylow(report: TransferReport) -> Subgroup:
 # ---------------------------------------------------------------------------
 
 def _rds_group(d: int) -> Tuple[AbelianGroup, FiniteField, int]:
+    check_power_order(2, 6 * d)
     q = 2 ** d
     group = abelian_make((q * q,) + (2,) * (4 * d))
     return group, field_make(2, 2 * d), q * q

@@ -62,6 +62,9 @@ from .errors import (
 # coordinates, 1 MiB of tables).  It leaves room for Spence d = 2 (265356).
 MAX_GROUP_ORDER = 1 << 20
 
+# More cyclic factors than this always exceed MAX_GROUP_ORDER: each is >= 2.
+MAX_FACTORS = MAX_GROUP_ORDER.bit_length() - 1
+
 # Largest block of an abelian group's arithmetic tables (see module notes):
 # its Cayley table has BLOCK_ORDER^2 int64 entries, 512 KiB, which stays in
 # L2 cache; at 1024 the tables reach 8 MiB each and outgrow it.
@@ -180,6 +183,27 @@ def _character_matrix(factors: Tuple[int, ...], inverse: bool) -> np.ndarray:
     return mat
 
 
+def _too_large(size: Optional[int]) -> ParameterError:
+    """The error for a group order above MAX_GROUP_ORDER.  The order is shown
+    when it is known and short; otherwise the message gives a bound, so it
+    never formats an integer of unbounded length."""
+    shown = (str(size) if size is not None and size.bit_length() <= 64
+             else f"{2 * MAX_GROUP_ORDER} or more")
+    return ParameterError(f"group order {shown} exceeds the supported maximum "
+                          f"of {MAX_GROUP_ORDER}")
+
+
+def check_power_order(base: int, exp: int) -> None:
+    """Raise ParameterError if base^exp (base >= 2) exceeds MAX_GROUP_ORDER.
+    The power is at least 2^bits for bits = exp * (bit length of base - 1),
+    and it is formed only when bits <= 64 (it is then below 2^128), so a
+    request such as 3^(3*10^8) fails at once instead of computing the power
+    or a tuple of its factors."""
+    size = base ** exp if exp * (base.bit_length() - 1) <= 64 else None
+    if size is None or size > MAX_GROUP_ORDER:
+        raise _too_large(size)
+
+
 class AbelianGroup(Group):
     def __init__(self, orders: Sequence[int]):
         orders = tuple(int(n) for n in orders)
@@ -187,10 +211,9 @@ class AbelianGroup(Group):
             raise EmptyOrders("an abelian group needs at least one cyclic factor")
         if any(n < 2 for n in orders):
             raise ParameterError(f"cyclic factor orders must be at least 2, got {orders}")
-        size = prod(orders)
-        if size > MAX_GROUP_ORDER:
-            raise ParameterError(f"group order {size} exceeds the supported maximum "
-                                 f"of {MAX_GROUP_ORDER}")
+        size = prod(orders) if len(orders) <= MAX_FACTORS else None
+        if size is None or size > MAX_GROUP_ORDER:
+            raise _too_large(size)
         self.orders = orders
         self.size = size
         self._orders_arr = np.array(orders, dtype=np.int64)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import argparse
 import contextlib
 import io
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from diffsets import serialize
-from diffsets.cli import main
+from diffsets.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -375,16 +376,36 @@ def _src_env():
     return env
 
 
+def _far(family, *flags):
+    return pytest.param([family, *flags], id="-".join((family,) + flags[1::2]))
+
+
 @pytest.mark.parametrize("argv", [
     ["denniston-gr4", "--t", "7", "--k", "1"],
     ["denniston-odd", "--p", "3", "--t", "2"],
     ["rds", "--d", "12"],
     ["rds-transfer", "--d", "12"],
     ["mcfarland", "--q", "2", "--s", "12"],
+    # far above the ceiling: the order is judged from exponents, before any
+    # power of a parameter or tuple of factors is formed
+    _far("denniston-even", "--m", "1000000000", "--r", "1"),
+    _far("denniston-gr4", "--t", "1000000000", "--k", "1"),
+    _far("mcfarland-even", "--d", "1000000000"),
+    _far("rds", "--d", "1000000000"),
+    _far("rds-transfer", "--d", "1000000000"),
+    _far("denniston-odd", "--p", "3", "--t", "100000000"),
+    _far("denniston-odd", "--p", "99999999999999999989", "--t", "1"),
+    _far("denniston-odd", "--p", "1009", "--t", "1"),
+    _far("spence", "--d", "1000000000"),
+    _far("pgroup", "--p", "3", "--n", "1000000000"),
+    _far("mcfarland", "--q", "3", "--s", "1000000000"),
+    _far("mcfarland-odd", "--q", "3", "--s", "1000000000"),
+    _far("pcp", "--p", "3", "--n", "1000000000", "--s", "2"),
 ], ids=lambda argv: argv[0])
 def test_oversized_family_fails_fast(tmp_path, argv):
-    """Each family checks its group's order before it builds fields, rings,
-    planes or members, so an oversized request exits 2 within seconds."""
+    """Each family checks its group's order before it builds powers, factor
+    tuples, fields, rings, planes or members, so an oversized request exits 2
+    within seconds, and its message formats no huge integer."""
     proc = subprocess.run(
         [sys.executable, "-m", "diffsets", "construct", *argv, "--out", str(tmp_path / "x")],
         env=_src_env(), capture_output=True, text=True, timeout=20)
@@ -439,3 +460,103 @@ def test_pipeline_never_loads_numpy_ma(tmp_path):
     if proc.stdout.strip().endswith("preloaded"):
         pytest.skip("importing numpy alone loads numpy.ma (numpy 1.x)")
     assert proc.stdout.strip().endswith("False")
+
+
+@pytest.mark.parametrize("command", ["verify", "export", "transfer"])
+@pytest.mark.parametrize("damage", ["bom", "one-byte"])
+def test_non_utf8_design_exits_2(tmp_path, capsys, command, damage):
+    """A design file that is not UTF-8 is a parse error naming the path and
+    the offending byte's offset, not a UnicodeDecodeError traceback."""
+    path = tmp_path / "bad.txt"
+    if damage == "bom":
+        path.write_bytes(b"\xff\xfe\x00bad")
+        offset = 0
+    else:
+        run(capsys, "transfer", "--family", "denniston-gr4", "--t", "2", "--k", "1",
+            "--out", str(tmp_path / "dgr"))
+        data = bytearray((tmp_path / "dgr.design.txt").read_bytes())
+        offset = data.index(b"[members]") + 3
+        data[offset] = 0xFF
+        path.write_bytes(bytes(data))
+    code, stdout, stderr = run(capsys, command, "--design", str(path))
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {path} is not UTF-8 text: byte 0xff at offset {offset}\n"
+
+
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    """Six calls of main construct the parser tree (the root parser and one
+    per subcommand) once, as many parsers as a single build makes."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    build_parser.cache_clear()
+    build_parser()
+    one_build = len(built)
+    build_parser.cache_clear()
+    built.clear()
+    out = str(tmp_path / "mcf")
+    for argv in (["construct", "mcfarland", "--q", "2", "--s", "1", "--out", out],
+                 ["verify", "--design", out + ".design.txt"],
+                 ["export", "--design", out + ".design.txt"],
+                 ["construct", "nosuch"],
+                 ["transfer", "--design", out + ".design.txt"],
+                 ["verify", "--design", out + ".design.txt"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == one_build <= 5
+
+
+# good calls with usage errors (SystemExit(2)) and --help (SystemExit(0))
+# between them, every path relative to the working directory
+PARSER_SEQUENCE = [
+    ["construct", "denniston-gr4", "--t", "2", "--k", "1", "--out", "g"],
+    ["construct", "--bogus"],
+    ["verify"],
+    ["construct", "nosuch"],
+    ["construct", "spence"],
+    ["--help"],
+    ["transfer", "--design", "g.design.txt", "--out", "gx"],
+    ["transfer", "--family", "denniston-gr4", "--t", "2", "--k", "1", "--out", "gf"],
+    ["verify", "--design", "gx.design.txt"],
+    ["export", "--design", "gx.design.txt", "--format", "xml"],
+    ["export", "--design", "gx.design.txt"],
+    ["construct", "denniston-gr4", "--t", "2", "--k", "1", "--out", "g"],
+]
+
+
+def _run_sequence(capsys, workdir, fresh_parser):
+    outcomes = []
+    for argv in PARSER_SEQUENCE:
+        if fresh_parser:
+            build_parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        outcomes.append((code,) + tuple(capsys.readouterr()))
+    files = {path.name: [ln for ln in path.read_text(encoding="utf-8").splitlines()
+                         if not ln.startswith("elapsed_s")]
+             for path in sorted(workdir.iterdir())}
+    return outcomes, files
+
+
+def test_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
+    """The cached parser gives the exit code, stdout, stderr and output files
+    that a parser built afresh for every call gives."""
+    runs = []
+    for fresh in (True, False):
+        workdir = tmp_path / ("fresh" if fresh else "reused")
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        runs.append(_run_sequence(capsys, workdir, fresh))
+    (fresh_outcomes, fresh_files), (reused_outcomes, reused_files) = runs
+    assert [o[0] for o in reused_outcomes] == [0, ("SystemExit", 2), ("SystemExit", 2), 2, 2,
+                                               ("SystemExit", 0), 0, 0, 0,
+                                               ("SystemExit", 2), 0, 0]
+    assert reused_outcomes == fresh_outcomes
+    assert reused_files == fresh_files and len(reused_files) == 10

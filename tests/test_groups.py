@@ -172,6 +172,25 @@ def test_group_order_ceiling():
             abelian_make(orders)
 
 
+def test_group_order_check_forms_no_huge_integer():
+    """More than MAX_FACTORS factors are too many before they are multiplied,
+    a power above 2^64 is rejected before it is formed, and no message
+    formats an order of thousands of digits (str() refuses above 4300)."""
+    from diffsets.groups import MAX_FACTORS, MAX_GROUP_ORDER, check_power_order
+    too_large = f"group order {2 * MAX_GROUP_ORDER} or more exceeds the supported maximum"
+    for orders in [(2,) * (MAX_FACTORS + 1), (1009,) * 3027, (10 ** 4000, 10 ** 4000)]:
+        with pytest.raises(ParameterError, match=too_large):
+            abelian_make(orders)
+    for base, exp in [(2, 65), (3, 10 ** 30), (10 ** 4000, 2)]:
+        with pytest.raises(ParameterError, match=too_large):
+            check_power_order(base, exp)
+    for base, exp in [(2, 63), (2, MAX_FACTORS + 1), (3, 13)]:
+        with pytest.raises(ParameterError, match=f"group order {base ** exp} exceeds"):
+            check_power_order(base, exp)
+    check_power_order(2, MAX_FACTORS)
+    check_power_order(MAX_GROUP_ORDER, 1)
+
+
 def test_aut_certification_accepts_and_rejects():
     g = abelian_make((4, 2))
     # negation is an automorphism
