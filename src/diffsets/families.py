@@ -280,17 +280,23 @@ def corollary_chain(design: DesignSet, x_sub: Subgroup, target: AbelianGroup) ->
 # p-group PDSs from partial congruence partitions
 # ---------------------------------------------------------------------------
 
+def _check_prime(p: int, exp: int, least: int, msg: str) -> None:
+    """Check p >= least, then p^exp within the order ceiling, then p prime (slow if huge)."""
+    if p >= least:
+        check_power_order(p, exp)
+    if p < least or not isprime(p):
+        raise ParameterError(msg)
+
+
 def pcp_pds(p: int, n: int, s: int) -> DesignSet:
     """Union of s order-p^n cyclic subgroups of C_{p^n} x C_{p^n} with
     pairwise trivial intersections, minus the identity."""
-    if not isprime(p):
-        raise ParameterError(f"p = {p} is not prime")
     if n < 1:
         raise ParameterError("n must be positive")
     if s < 2:
         raise ParameterError("s must be at least 2; one line minus the identity "
                              "is only degenerately a PDS")
-    check_power_order(p, 2 * n)
+    _check_prime(p, 2 * n, 2, f"p = {p} is not prime")
     if s > p + 1:
         raise TooManyLines(f"at most {p + 1} lines of C_{p**n} x C_{p**n} intersect "
                            f"pairwise trivially; requested {s}")
@@ -539,12 +545,10 @@ def denniston_odd(p: int, t: int) -> TransferInstance:
     relative norm of the GF(p^2m) side, so omega is taken to be N(alpha) =
     alpha^(p^m + 1) pulled back through the canonical subfield embedding.
     """
-    if not isprime(p) or p == 2:
-        raise ParameterError(f"p = {p} must be an odd prime")
     if t < 1:
         raise ParameterError("t must be positive")
     m = p * t
-    check_power_order(p, 3 * m)
+    _check_prime(p, 3 * m, 3, f"p = {p} must be an odd prime")
     q1 = p ** m
     q2 = p ** (2 * m)
     group = abelian_make((p,) * (3 * m))
@@ -761,11 +765,9 @@ def mcfarland_odd(q: int, s: int) -> TransferInstance:
     """McFarland design over GF(q)^(s+1) with tail Z/2p, q odd, r+1 = 2p; the
     unipotent single-block map acts on columns and is paired with an order-q
     multiplication of the tail."""
-    if not isprime(q) or q == 2:
-        raise ParameterError(f"q = {q} must be an odd prime")
     if s < 1:
         raise ParameterError("s must be positive")
-    check_power_order(q, s + 1)
+    _check_prime(q, s + 1, 3, f"q = {q} must be an odd prime")
     r = (q ** (s + 1) - 1) // (q - 1)
     twop = r + 1
     pp = twop // 2

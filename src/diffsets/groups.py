@@ -23,10 +23,11 @@ concrete kinds are provided:
   table of the factors before it, so a group never multiplied costs nothing.
 
 * ExtensionGroup - a group of pairs (automorphism, base element) inside the
-  semidirect product Aut(B) x B, multiplied by
-  (f1, b1)(f2, b2) = (f1 f2, b1^f2 * b2), enumerated by a deterministic
-  breadth-first closure from a generator list.  The base may itself be any
-  group, so extensions nest.
+  semidirect product Aut(B) x B, multiplied by (f1, b1)(f2, b2) =
+  (f1 f2, b1^f2 * b2), enumerated by a deterministic breadth-first closure
+  from a generator list; in a wide layer a translation (1, e) multiplies in
+  the base alone (mul_outer_by: rows of per-block tables T[c, j] = c + e_j
+  over an abelian base).  The base may itself be any group, so extensions nest.
 
 Automorphisms are certified at construction: the generator-image map is
 extended to a full permutation, checked to be a bijection, and proved a
@@ -40,6 +41,7 @@ covers all products).  The closure keys automorphisms on generator images.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -111,6 +113,9 @@ class Group:
 
     def mul_outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.mul_many(np.asarray(a)[:, None], np.asarray(b)[None, :])
+
+    def mul_outer_by(self, b: np.ndarray):
+        return lambda a: self.mul_outer(a, b)
 
     def element_name(self, a: int) -> str:
         raise NotImplementedError
@@ -301,6 +306,15 @@ class AbelianGroup(Group):
             out = part[blk.coord] if out is None else self.mul_many(out, part[blk.coord])
             lo += len(blk.factors)
         return out
+
+    def mul_outer_by(self, b: np.ndarray):
+        """a -> mul_outer(a, b) for a fixed b, by one row gather per block from
+        T[c, j], the block's part of c + b_j (for a lone factor, a modular add)."""
+        parts = [(blk.coord, blk.table.reshape(blk.order, -1)[:, blk.coord[b]]
+                  if blk.table is not None else
+                  (np.arange(blk.order)[:, None] + blk.coord[b]) % blk.order * blk.radix)
+                 for blk in self._kernel()]
+        return lambda a: functools.reduce(operator.iadd, (t.take(c[a], 0) for c, t in parts))
 
     def pow_many(self, a, e: int):
         return self.encode(self.digits_of(a) * e)
@@ -524,8 +538,10 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
     """Close a list of (automorphism word, base element) generators.
 
     Each generator's automorphism part is given as a word in the supplied
-    automorphism list (an empty word is the identity).  Raises ClosureOverflow
-    if the closure exceeds `cap` (default 2 * |base|) elements.
+    automorphism list (an empty word is the identity).  In a layer of >= 1024
+    translation products, a translation (1, e) takes (a, b) to (a, b e) by the
+    base's mul_outer_by, with no aut_mul or aut_perms lookup.  Raises
+    ClosureOverflow if the closure exceeds `cap` (default 2 * |base|) elements.
     """
     if cap is None:
         cap = 2 * base.size
@@ -559,8 +575,11 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
     # at their first occurrence in (parent position, generator index) order -
     # the order in which a one-element-at-a-time BFS would meet them.
     ng = len(gen_pairs)
-    gen_a = np.array([a for a, _ in gen_pairs], dtype=np.int64)
-    gen_b = np.array([b for _, b in gen_pairs], dtype=np.int64)
+    gen_a, gen_b = np.array(gen_pairs, dtype=np.int64).reshape(-1, 2).T
+    shift, twist = np.flatnonzero(gen_a == 0), np.flatnonzero(gen_a)
+    translate, nt = base.mul_outer_by(gen_b[shift]), shift.size
+    shift, twist = (slice(c[0], c[-1] + 1) if len(c) and c[-1] - c[0] == len(c) - 1 else c
+                    for c in (shift, twist))  # numpy assigns a run of columns faster
     pair_index = np.full(na * nb, -1, dtype=np.int64)
     pair_index[0] = 0
     zero = np.zeros(1, dtype=np.int64)
@@ -569,9 +588,15 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
     lo = 0
     front_a, front_b = zero, zero
     while front_a.size and ng:
-        a = aut_mul[front_a[:, None], gen_a[None, :]]
-        b = base.mul_many(aut_perms[gen_a[None, :], front_b[:, None]], gen_b[None, :])
-        keys = (a * nb + b).ravel()
+        wide = front_a.size * nt >= 1024  # narrower: numpy call costs outweigh the kernel
+        cols = twist if wide else slice(None)
+        part = (aut_mul[front_a[:, None], gen_a[cols]] * nb
+                + base.mul_many(aut_perms[gen_a[cols], front_b[:, None]], gen_b[cols]))
+        keys = np.empty((front_a.size, ng), dtype=np.int64) if wide else part
+        if wide:
+            keys[:, shift] = translate(front_b) + (front_a * nb)[:, None]
+            keys[:, twist] = part
+        keys = keys.ravel()
         fresh = np.flatnonzero(pair_index[keys] < 0)
         # first occurrences, sort-free: pair_index[key] = least position of key
         k, pos = keys[fresh], np.arange(fresh.size)

@@ -283,10 +283,6 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]]) -> Group:
     return group
 
 
-def parse_group(text: str) -> Group:
-    return parse_group_sections(_split_sections(text))
-
-
 def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
     sections = _split_sections(text)
     by_name = dict(sections)
@@ -391,17 +387,9 @@ def cayley_export(design: DesignSet, fmt: str) -> Tuple[str, Iterator[str], str]
     return "\n".join(head) + "\n", arcs(), tail
 
 
-def _cayley_text(design: DesignSet, fmt: str) -> str:
-    head, arcs, tail = cayley_export(design, fmt)
-    return head + "".join(arcs) + tail
-
-
-def edges_text(design: DesignSet) -> str:
-    return _cayley_text(design, "edges")
-
-
 def dot_text(design: DesignSet) -> str:
-    return _cayley_text(design, "dot")
+    head, arcs, tail = cayley_export(design, "dot")
+    return head + "".join(arcs) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from diffsets import (
     verify_ds,
     verify_rds,
 )
+from diffsets import families
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +282,20 @@ def test_mcfarland_odd(corpus):
     mem = list(syl.members)
     mul = rep.new_group.mul
     assert any(mul(a, b) != mul(b, a) for a in mem for b in mem)
+
+
+def test_huge_prime_parameter_fails_on_order_before_primality(monkeypatch):
+    """A prime parameter far above the order ceiling is rejected by the order
+    check, which reads exponents, before any primality test: above 3.3e24
+    the test goes to sympy and takes seconds for a number like 2^4423 - 1."""
+    def no_primality_test(n):
+        raise AssertionError("isprime ran before the order check")
+    monkeypatch.setattr(families, "isprime", no_primality_test)
+    p = 2 ** 4423 - 1
+    for build in (lambda: pcp_pds(p, 1, 2), lambda: denniston_odd(p, 1),
+                  lambda: mcfarland_odd(p, 2)):
+        with pytest.raises(ParameterError, match="exceeds the supported maximum"):
+            build()
 
 
 def test_mcfarland_odd_parameter_gate():

@@ -278,14 +278,16 @@ def test_extension_closure_cap_and_membership(d4):
         tiny.index_of_pair(0, 1)
 
 
-def test_extension_closure_matches_reference_bfs(corpus):
-    """The layer-at-a-time closure enumerates every corpus closure exactly as
-    a one-element-at-a-time BFS does."""
+def test_extension_closure_matches_reference_bfs(corpus, d4):
+    """The layer-at-a-time closure enumerates every corpus closure, and every
+    case of _closure_cases, exactly as a one-element-at-a-time BFS does."""
     closures = []
     for inst, rep in corpus.values():
         closures.append(rep.new_group)
         if isinstance(inst.design.group, ExtensionGroup):
             closures.append(inst.design.group)
+    closures += [extension_closure(base, auts, gens, cap=base.size * 24)
+                 for base, auts, gens in _closure_cases(corpus, d4)]
     for g in closures:
         base = g.base
         if isinstance(base, AbelianGroup):
@@ -307,7 +309,14 @@ def _closure_cases(corpus, d4):
     """(base, automorphisms, generators) of every corpus transfer closure, and
     of automorphism lists that the closure must complete: not closed, with
     duplicates, with the identity, generating a nonabelian group, and over an
-    extension base."""
+    extension base.  The generator lists mix translations (identity
+    automorphism) and twisted generators: translations only, twisted only,
+    the identity translation, a repeated translation, translations between
+    twisted generators, translations that change both blocks of C3^6
+    (243 x 3) or the lone C364 factor of C3^2 x C364, and translations over
+    an extension base; the C3^6 lists with translations, the C3^2 x C364 list
+    and the extension-base list close in layers wide enough for the
+    translation kernel."""
     cases = [(inst.design.group, inst.aut_gens, inst.candidate_gens)
              for inst, rep in corpus.values() if rep.new_group is not None]
     c7 = abelian_make((7, 7))
@@ -325,7 +334,29 @@ def _closure_cases(corpus, d4):
     cases.append((c3, shears, [((), 1), ((0,), 0), ((1, 0), 0)]))
     r, s = d4.generators                               # the rotation and the flip
     twist = aut_from_images(d4, [r, d4.mul(s, r)])   # s -> s r, order 4
-    cases.append((d4, [twist, twist], [((), s), ((0,), 0)]))
+    cases.append((d4, [twist, twist], [((), s), ((0,), 0), ((), r)]))
+    cases += [(c7, [triple], [((0,), 1), ((0,), 7)]),           # twisted only
+              (c7, [triple], [((), 0), ((), 1), ((0,), 0)]),    # identity translation
+              (c7, [triple], [((), 1), ((0,), 0), ((), 1), ((), 7)])]  # repeated, split runs
+    # wide enough for the translation kernel (layers of >= 1024 translation products)
+    c36 = abelian_make((3,) * 6)
+    neg36 = aut_from_images(c36, [c36.inv(g) for g in c36.generators])
+    everywhere = sum(c36.generators)                  # (1,1,1,1,1,1), both blocks
+    units = [((), g) for g in c36.generators]
+    cases += [(c36, [neg36], [((), everywhere), ((0,), 1), ((), 0), *units, ((0,), 81), ((), 1)]),
+              (c36, [neg36], [((), everywhere), *units]),          # translations only
+              (c36, [neg36], [((0,), g) for g in c36.generators])]  # twisted only
+    c35 = abelian_make((3,) * 5)
+    neg35 = aut_from_images(c35, [c35.inv(g) for g in c35.generators])
+    dih = extension_closure(c35, [neg35], [((), g) for g in c35.generators] + [((0,), 0)])
+    t = dih.generators[0]                             # conjugation by t has order 3
+    conj = aut_from_images(dih, [dih.mul(dih.mul(dih.inv(t), x), t) for x in dih.generators])
+    moves = [((), x) for x in dih.generators]
+    cases.append((dih, [conj], moves[:3] + [((0,), 0)] + moves[3:]))
+    c364 = abelian_make((3, 3, 364))
+    neg364 = aut_from_images(c364, [c364.inv(g) for g in c364.generators])
+    cases.append((c364, [neg364], [((), 9), ((), 1 + 9 * 363), ((0,), 4), ((), 3 + 9 * 200),
+                                   ((), 1), ((), 3)]))
     return cases
 
 

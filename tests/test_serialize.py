@@ -18,13 +18,18 @@ from diffsets import (
 )
 from diffsets.serialize import (
     _split_sections,
+    cayley_export,
     design_text,
     dot_text,
-    edges_text,
     group_text,
     parse_design,
-    parse_group,
+    parse_group_sections,
 )
+
+
+def _edges_text(design):
+    head, arcs, tail = cayley_export(design, "edges")
+    return head + "".join(arcs) + tail
 
 
 def test_abelian_design_round_trip():
@@ -40,7 +45,7 @@ def test_abelian_design_round_trip():
 def test_group_round_trip_abelian():
     g = abelian_make((4, 2, 3))
     txt = group_text(g)
-    g2 = parse_group(txt)
+    g2 = parse_group_sections(_split_sections(txt))
     assert g2.size == g.size
     assert group_text(g2) == txt
 
@@ -145,7 +150,7 @@ def test_missing_sections_rejected():
     with pytest.raises(ParseError):
         parse_design("[design]\nkind = DS\nclaimed = 7,3,1\n")
     with pytest.raises(ParseError):
-        parse_group("[group]\nlevels = 1\n")
+        parse_group_sections(_split_sections("[group]\nlevels = 1\n"))
 
 
 def test_split_sections_rules():
@@ -161,7 +166,7 @@ def test_split_sections_rules():
 
 def test_edges_undirected_convention():
     d = pcp_pds(2, 2, 2)  # regular PDS: inverse closed, no identity
-    txt = edges_text(d)
+    txt = _edges_text(d)
     head = txt.splitlines()[0]
     assert "graph" in head and "digraph" not in head
     pairs = [tuple(map(int, ln.split())) for ln in txt.splitlines()
@@ -179,7 +184,7 @@ def test_edges_undirected_convention():
 
 def test_edges_directed_convention():
     d = mcfarland_base(2, 1)  # not inverse closed
-    txt = edges_text(d)
+    txt = _edges_text(d)
     assert "digraph" in txt.splitlines()[0]
     arcs = [tuple(map(int, ln.split())) for ln in txt.splitlines()
             if not ln.startswith("#")]
@@ -192,7 +197,7 @@ def test_edges_directed_convention():
 def test_edges_loops_when_identity_present():
     g = abelian_make((4,))
     d = DesignSet(g, (0, 1, 3), "DS", (4, 3, 2))
-    txt = edges_text(d)
+    txt = _edges_text(d)
     pairs = [tuple(map(int, ln.split())) for ln in txt.splitlines()
              if not ln.startswith("#")]
     assert (0, 0) in pairs  # identity member yields a loop at every vertex
