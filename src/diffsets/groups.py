@@ -576,10 +576,8 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
     # the order in which a one-element-at-a-time BFS would meet them.
     ng = len(gen_pairs)
     gen_a, gen_b = np.array(gen_pairs, dtype=np.int64).reshape(-1, 2).T
-    shift, twist = np.flatnonzero(gen_a == 0), np.flatnonzero(gen_a)
-    translate, nt = base.mul_outer_by(gen_b[shift]), shift.size
-    shift, twist = (slice(c[0], c[-1] + 1) if len(c) and c[-1] - c[0] == len(c) - 1 else c
-                    for c in (shift, twist))  # numpy assigns a run of columns faster
+    nt = sum(a == 0 for a, _ in gen_pairs)
+    translate = None  # built on the first wide layer, if any
     pair_index = np.full(na * nb, -1, dtype=np.int64)
     pair_index[0] = 0
     zero = np.zeros(1, dtype=np.int64)
@@ -589,6 +587,11 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
     front_a, front_b = zero, zero
     while front_a.size and ng:
         wide = front_a.size * nt >= 1024  # narrower: numpy call costs outweigh the kernel
+        if wide and translate is None:
+            shift, twist = np.flatnonzero(gen_a == 0), np.flatnonzero(gen_a)
+            translate = base.mul_outer_by(gen_b[shift])
+            shift, twist = (slice(c[0], c[-1] + 1) if len(c) and c[-1] - c[0] == len(c) - 1
+                            else c for c in (shift, twist))  # a run of columns assigns faster
         cols = twist if wide else slice(None)
         part = (aut_mul[front_a[:, None], gen_a[cols]] * nb
                 + base.mul_many(aut_perms[gen_a[cols], front_b[:, None]], gen_b[cols]))

@@ -8,8 +8,11 @@ part with a semicolon).  Parsing does not trust the file: automorphisms are
 re-certified (groups.aut_from_images) unless they are products of ones
 certified before them, closures are re-run, and the stored
 enumeration is compared line by line against the rebuilt group, so corrupted
-group data cannot load.  The enumeration is built one string table per level:
-an extension line is its automorphism's prefix "a;" plus its base line.
+group data cannot load.  The enumeration is one text, built from fixed-width
+byte-string arrays with no Python step per element: an abelian line is a
+table of leading digits joined to a table of the rest, an extension line is
+its automorphism's prefix "a;" plus its base line; the parse compares the
+file's element lines, joined, with it.
 
 Design files embed their group, the member indices (one per line), the
 forbidden subgroup for relative difference sets, and optionally the transfer
@@ -60,26 +63,49 @@ def _group_levels(group: Group) -> List[Group]:
     return levels
 
 
-def _element_strings(levels: List[Group]) -> List[str]:
-    """The [elements] line of every element of the top level, built as one
-    string table per level."""
-    # abelian level: index d_0 + n_0 * (d_1 + n_1 * ...) reads "d_0,d_1,...",
-    # so the table for orders[i:] is every "d_i," prefix over the table for
-    # orders[i + 1:], d_i varying fastest
+# largest table of leading digits an abelian level's lines are joined from
+_LOW_ORDER = 1024
+
+
+def _digit_lines(orders: Sequence[int]) -> np.ndarray:
+    """"d_0,d_1,..." for every index d_0 + n_0 * (d_1 + ...) over `orders`, as
+    a NUL-padded byte-string array grown one factor at a time, d_0 fastest."""
+    out = None
+    for n in orders:
+        digs = np.arange(n).astype(f"S{len(str(n - 1))}")
+        out = digs if out is None else (out[None, :] + (b"," + digs)[:, None]).ravel()
+    return out
+
+
+def _element_text(levels: List[Group]) -> str:
+    """The [elements] body of the top level, one line per element, each ending
+    in a newline, joined from byte-string arrays with no Python step per
+    element.  The abelian element with low part l over the leading factors
+    and high part h over the rest reads low[l] + high[h]; an extension
+    element (a, b) reads "a;" + the base line of b."""
     orders = levels[0].orders
-    strs = [str(d) for d in range(orders[-1])]
-    for n in reversed(orders[:-1]):
-        heads = [f"{d}," for d in range(n)]
-        strs = [h + rest for rest in strs for h in heads]
-    # extension level: "a;" + the base line of b, joined as object arrays
+    k, m = 1, orders[0]
+    while k < len(orders) and m * orders[k] <= _LOW_ORDER:
+        m *= orders[k]
+        k += 1
+    # the newline rides in the smaller table, not in a pass over every line
+    lines = _digit_lines(orders[:k])
+    if k < len(orders):
+        high = b"," + _digit_lines(orders[k:]) + b"\n"
+        lines = (lines[None, :] + high[:, None]).ravel()
+    else:
+        lines = lines + b"\n"
     for lev in levels[1:]:
-        prefix = np.array([f"{a};" for a in range(lev.aut_perms.shape[0])], dtype=object)
-        strs = (prefix[lev.aut_part] + np.array(strs, dtype=object)[lev.base_part]).tolist()
-    return strs
+        na = lev.aut_perms.shape[0]
+        prefix = np.arange(na).astype(f"S{len(str(na - 1))}") + b";"
+        lines = prefix[lev.aut_part] + lines[lev.base_part]
+    raw = lines.tobytes()
+    del lines  # freed before the NUL strip copies the bytes
+    return raw.replace(b"\0", b"").decode("ascii")
 
 
-def group_lines(group: Group) -> List[str]:
-    levels = _group_levels(group)
+def _group_head_lines(levels: List[Group]) -> List[str]:
+    """The group's sections up to and including the [elements] header."""
     lines = ["[group]", f"levels = {len(levels)}"]
     for li, lev in enumerate(levels):
         lines.append(f"[level {li}]")
@@ -99,7 +125,6 @@ def group_lines(group: Group) -> List[str]:
             for gi, (a, b) in enumerate(lev.gen_pairs):
                 lines.append(f"gen{gi} = {a}|{b}")
     lines.append("[elements]")
-    lines.extend(_element_strings(levels))
     return lines
 
 
@@ -132,7 +157,9 @@ def _design_head_lines(design: DesignSet,
 
 
 def group_text(group: Group) -> str:
-    return f"# {FORMAT_TAG}\n" + "\n".join(group_lines(group)) + "\n"
+    levels = _group_levels(group)
+    return ("\n".join([f"# {FORMAT_TAG}", *_group_head_lines(levels)]) + "\n"
+            + _element_text(levels))
 
 
 def design_text(design: DesignSet, instance: Optional[TransferInstance] = None,
@@ -275,11 +302,12 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]]) -> Group:
     if len(elems) != group.size:
         raise ParseError(f"[elements] lists {len(elems)} elements, "
                          f"group has {group.size}")
-    want = _element_strings(_group_levels(group))
-    if elems != want:
-        idx = next(i for i, (x, y) in enumerate(zip(elems, want)) if x != y)
+    want = _element_text(_group_levels(group))
+    if "\n".join(elems) + "\n" != want:
+        want_lines = want.split("\n")
+        idx = next(i for i, (x, y) in enumerate(zip(elems, want_lines)) if x != y)
         raise ParseError(f"element {idx} reads {elems[idx]!r} but the rebuilt group "
-                         f"enumerates {want[idx]!r}; the file is corrupted")
+                         f"enumerates {want_lines[idx]!r}; the file is corrupted")
     return group
 
 

@@ -1,5 +1,7 @@
 """Text round trips, parse-time re-certification, and graph exports."""
 
+import re
+
 import pytest
 
 import oracle
@@ -9,6 +11,8 @@ from diffsets import (
     ForbiddenNotSubgroup,
     ParseError,
     abelian_make,
+    aut_from_images,
+    extension_closure,
     make_instance,
     mcfarland_base,
     pcp_pds,
@@ -17,6 +21,8 @@ from diffsets import (
     transfer_rds,
 )
 from diffsets.serialize import (
+    _element_text,
+    _group_levels,
     _split_sections,
     cayley_export,
     design_text,
@@ -90,6 +96,43 @@ def test_element_lines_spelled_out(corpus):
         assert got == [_element_line(g, z) for z in range(g.size)]
 
 
+def _assert_spelled_out(group):
+    got = _element_text(_group_levels(group))
+    want = "".join(_element_line(group, z) + "\n" for z in range(group.size))
+    same = got == want  # not asserted directly: pytest's diff of 10^5 lines takes minutes
+    assert same, next(((z, x, y) for z, (x, y) in enumerate(zip(got.split("\n"),
+                                                                 want.split("\n")))
+                       if x != y), "the line counts differ")
+
+
+@pytest.mark.parametrize("orders", [
+    (2048,),  # one factor above the low-table bound
+    (3,) * 6 + (364,),  # a lone factor above BLOCK_ORDER, ragged widths
+    (7, 7, 7, 58),
+    (2,) * 12,
+], ids=["C2048", "C3^6xC364", "C7^3xC58", "C2^12"])
+def test_element_text_abelian_spelled_out(orders):
+    """The byte-string [elements] text of an abelian group, NUL padding
+    stripped and low digits before high ones, reads as each element spelled
+    out on its own."""
+    g = abelian_make(orders)
+    _assert_spelled_out(g)
+
+
+def test_element_text_extensions_spelled_out(corpus):
+    """Extension levels: C23 under x -> 5x has 22 automorphisms, so its "a;"
+    prefixes are one and two digits wide; the nested corpus closure stacks
+    two extension levels."""
+    c23 = abelian_make((23,))
+    holo = extension_closure(c23, [aut_from_images(c23, [5])], [((0,), 0), ((), 1)],
+                             cap=23 * 22)
+    assert holo.aut_perms.shape[0] == 22 and holo.size == 23 * 22
+    nested = corpus["mcfarland_even_d2_v3"][1].new_group
+    assert len(_group_levels(nested)) == 3
+    for g in (holo, nested):
+        _assert_spelled_out(g)
+
+
 def test_transfer_instance_round_trip(corpus):
     inst, rep = corpus["spence_d1"]
     txt = design_text(inst.design, inst)
@@ -114,9 +157,26 @@ def test_corrupted_enumeration_rejected():
     txt = design_text(mcfarland_base(2, 1))
     lines = txt.splitlines()
     i = lines.index("[elements]")
-    lines[i + 1], lines[i + 2] = lines[i + 2], lines[i + 1]
-    with pytest.raises(ParseError, match="corrupted"):
+    lines[i + 6], lines[i + 7] = lines[i + 7], lines[i + 6]
+    with pytest.raises(ParseError, match=re.escape(
+            "element 5 reads '0,1,1' but the rebuilt group enumerates '1,0,1'; "
+            "the file is corrupted")):
         parse_design("\n".join(lines) + "\n")
+
+
+def test_element_lines_read_as_split_sections_leaves_them(corpus):
+    """CRLF line ends, indented element lines, and a blank line and a "#"
+    comment inside [elements] still load: the parse compares the element
+    lines stripped and filtered as every other section's."""
+    _, rep = corpus["spence_d1"]
+    txt = design_text(rep.new_design)
+    lines = txt.splitlines()
+    i = lines.index("[elements]")
+    lines[i + 1:] = ["  " + ln if z % 2 else "\t" + ln + " " for z, ln in enumerate(lines[i + 1:])]
+    lines[i + 4:i + 4] = ["", "  # a comment", " \t"]
+    d2, _ = parse_design("\r\n".join(lines) + "\r\n")
+    assert d2.members == rep.new_design.members
+    assert design_text(d2) == txt
 
 
 def test_truncated_enumeration_rejected():
