@@ -51,6 +51,7 @@ from .groups import (
     check_power_order,
     element_orders,
     extension_closure,
+    greedy_span,
     subgroup_closure,
 )
 from .numtheory import factorint, isprime
@@ -173,19 +174,6 @@ def dihedral_converse(design: DesignSet, x_sub: Subgroup) -> TransferInstance:
                          log=[f"inversion paired with coset representative {group.element_name(y)}"])
 
 
-def _direct_basis(group: AbelianGroup, member_codes: Sequence[int]) -> List[int]:
-    """Greedy generating sequence for the subgroup with the given members,
-    required to decompose it as a direct product (checked by the caller)."""
-    gens: List[int] = []
-    span = {group.identity}
-    for h in member_codes:
-        if h in span:
-            continue
-        gens.append(int(h))
-        span = set(subgroup_closure(group, tuple(gens)).members)
-    return gens
-
-
 def dillon_forward(dihedral_design: DesignSet, target: AbelianGroup) -> DesignSet:
     """Dillon's substitution: split the dihedral design as D1 u D2*g, embed
     the translation slice H into the abelian target (index 2), and replace g
@@ -212,7 +200,7 @@ def dillon_forward(dihedral_design: DesignSet, target: AbelianGroup) -> DesignSe
     c_ref = int(twisted.min())
     d2 = sorted(int(base.mul(c_ref, base.inv(int(mcode)))) for mcode in twisted)
 
-    gens = _direct_basis(base, h_codes)
+    gens = list(greedy_span(base, h_codes).gens)
     orders = element_orders(base)[gens].tolist()
     tuples = list(_iproduct(*[range(o) for o in orders]))
     sources: List[int] = []

@@ -37,7 +37,9 @@ from .groups import (
     aut_from_images,
     close_automorphisms,
     extension_closure,
-    subgroup_closure,
+    factor_runs,
+    greedy_span,
+    group_levels,
 )
 from .transfer import TransferInstance, make_instance
 from .verify import DesignSet
@@ -49,19 +51,6 @@ _MARKED = re.compile(r"\n[\[#]")  # a line starting "[" or "#"
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
-
-def _group_levels(group: Group) -> List[Group]:
-    levels: List[Group] = []
-    g = group
-    while isinstance(g, ExtensionGroup):
-        levels.append(g)
-        g = g.base
-    if not isinstance(g, AbelianGroup):
-        raise ParameterError(f"cannot serialize a {type(g).__name__} base")
-    levels.append(g)
-    levels.reverse()
-    return levels
-
 
 # largest table of leading digits an abelian level's lines are joined from
 _LOW_ORDER = 1024
@@ -84,10 +73,7 @@ def _element_text(levels: List[Group]) -> str:
     and high part h over the rest reads low[l] + high[h]; an extension
     element (a, b) reads "a;" + the base line of b."""
     orders = levels[0].orders
-    k, m = 1, orders[0]
-    while k < len(orders) and m * orders[k] <= _LOW_ORDER:
-        m *= orders[k]
-        k += 1
+    k = next(factor_runs(orders, _LOW_ORDER))[1]
     # the newline rides in the smaller table, not in a pass over every line
     lines = _digit_lines(orders[:k])
     if k < len(orders):
@@ -157,7 +143,7 @@ def _design_head_lines(design: DesignSet,
 
 
 def group_text(group: Group) -> str:
-    levels = _group_levels(group)
+    levels = group_levels(group)
     return ("\n".join([f"# {FORMAT_TAG}", *_group_head_lines(levels)]) + "\n"
             + _element_text(levels))
 
@@ -302,7 +288,7 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]]) -> Group:
     if len(elems) != group.size:
         raise ParseError(f"[elements] lists {len(elems)} elements, "
                          f"group has {group.size}")
-    want = _element_text(_group_levels(group))
+    want = _element_text(group_levels(group))
     if "\n".join(elems) + "\n" != want:
         want_lines = want.split("\n")
         idx = next(i for i, (x, y) in enumerate(zip(elems, want_lines)) if x != y)
@@ -341,7 +327,7 @@ def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
         for m in f_members:
             if not 0 <= m < group.size:
                 raise ParseError(f"forbidden element {m} is out of range")
-        forbidden = subgroup_closure(group, tuple(f_members))
+        forbidden = greedy_span(group, f_members)
         if sorted(forbidden.members) != sorted(set(f_members)):
             raise ForbiddenNotSubgroup(
                 f"the stored forbidden set of size {len(set(f_members))} closes to a "

@@ -36,8 +36,8 @@ from .groups import (
     Subgroup,
     coset_action_transitive,
     extension_closure,
+    greedy_span,
     normality_witness,
-    subgroup_closure,
 )
 from .verify import DesignSet, VerifyResult, verify_design
 
@@ -193,7 +193,7 @@ def transfer_design(inst: TransferInstance) -> TransferReport:
             raise ForbiddenNotSubgroup(
                 f"lifted forbidden set has {len(u_lift)} elements, "
                 f"expected {design.forbidden.order}")
-        forbidden = subgroup_closure(closure, u_lift)
+        forbidden = greedy_span(closure, u_lift)
         if forbidden.order != len(u_lift):
             raise ForbiddenNotSubgroup(
                 f"lifted forbidden set generates a subgroup of order {forbidden.order}, "

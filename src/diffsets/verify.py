@@ -8,25 +8,20 @@ never trusts a construction - it always recounts.
 
 The count is a character sum (Pott, Finite Geometry and Character Theory,
 LNM 1601; Ma, "A survey of partial difference sets", DCC 4, 1994): over an
-abelian group it is the autocorrelation of the member indicator under the
-block character transform of AbelianGroup, rounded under an exactness
-guard (see _character_counts).  Over an extension of an abelian base the
-slices S_a = {b : (a, b) in D} are moved by the automorphism parts before
-they are transformed, and rows are merged wherever the data allow (see
-_slice_counts): targets with disjoint fibres share one inverse row,
-columns with equal left factors share one product, and equal rows one
-forward transform.  A design fixed by its automorphism parts over a regular
-closure, as every transfer output is, takes one forward row and one inverse
-row.  The SRG cross-check counts products with the same kernel - its own
-slice map on the left factor, its own targets a1 a2 - when k^2 is large
-against the slices, and directly below that.  Anything else, and any count
-the guard rejects, is counted directly from the k^2 quotients or products.
+abelian group the autocorrelation of the member indicator under the block
+character transform of AbelianGroup, rounded under an exactness guard (see
+_character_counts).  Any other group is a tower of extensions over an
+abelian bottom group, and the members' bottoms are moved by their
+automorphism parts before they are transformed, in merged rows (see
+_slice_counts): a transfer output takes one forward row and one inverse row.
+The SRG cross-check counts products with the same kernel.  Only a count the
+guard rejects is counted directly, from the k^2 quotients or products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +34,8 @@ from .errors import (
     ParameterError,
     ParameterMismatch,
 )
-from .groups import AbelianGroup, ExtensionGroup, Group, Subgroup, sorted_unique
+from .groups import (AbelianGroup, Group, Subgroup, greedy_span, group_levels, sorted_unique,
+                     tower_has, tower_walk)
 
 KINDS = ("DS", "PDS", "RDS")
 # Working set of the blocked loops: a direct count takes max(_BLOCK_ENTRIES, v)
@@ -49,14 +45,6 @@ KINDS = ("DS", "PDS", "RDS")
 # threshold; at 2^21 the lifted denniston-even m=4 r=1 SRG row took 7.5 ms in
 # a fresh process against 3.3 ms.
 _BLOCK_ENTRIES = 1 << 14
-# cayley_srg_check convolves when k^2 > _CONV_FACTOR * S * n_b (see there).
-# Measured on 2 vCPUs, best of 5, convolution against direct count, the
-# merged-row kernel wins at every calibration ratio k^2 / (S n_b):
-# denniston-gr4 t=3 k=3 lifted, 10.7: 0.45 against 0.75 ms; mcfarland-odd
-# q=3 s=2 and spence d=1 lifted, 12.1 and 15.1: 0.16 against 0.27 and 0.29 ms;
-# denniston-even m=4 r=1 base, 17.8: 0.49 against 0.55 ms; denniston-odd
-# p=3 t=1 lifted, 37: 4.8 against 59 ms.  The rule keeps its earlier value.
-_CONV_FACTOR = 16
 
 
 @dataclass
@@ -109,11 +97,15 @@ def difference_profile(design: DesignSet) -> np.ndarray:
     the counts sum to k^2 - k."""
     group = design.group
     members = np.array(design.members, dtype=np.int64)
-    counts = _character_counts(group, members)
-    if counts is None:
-        counts = _direct_counts(group, members)
+    counts = _exact_counts(group, members)
     counts[group.identity] -= len(members)
     return counts
+
+
+def _exact_counts(group: Group, members: np.ndarray, product: bool = False) -> np.ndarray:
+    """The character counts, or the direct ones where the guard rejects them."""
+    counts = _character_counts(group, members, product)
+    return _direct_counts(group, members, product) if counts is None else counts
 
 
 def _direct_counts(group: Group, members: np.ndarray, product: bool = False) -> np.ndarray:
@@ -133,24 +125,24 @@ def _direct_counts(group: Group, members: np.ndarray, product: bool = False) -> 
 def _character_counts(group: Group, members: np.ndarray,
                       product: bool = False) -> Optional[np.ndarray]:
     """The counts of _direct_counts as character sums, or None when the
-    group has no abelian base or the exactness guard fails.
+    exactness guard fails.
 
     Over an abelian group they are the inverse transform of F(S) conj(F(S))
     (quotients) or F(S)^2 (products), F the block character transform of the
-    member indicator S.  Exactness: every transformed row is a multiset of
-    total mass at most k (the indicator here, a merged row in _slice_counts,
-    whose left rows are sets and whose right rows of one rank hold each
-    member once), so |F| <= k.  A dense block matmul of length m loses O(m)
-    units of 2^-53 relative to the norms it sums, an FFT O(log m), and by
-    Parseval and Cauchy-Schwarz the products of one inverse row have norms
-    totalling sum ||L||_2 ||R||_2 <= k^1.5, so each count is off by at most
-    c * k^1.5 * sum(m_b) * 2^-53 over the blocks b.  With k <= v <= 2^20 (the
-    group ceiling) there are at most five blocks, each a matmul of order
-    <= BLOCK_ORDER or one FFT, so sum(m_b) <= 2^11 and the error stays below
-    3e-4 * c, far below 1/2 for the small constant c of a dense or radix sum.
-    Rounding therefore recovers the integer count; the guard re-checks that
-    on the data: every residual under 0.25, no negative count, and the counts
-    summing to k^2.
+    member indicator S; over any other group see _slice_counts.  Exactness:
+    every transformed row is a multiset of total mass at most k (the
+    indicator here, a merged row in _slice_counts, whose left rows are sets
+    and whose right rows of one rank hold each member once), so |F| <= k.  A
+    dense block matmul of length m loses O(m) units of 2^-53 relative to the
+    norms it sums, an FFT O(log m), and by Parseval and Cauchy-Schwarz the
+    products of one inverse row have norms totalling sum ||L||_2 ||R||_2 <=
+    k^1.5, so each count is off by at most c * k^1.5 * sum(m_b) * 2^-53 over
+    the blocks b.  With k <= v <= 2^20 (the group ceiling) the blocks, each
+    a matmul of order <= BLOCK_ORDER or one FFT, have orders multiplying to at
+    most v, so sum(m_b) <= 2^11 and the error stays below 3e-4 * c, far below
+    1/2 for the small constant c of a dense or radix sum.  Rounding therefore
+    recovers the integer count; the guard re-checks that on the data: every
+    residual under 0.25, no negative count, and the counts summing to k^2.
     """
     if isinstance(group, AbelianGroup):
         ind = np.zeros(group.size)
@@ -159,10 +151,8 @@ def _character_counts(group: Group, members: np.ndarray,
         raw = group.character_transform(spec * (spec if product else spec.conj()),
                                         inverse=True)
         counts = _rounded(raw.real)
-    elif isinstance(group, ExtensionGroup) and isinstance(group.base, AbelianGroup):
-        counts = _slice_counts(group, members, product)
     else:
-        return None
+        counts = _slice_counts(group, members, product)
     if counts is None or int(counts.sum()) != len(members) ** 2:
         return None
     return counts
@@ -177,47 +167,60 @@ def _rounded(raw: np.ndarray) -> Optional[np.ndarray]:
     return counts.astype(np.int64)
 
 
-def _slice_counts(group: ExtensionGroup, members: np.ndarray,
+def _slice_counts(group: Group, members: np.ndarray,
                   product: bool = False) -> Optional[np.ndarray]:
-    """Counts for an extension over an abelian base from merged rows of the
-    slices S_a = {b : (a, b) in D}; None if a row fails to round.
+    """Counts over a tower of extensions of an abelian bottom group B from
+    merged rows of the slices {beta(x) : x in D, tau(x) = t}; None if a row
+    fails to round.
 
-    Quotients: (a1, b1)(a2, b2)^-1 = (a1 a2^-1, phi(b1 - b2)) with phi the
-    automorphism a2^-1, so the count at (c, w) sums corr(phi S_a1, phi S_a2)[w]
-    over the columns a2, a1 = c a2.  Products: (a1, b1)(a2, b2) =
-    (a1 a2, phi(b1) + b2) with phi = a2 sums conv(phi S_a1, S_a2)[w], a1 = c a2^-1.
+    Each element x has a top tau(x), its automorphism parts, and a bottom
+    beta(x) in B.  Level by level (see groups.tower_walk), beta(x y) =
+    Lambda_c(x) + beta(y), and tau(x y) depends on y only through c = tau(y).
+    So products x y sum conv(Lambda_c S, S_c) over the columns c, S_c the
+    bottoms of the members y with tau(y) = c, and quotients x y^-1, with
+    c = tau(y^-1) and beta(y^-1) = -Lambda_c(y), sum corr(Lambda_c S,
+    Lambda_c S_c).
 
-    Target c's counts lie on its fibre {w : (c, w) in G}, a kernel coset;
-    two fibres agree iff the parts share a coset H c of the stabiliser
-    H = {h : (h, 1) in G}.  c's rank is the position in H of the h with h c
-    least in H c, so targets of one rank have disjoint fibres and share an
-    inverse row.  Per rank, a column's left factors merge into the set
-    L = phi(union of its S_a1), and columns with equal L add their right
-    factors, as F(L) conj F(R1) + F(L) conj F(R2) = F(L) conj F(R1 + R2).
+    Target t's counts lie on its fibre {beta(z) : tau(z) = t}, a coset of the
+    top-0 fibre (z' = z k with tau(k) = 0 when tau(z) = tau(z')).  A target's
+    rank is its position among the targets on its coset, so targets of one
+    rank share an inverse row.  Per rank, a column's left factors merge into
+    one set L, and columns with equal L add their right factors, as
+    F(L) conj F(R1) + F(L) conj F(R2) = F(L) conj F(R1 + R2).
     """
-    base, nb = group.base, group.base.size
-    parts, b = group.aut_part[members], group.base_part[members]
-    slices = sorted_unique(parts)
-    s, col = slices.size, np.searchsorted(slices, parts)
-    act = slices if product else group.aut_inv[slices]
-    stab = np.flatnonzero(group.pair_index[::nb] >= 0)
-    rank = group.aut_mul[stab].argmin(axis=0)
-    # member j against column c: the rank of its target and phi_c(b_j)
-    tr = rank[group.aut_mul[parts[:, None], act]]
-    moved = group.aut_perms[act, b[:, None]]
-    right = b if product else moved[np.arange(b.size), col]
-    out = np.zeros((stab.size, nb), dtype=np.int64)
+    levels = group_levels(group)
+    base, nb = levels[0], levels[0].size
+    # the right factors w: the members, or for quotients their inverses
+    cols, wb = tower_walk(levels, members if product else group.inv_many(members))
+    slices = sorted_unique(cols)
+    s, col = slices.size, np.searchsorted(slices, cols)
+    # member j against column c: its target tau(x_j w) and Lambda_c(x_j)
+    targets, moved = tower_walk(levels, members[:, None], slices)
+    right = wb if product else moved[np.arange(members.size), col]
+    # each target's bottom at one of its products x_j w, w in column c
+    ncode = prod(g.aut_mul.shape[0] for g in levels[1:])
+    at = np.full(ncode, -1)
+    at[targets] = np.arange(targets.size).reshape(targets.shape)
+    codes = np.flatnonzero(at >= 0)
+    w = np.empty(s, dtype=np.int64)
+    w[col] = wb
+    rep = base.mul_many(moved.ravel()[at[codes]], w[at[codes] % s])
+    pos = np.tril(tower_has(levels, codes, rep[:, None]), -1).sum(axis=1)
+    rank = np.full(ncode, pos.max(initial=0) + 1)  # other tops read a zero row
+    rank[codes] = pos
+    tr, nr = rank[targets], int(rank.max()) + 1
+    out = np.zeros((nr, nb), dtype=np.int64)
     per = max(1, _BLOCK_ENTRIES // nb)  # ranks per inverse transform
     for lo in (sorted_unique(tr // per) * per).tolist():
-        inb, nr = (tr >= lo) & (tr < lo + per), min(per, stab.size - lo)
-        left = np.zeros((nr * s, nb), dtype=bool)  # row (rank - lo) * s + column
+        inb, n = (tr >= lo) & (tr < lo + per), min(per, nr - lo)
+        left = np.zeros((n * s, nb), dtype=bool)  # row (rank - lo) * s + column
         left[((tr - lo) * s + np.arange(s))[inb], moved[inb]] = True
         keys = np.flatnonzero(left.any(axis=1)).tolist()
         # equal L rows share an id; one merged row per (rank, L id) gathers
         # the right factors of its columns
         lefts: Dict[bytes, Tuple[int, int]] = {}
         merged: Dict[Tuple[int, int], int] = {}
-        where = np.full((nr, s), -1)
+        where = np.full((n, s), -1)
         for key, packed in zip(keys, np.packbits(left[keys], axis=1)):
             lid = lefts.setdefault(packed.tobytes(), (len(lefts), key))[0]
             where[key // s, key % s] = merged.setdefault((key // s, lid), len(merged))
@@ -236,8 +239,9 @@ def _slice_counts(group: ExtensionGroup, members: np.ndarray,
         if cnt is None:
             return None
         out[lo + present] = cnt
-    # mass on a pair outside the closure would show as a short sum
-    return out[rank[group.aut_part], group.base_part]
+    # mass on a pair outside the group would show as a short sum
+    tops, bots = tower_walk(levels, slice(None))
+    return out[rank[tops], bots]
 
 
 @dataclass(frozen=True)
@@ -314,8 +318,7 @@ def _check_subgroup(group: Group, sub: Subgroup) -> None:
         raise ForbiddenNotSubgroup("forbidden set does not contain the identity")
     if not sub.mask[group.inv_many(members)].all():
         raise ForbiddenNotSubgroup("forbidden set is not closed under inversion")
-    prods = group.quotient_outer(members, members)
-    if not sub.mask[prods].all():
+    if not np.array_equal(greedy_span(group, members).mask, sub.mask):
         raise ForbiddenNotSubgroup("forbidden set is not closed under the group operation")
 
 
@@ -383,10 +386,8 @@ def cayley_srg_check(design: DesignSet) -> SrgResult:
     row is counted from products, not quotients, with the slice map on the
     left factor, so this stays a code path independent of verify_pds.
 
-    The row is a convolution of slice spectra (see _slice_counts) when
-    k^2 > _CONV_FACTOR * S * n_b, S the occupied slices and n_b the base
-    order (S = 1 and n_b = v over an abelian group), and otherwise, over a
-    nested base or when the guard fails, a direct count of the k^2 products.
+    The row is a convolution of slice spectra (see _slice_counts), counted
+    directly only where the guard rejects it.
     """
     group = design.group
     n = group.size
@@ -395,16 +396,7 @@ def cayley_srg_check(design: DesignSet) -> SrgResult:
         raise NotClosedUnderInverse("graph check needs an identity-free connection set")
     if not design.is_inverse_closed():
         raise NotClosedUnderInverse("graph check needs an inverse-closed connection set")
-    members = np.array(design.members, dtype=np.int64)
-    k = len(members)
-
-    common, spread = None, n
-    if isinstance(group, ExtensionGroup):
-        spread = sorted_unique(group.aut_part[members]).size * group.base.size
-    if k * k > _CONV_FACTOR * spread:
-        common = _character_counts(group, members, product=True)
-    if common is None:
-        common = _direct_counts(group, members, product=True)
+    common = _exact_counts(group, np.array(design.members, dtype=np.int64), product=True)
     outside = ~mask
     outside[group.identity] = False
     lam_vals = sorted_unique(common[mask])
@@ -415,4 +407,4 @@ def cayley_srg_check(design: DesignSet) -> SrgResult:
         raise NotSRG(f"non-adjacent common-neighbor counts vary: {mu_vals[:4].tolist()}")
     lam = int(lam_vals[0]) if lam_vals.size else 0
     mu = int(mu_vals[0]) if mu_vals.size else 0
-    return SrgResult(n, k, lam, mu, k == n - 1)
+    return SrgResult(n, design.size, lam, mu, design.size == n - 1)

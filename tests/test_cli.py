@@ -6,11 +6,12 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from diffsets import serialize
+from diffsets import DesignSet, abelian_make, serialize, subgroup_closure
 from diffsets.cli import build_parser, main
 
 
@@ -52,6 +53,25 @@ def test_verify_round_trip(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", "--design", out + ".design.txt")
     assert code == 0
     assert "PDS(16,6,2,2) OK" in stdout
+
+
+def test_verify_rds_with_a_large_forbidden_subgroup(tmp_path, capsys):
+    """The trivial RDS (2, 2^15, 1, 0) in C2^16 verifies in bounded memory:
+    the parse and the subgroup check close the forbidden set from at most 15
+    greedy generators, never from its u^2 member products (8 GiB of int64)."""
+    g = abelian_make((2,) * 16)
+    forbidden = subgroup_closure(g, g.generators[:15])
+    path = tmp_path / "rds.design.txt"
+    path.write_text(serialize.design_text(
+        DesignSet(g, (0,), "RDS", (2, 2 ** 15, 1, 0), forbidden=forbidden)))
+    tracemalloc.start()
+    try:
+        code, stdout, _ = run(capsys, "verify", "--design", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "RDS(2,32768,1,0) OK" in stdout
+    assert peak < 64 << 20
 
 
 def test_verify_corrupted_members_exits_3(tmp_path, capsys):

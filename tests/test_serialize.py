@@ -20,9 +20,9 @@ from diffsets import (
     transfer_pds,
     transfer_rds,
 )
+from diffsets.groups import group_levels
 from diffsets.serialize import (
     _element_text,
-    _group_levels,
     _split_sections,
     cayley_export,
     design_text,
@@ -97,7 +97,7 @@ def test_element_lines_spelled_out(corpus):
 
 
 def _assert_spelled_out(group):
-    got = _element_text(_group_levels(group))
+    got = _element_text(group_levels(group))
     want = "".join(_element_line(group, z) + "\n" for z in range(group.size))
     same = got == want  # not asserted directly: pytest's diff of 10^5 lines takes minutes
     assert same, next(((z, x, y) for z, (x, y) in enumerate(zip(got.split("\n"),
@@ -128,7 +128,7 @@ def test_element_text_extensions_spelled_out(corpus):
                              cap=23 * 22)
     assert holo.aut_perms.shape[0] == 22 and holo.size == 23 * 22
     nested = corpus["mcfarland_even_d2_v3"][1].new_group
-    assert len(_group_levels(nested)) == 3
+    assert len(group_levels(nested)) == 3
     for g in (holo, nested):
         _assert_spelled_out(g)
 

@@ -1,5 +1,7 @@
 """Design verification: DS/PDS/RDS counting, SRG cross-route, multipliers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,20 +11,26 @@ from diffsets import (
     AbelianGroup,
     DesignSet,
     ExtensionGroup,
+    ForbiddenNotSubgroup,
+    NotBijective,
     NotCoprime,
+    NotHomomorphism,
     NotClosedUnderInverse,
     NotSRG,
     ParameterError,
     ParameterMismatch,
+    Subgroup,
     abelian_make,
     aut_from_images,
     cayley_srg_check,
+    denniston_even,
     difference_profile,
     extension_closure,
     multiplier_check,
     pcp_pds,
     rds_base,
     subgroup_closure,
+    transfer_pds,
     verify_design,
     verify_ds,
     verify_pds,
@@ -127,26 +135,23 @@ def _check_character_route(corpus, product, seed):
     nested = 0
     for name, g, members in _corpus_member_sets(corpus, seed):
         fast = verify._character_counts(g, members, product)
-        if isinstance(g, ExtensionGroup) and not isinstance(g.base, AbelianGroup):
-            assert fast is None
-            nested += 1
-            continue
         assert fast is not None, name
         assert np.array_equal(fast, verify._direct_counts(g, members, product)), name
+        nested += isinstance(g, ExtensionGroup) and isinstance(g.base, ExtensionGroup)
     assert nested
 
 
 def test_character_counts_match_direct(corpus):
-    """Verify's character route (per-target slice sums over an extension)
-    equals the direct quotient count array for array on every corpus design,
-    base and lifted, and on a random subset of every lifted group; only a
-    nested extension base goes direct."""
+    """Verify's character route (per-target slice sums over a tower of
+    extensions) equals the direct quotient count array for array on every
+    corpus design, base and lifted, nested lifts included, and on a random
+    subset of every lifted group."""
     _check_character_route(corpus, False, 7)
 
 
 def test_srg_convolution_matches_direct(corpus):
     """The same for the SRG check's product counts: convolutions with the
-    slice map on the left factor, summed per target a1 a2."""
+    slice map on the left factor, summed per target tau(a b)."""
     _check_character_route(corpus, True, 8)
 
 
@@ -156,6 +161,39 @@ def _agl_2_3():
     auts = [aut_from_images(c, images) for images in ([1, 4], [3, 2], [2, 3])]
     return extension_closure(c, auts, [((), 1), ((), 3), ((0,), 0), ((1,), 0), ((2,), 0)],
                              cap=9 * 48)
+
+
+def _d8_tower():
+    """D8 = C2^2 x| <swap>, extended by the first automorphism (in generator
+    image order) that moves its kernel 1 x C2^2: a nested tower whose top
+    is not a homomorphism, order 16."""
+    c = abelian_make((2, 2))
+    d8 = extension_closure(c, [aut_from_images(c, [2, 1])], [((), 1), ((), 2), ((0,), 0)])
+    kernel = set(np.flatnonzero(d8.aut_part == 0).tolist())
+    for images in itertools.product(range(d8.size), repeat=len(d8.generators)):
+        try:
+            psi = aut_from_images(d8, images)
+        except (NotBijective, NotHomomorphism):
+            continue
+        if not set(psi.perm[list(kernel)].tolist()) <= kernel:
+            return extension_closure(d8, [psi], [((), x) for x in d8.generators] + [((0,), 0)])
+
+
+def test_character_counts_over_d8_tower():
+    """Quotient and product counts on random subsets of the D8 tower equal
+    the direct count and the oracle's pair-by-pair count (products as
+    quotients with the identity for the inverse)."""
+    g = _d8_tower()
+    assert g.size == 16 and isinstance(g.base, ExtensionGroup)
+    rng = np.random.default_rng(11)
+    for size in (1, 3, 6, 9, 16):
+        members = np.sort(rng.choice(g.size, size=size, replace=False))
+        for product, inv in ((False, g.inv), (True, lambda a: a)):
+            fast = verify._character_counts(g, members, product)
+            assert fast is not None
+            assert np.array_equal(fast, verify._direct_counts(g, members, product))
+            want = oracle.difference_counts(g.mul, inv, members.tolist())
+            assert fast.tolist() == [want.get(z, 0) for z in range(g.size)]
 
 
 def _spy_transform(monkeypatch):
@@ -219,20 +257,21 @@ def test_lifted_recounts_take_one_forward_row_and_one_inverse(corpus, monkeypatc
     regular closure: one target rank, and one left row equal to its merged
     right row, so the quotient and product recounts each hand the transform
     1 forward row and 1 inverse row, however many slices the design
-    occupies."""
+    occupies.  The nested lift of mcfarland-even variant 3 lies over a base
+    that is not regular: its 4 tops form 2 classes of 2, so it takes 2 ranks,
+    and 4 forward rows."""
     calls = _spy_transform(monkeypatch)
     slices = []
     for name, (_, rep) in corpus.items():
         g = rep.new_group
-        if not isinstance(g.base, AbelianGroup):
-            continue  # mcfarland-even variant 3 has a nested base
         members = np.array(rep.new_design.members, dtype=np.int64)
         slices.append(np.unique(g.aut_part[members]).size)
+        rows = (4, 2) if isinstance(g.base, ExtensionGroup) else (1, 1)
         for product in (False, True):
             calls.clear()
             assert verify._character_counts(g, members, product) is not None, name
-            assert calls == [(False, 1), (True, 1)], (name, product)
-    assert len(slices) == len(corpus) - 1 and max(slices) == 7
+            assert calls == [(False, rows[0]), (True, rows[1])], (name, product)
+    assert max(slices) == 7
 
 
 def _spoil_inverse_transform(monkeypatch):
@@ -257,10 +296,15 @@ def _spy_direct(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("which", ["base", "lifted"])
+def _guard_design(corpus, name, which):
+    inst, rep = corpus[name]
+    return inst.design if which == "base" else rep.new_design
+
+
+@pytest.mark.parametrize("which", ["base", "lifted", "nested"])
 def test_fft_guard_falls_back_to_direct(corpus, monkeypatch, which):
-    inst, rep = corpus["dillon"]
-    design = inst.design if which == "base" else rep.new_design
+    design = _guard_design(corpus, "mcfarland_even_d2_v3" if which == "nested" else "dillon",
+                           which)
     expected = difference_profile(design)
     _spoil_inverse_transform(monkeypatch)
     direct_calls = _spy_direct(monkeypatch)
@@ -270,26 +314,34 @@ def test_fft_guard_falls_back_to_direct(corpus, monkeypatch, which):
     assert direct_calls == [(design.group, False)]
 
 
-@pytest.mark.parametrize("which", ["base", "lifted"])
+@pytest.mark.parametrize("which", ["base", "lifted", "nested"])
 def test_srg_guard_falls_back_to_direct(corpus, monkeypatch, which):
-    inst, rep = corpus["denniston_gr4_t3_k3"]
-    design = inst.design if which == "base" else rep.new_design
+    if which == "nested":
+        # the nested lift is not inverse-closed; the elements outside its
+        # top-0 subgroup are, and form a complete multipartite graph
+        g = corpus["mcfarland_even_d2_v3"][1].new_group
+        top0 = (g.aut_part == 0) & (g.base.aut_part[g.base_part] == 0)
+        design = DesignSet(g, np.flatnonzero(~top0), "PDS", (96, 72, 48, 72))
+    else:
+        design = _guard_design(corpus, "denniston_gr4_t3_k3", which)
     expected = cayley_srg_check(design)
-    monkeypatch.setattr(verify, "_CONV_FACTOR", 0)  # convolve at any size
     _spoil_inverse_transform(monkeypatch)
     direct_calls = _spy_direct(monkeypatch)
     assert cayley_srg_check(design) == expected
     assert direct_calls == [(design.group, True)]
 
 
-def test_srg_route_follows_size(corpus, monkeypatch):
-    """k^2 > 16 S n_b convolves; below it the products are counted directly."""
-    inst, rep = corpus["denniston_gr4_t3_k3"]
+def test_srg_rows_take_no_direct_count(corpus, monkeypatch):
+    """The lifted SRG rows that a size rule k^2 > 16 S n_b once sent to the
+    direct count go through the transform: denniston-gr4 t=3 k=3 at
+    k^2 / (S n_b) = 196^2 / (7 * 512), about 10.7, and denniston-even m=4 r=1
+    at 270^2 / (2 * 4096), about 8.9."""
     direct_calls = _spy_direct(monkeypatch)
-    cayley_srg_check(inst.design)      # k^2 / (S n_b) = 196^2 / 512, about 75
+    designs = [corpus["denniston_gr4_t3_k3"][1].new_design,
+               transfer_pds(denniston_even(4, 1)).new_design]
+    for design in designs:
+        assert cayley_srg_check(design).k == design.size
     assert direct_calls == []
-    cayley_srg_check(rep.new_design)   # 196^2 / (7 * 512), about 10.7
-    assert direct_calls == [(rep.new_design.group, True)]
 
 
 def test_multiplier_check():
@@ -321,6 +373,27 @@ def test_rds_quotient_in_forbidden_rejected():
                     forbidden=d.forbidden)
     with pytest.raises(ParameterMismatch):
         verify_rds(bad)
+
+
+@pytest.mark.parametrize("members, message", [
+    ((1, 2), "does not contain the identity"),
+    ((0, 1), "not closed under inversion"),          # -1 = 3 in C4
+    ((0, 2, 4), "not closed under the group operation"),  # (2,0) + (0,1) missing
+])
+def test_forbidden_set_that_is_no_subgroup_rejected(members, message):
+    g = abelian_make((4, 2))
+    design = DesignSet(g, (0,), "RDS", (8 // len(members), len(members), 1, 0),
+                       forbidden=Subgroup(g, members, members))
+    with pytest.raises(ForbiddenNotSubgroup, match=message):
+        verify_rds(design)
+
+
+def test_forbidden_subgroup_of_another_group_rejected():
+    g = abelian_make((4, 2))
+    design = DesignSet(g, (0,), "RDS", (4, 2, 1, 0),
+                       forbidden=subgroup_closure(abelian_make((4, 2)), (4,)))
+    with pytest.raises(ForbiddenNotSubgroup, match="different group"):
+        verify_rds(design)
 
 
 def test_verify_design_dispatch():
