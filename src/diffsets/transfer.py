@@ -67,20 +67,20 @@ def make_instance(design: DesignSet,
     design (or, for a relative design, its forbidden subgroup), and
     candidate words or base elements out of range (ParameterError)."""
     group = design.group
-    member_set = set(design.members)
+    # a permutation fixes a set iff it maps every member into it
+    members, mask = np.array(design.members, dtype=np.int64), design.member_mask()
     for i, aut in enumerate(aut_gens):
         if aut.group is not group:
             raise DesignNotFixed(f"automorphism {i} acts on a different group")
-        image = set(aut.perm[list(design.members)].tolist())
-        if image != member_set:
-            moved = sorted(image - member_set)[:3]
+        image = aut.perm[members]
+        if not mask[image].all():
+            moved = np.sort(image[~mask[image]])[:3].tolist()
             raise DesignNotFixed(
                 f"automorphism {i} does not fix the design; image gains "
                 + ", ".join(group.element_name(z) for z in moved))
-        if design.forbidden is not None:
-            umem = list(design.forbidden.members)
-            if set(aut.perm[umem].tolist()) != set(umem):
-                raise DesignNotFixed(f"automorphism {i} does not fix the forbidden subgroup")
+        forbidden = design.forbidden
+        if forbidden is not None and not forbidden.mask[aut.perm[list(forbidden.members)]].all():
+            raise DesignNotFixed(f"automorphism {i} does not fix the forbidden subgroup")
     for word, base in candidate_gens:
         for a in word:
             if not 0 <= a < len(aut_gens):
@@ -158,9 +158,9 @@ def check_conditions(inst: TransferInstance) -> TransferReport:
     return TransferReport(inst, closure, x_sub, cond_i, cond_ii, cond_iii, witnesses)
 
 
-def _lift_members(closure: ExtensionGroup, member_set: set) -> Tuple[int, ...]:
+def _lift_members(closure: ExtensionGroup, members: Sequence[int]) -> Tuple[int, ...]:
     mask = np.zeros(closure.base.size, dtype=bool)
-    mask[list(member_set)] = True
+    mask[np.asarray(members, dtype=np.int64)] = True
     return tuple(np.flatnonzero(mask[closure.base_part]).tolist())
 
 
@@ -181,14 +181,14 @@ def transfer_design(inst: TransferInstance) -> TransferReport:
     report = check_conditions(inst)
     closure = _require_pass(report)
     design = inst.design
-    lifted = _lift_members(closure, set(design.members))
+    lifted = _lift_members(closure, design.members)
     if len(lifted) != design.size:
         raise ParameterMismatch(
             f"lifted design has {len(lifted)} members, source has {design.size}")
     forbidden = None
     if design.kind == "RDS":
         assert design.forbidden is not None
-        u_lift = _lift_members(closure, set(design.forbidden.members))
+        u_lift = _lift_members(closure, design.forbidden.members)
         if len(u_lift) != design.forbidden.order:
             raise ForbiddenNotSubgroup(
                 f"lifted forbidden set has {len(u_lift)} elements, "

@@ -88,8 +88,9 @@ class DesignSet:
         return mask
 
     def is_inverse_closed(self) -> bool:
+        # the members are distinct and inversion is a bijection
         arr = np.array(self.members, dtype=np.int64)
-        return set(self.group.inv_many(arr).tolist()) == set(self.members)
+        return bool(self.member_mask()[self.group.inv_many(arr)].all())
 
 
 def difference_profile(design: DesignSet) -> np.ndarray:

@@ -408,3 +408,33 @@ def trace_kernel(p: int, modulus: Sequence[int]) -> List[int]:
         if not any(total):
             kernel.append(code)
     return kernel
+
+
+def split_sections(text: str, error: type) -> List[Tuple[str, List[str]]]:
+    """The sections of a design file, read line by line: every line is
+    stripped, blank lines and lines starting "#" are dropped, a line in
+    brackets opens a section, and any other line before the first header is
+    an error naming its 1-based line number."""
+    sections: List[Tuple[str, List[str]]] = []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            sections.append((line[1:-1], []))
+        elif not sections:
+            raise error(f"line {ln}: content before any section header: {line!r}")
+        else:
+            sections[-1][1].append(line)
+    return sections
+
+
+def check_element_lines(elems: Sequence[str], want: str, size: int, error: type) -> None:
+    """The [elements] lines of a file against the rebuilt text `want`, one
+    line at a time: the count first, then the first line that differs."""
+    if len(elems) != size:
+        raise error(f"[elements] lists {len(elems)} elements, group has {size}")
+    for idx, (got, line) in enumerate(zip(elems, want.split("\n"))):
+        if got != line:
+            raise error(f"element {idx} reads {got!r} but the rebuilt group "
+                        f"enumerates {line!r}; the file is corrupted")

@@ -1,10 +1,15 @@
 """Text round trips, parse-time re-certification, and graph exports."""
 
+import functools
 import re
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracle
+from diffsets import serialize
 from diffsets import (
     AbelianGroup,
     DesignSet,
@@ -23,6 +28,7 @@ from diffsets import (
 from diffsets.groups import group_levels
 from diffsets.serialize import (
     _element_text,
+    _sections,
     _split_sections,
     cayley_export,
     design_text,
@@ -110,7 +116,10 @@ def _assert_spelled_out(group):
     (3,) * 6 + (364,),  # a lone factor above BLOCK_ORDER, ragged widths
     (7, 7, 7, 58),
     (2,) * 12,
-], ids=["C2048", "C3^6xC364", "C7^3xC58", "C2^12"])
+    (999,), (1000,), (1001,), (12345,),  # numerals around and above 1000
+    (1 << 20,),
+], ids=["C2048", "C3^6xC364", "C7^3xC58", "C2^12", "C999", "C1000", "C1001", "C12345",
+        "C2^20"])
 def test_element_text_abelian_spelled_out(orders):
     """The byte-string [elements] text of an abelian group, NUL padding
     stripped and low digits before high ones, reads as each element spelled
@@ -179,6 +188,115 @@ def test_element_lines_read_as_split_sections_leaves_them(corpus):
     assert design_text(d2) == txt
 
 
+def _outcome(text):
+    """The parsed design re-rendered, or the type and message of the error."""
+    try:
+        design, inst = parse_design(text)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return "loaded", design_text(design, inst)
+
+
+def _outcome_by_lines(text, monkeypatch):
+    """_outcome through the oracle's line path: every line split, and the
+    [elements] lines compared with the rebuilt table one at a time."""
+    with monkeypatch.context() as m:
+        m.setattr(serialize, "_sections",
+                  lambda t: (oracle.split_sections(t, ParseError), -1))
+        m.setattr(serialize, "_check_element_lines",
+                  functools.partial(oracle.check_element_lines, error=ParseError))
+        return _outcome(text)
+
+
+_DIFFERENTIAL = ["mcfarland_even_d2_v3", "rds_d1_v1", "spence_d1", "pgroup_3_2_s2"]
+_HEADER = "\n[elements]\n"
+
+
+def _texts(corpus, name):
+    """The lifted design of a corpus instance, and its base design with the
+    [transfer] data."""
+    inst, rep = corpus[name]
+    return [design_text(rep.new_design), design_text(inst.design, inst)]
+
+
+def test_every_corpus_file_compares_its_table_in_place(corpus, monkeypatch):
+    """Every corpus design file, base and lifted, leaves its [elements] body
+    unsplit, and loads exactly as the line path loads it."""
+    for name in corpus:
+        for text in _texts(corpus, name):
+            assert _sections(text)[1] == text.index(_HEADER) + len(_HEADER)
+            assert _outcome(text) == ("loaded", text) == _outcome_by_lines(text, monkeypatch)
+
+
+_TAIL_OPS = ["break", "indent", "blank", "comment", "header", "swap", "drop", "dup",
+             "trail", "unterminated", "section"]
+
+
+def _mutate_tail(text, data):
+    """The text with its [elements] table edited line by line: other line
+    breaks, indented, blank, "#" and "[x]" lines, swapped, dropped and
+    duplicated lines, a line after the table, no final newline, or a second
+    [elements] or [members] section after the table."""
+    cut = text.rindex(_HEADER) + len(_HEADER)
+    rows = [[line, "\n"] for line in text[cut:].split("\n")[:-1]]
+    for _ in range(data.draw(st.integers(0, 3))):
+        op = data.draw(st.sampled_from(_TAIL_OPS))
+        i = data.draw(st.integers(0, len(rows) - 1))
+        if op == "break":
+            rows[i][1] = data.draw(st.sampled_from(["\r\n", "\r", "\x85"]))
+        elif op == "indent":
+            rows[i][0] = (data.draw(st.sampled_from([" ", "\t", "  "])) + rows[i][0]
+                          + data.draw(st.sampled_from(["", " ", "\t"])))
+        elif op in ("blank", "comment", "header"):
+            line = {"blank": data.draw(st.sampled_from(["", " ", "\t "])),
+                    "comment": "# a note", "header": "[x]"}[op]
+            rows.insert(i, [line, "\n"])
+        elif op == "swap":
+            j = data.draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "drop" and len(rows) > 1:
+            del rows[i]
+        elif op == "dup":
+            rows.insert(i, list(rows[i]))
+        elif op == "trail":
+            rows.append([data.draw(st.sampled_from(["", " ", "# a note", rows[i][0]])), "\n"])
+        elif op == "unterminated":
+            rows[-1][1] = ""
+        elif op == "section":
+            rows[-1][1] = "\n"
+            head = data.draw(st.sampled_from(["[elements]", "[members]"]))
+            rows += [[head, "\n"]] + [list(r) for r in rows[:data.draw(st.integers(0, 3))]]
+    return text[:cut] + "".join(line + brk for line, brk in rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(_DIFFERENTIAL), lifted=st.booleans(), data=st.data())
+def test_parse_matches_the_line_path(corpus, monkeypatch, name, lifted, data):
+    """A file whose [elements] table is edited loads to the same design as
+    the oracle's line path loads it, or fails with the same error type and
+    message."""
+    text = _mutate_tail(_texts(corpus, name)[0 if lifted else 1], data)
+    assert _outcome(text) == _outcome_by_lines(text, monkeypatch)
+
+
+def test_parse_peak_memory(corpus):
+    """Parsing the denniston-odd p = 3, t = 1 base design (C3^9, with its
+    [transfer] data) holds the file's text once, not its lines as well: the
+    traced peak stays under 2.5 MiB (3.4 MiB when every line was split)."""
+    inst, _ = corpus["denniston_odd_p3_t1"]
+    text = design_text(inst.design, inst)
+    parse_design(text)  # per-process caches, such as the field's, are not the parse's
+    tracemalloc.start()
+    try:
+        design, _ = parse_design(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert design.members == inst.design.members
+    assert peak < 2.5 * 2 ** 20, peak
+
+
 def test_truncated_enumeration_rejected():
     txt = design_text(mcfarland_base(2, 1))
     lines = txt.splitlines()
@@ -220,8 +338,10 @@ def test_split_sections_rules():
     text = "# tag\r\n\n  [a]  \nx = 1\n  # note\n\t y = 2 \r\n[b]\x85[c\n]\n#[d]\n[]\n"
     assert _split_sections(text) == [("a", ["x = 1", "y = 2"]), ("b", ["[c", "]"]), ("", [])]
     assert _split_sections("") == [] and _split_sections("\n# c\n") == []
-    with pytest.raises(ParseError, match=r"^line 3: content before any section header: 'x'$"):
-        _split_sections("# c\n\n x \n[a]\n")
+    assert oracle.split_sections(text, ParseError) == _split_sections(text)
+    for split in (_split_sections, functools.partial(oracle.split_sections, error=ParseError)):
+        with pytest.raises(ParseError, match=r"^line 3: content before any section header: 'x'$"):
+            split("# c\n\n x \n[a]\n")
 
 
 def test_edges_undirected_convention():

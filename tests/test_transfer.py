@@ -1,5 +1,7 @@
 """Transfer engine: condition checks, design lifting, failure reporting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from diffsets import (
     pcp_pds,
     rds_transfer,
     spence,
+    subgroup_closure,
     transfer_pds,
     transfer_rds,
     verify_design,
@@ -33,6 +36,22 @@ def test_design_must_be_fixed_eagerly():
     tripling = aut_from_images(g, [3])  # 3 * {1,2,4} = {3,6,5} != D
     with pytest.raises(DesignNotFixed):
         make_instance(d, [tripling], [((), 1)])
+
+
+def test_design_not_fixed_names_its_three_least_gains():
+    """The message names the automorphism and the three least elements its
+    image gains; a moved forbidden subgroup is named on its own."""
+    g = abelian_make((31,))
+    d = DesignSet(g, (1, 5, 11, 24, 25, 27), "DS", (31, 6, 1))  # 3 * D gains 2, 3, 10, 13, 15
+    with pytest.raises(DesignNotFixed, match=re.escape(
+            "automorphism 1 does not fix the design; image gains (2), (3), (10)")):
+        make_instance(d, [aut_from_images(g, [1]), aut_from_images(g, [3])], [((), 1)])
+    v4 = abelian_make((2, 2))
+    swap = aut_from_images(v4, [2, 1])  # fixes {0, 3}, moves <e_0> = {0, 1} to {0, 2}
+    rds = DesignSet(v4, (0, 3), "RDS", (2, 2, 2, 1), forbidden=subgroup_closure(v4, [1]))
+    with pytest.raises(DesignNotFixed, match=re.escape(
+            "automorphism 0 does not fix the forbidden subgroup")):
+        make_instance(rds, [swap], [((), 1)])
 
 
 def test_identity_transfer_preserves_everything():
