@@ -84,10 +84,6 @@ _TRANSFORM_ORDER = 64
 # the automorphism part grows, so none of them passes 128 MiB.
 MAX_PAIR_TABLE = 1 << 24
 
-# Most (parent, generator) products a closure forms at once, 512 KiB per int64
-# temporary: the widest layer of a C2^21 closure would take 59 MB each.
-_CLOSURE_PRODUCTS = 1 << 16
-
 
 def sorted_unique(x) -> np.ndarray:
     """np.unique(x) by a sort and a neighbour test: a plain np.unique imports
@@ -589,8 +585,7 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
     """Close a list of (automorphism word, base element) generators.
 
     Each generator's automorphism part is given as a word in the supplied
-    automorphism list (an empty word is the identity).  A layer is taken in
-    row chunks of at most _CLOSURE_PRODUCTS products; in a chunk of >= 1024
+    automorphism list (an empty word is the identity).  In a layer of >= 1024
     translation products, a translation (1, e) takes (a, b) to (a, b e) by the
     base's mul_outer_by, with no aut_mul or aut_perms lookup.  Raises
     ClosureOverflow if the closure exceeds `cap` (default 2 * |base|) elements.
@@ -623,55 +618,51 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
         gen_pairs.append((a, int(b)))
 
     # Breadth-first, one layer at a time: every (frontier position, generator)
-    # product of a chunk at once, the ones already enumerated dropped, and the
-    # rest kept at their first occurrence in (parent position, generator index)
-    # order - the order in which a one-element-at-a-time BFS would meet them;
-    # chunks run in row order and mark pair_index, so they change no array.
+    # product at once, the ones already enumerated dropped, and the rest kept
+    # at their first occurrence in (parent position, generator index) order -
+    # the order in which a one-element-at-a-time BFS would meet them.
     ng = len(gen_pairs)
     gen_a, gen_b = np.array(gen_pairs, dtype=np.int64).reshape(-1, 2).T
     nt = sum(a == 0 for a, _ in gen_pairs)
-    translate = None  # built on the first wide chunk, if any
+    translate = None  # built on the first wide layer, if any
     pair_index = np.full(na * nb, -1, dtype=np.int64)
     pair_index[0] = 0
     zero = np.zeros(1, dtype=np.int64)
     aut_part, base_part, parent, genidx = [zero], [zero], [zero], [zero]
-    size, lo = 1, 0
+    size = 1
+    lo = 0
     front_a, front_b = zero, zero
     while front_a.size and ng:
-        layer, rows = len(aut_part), max(1, _CLOSURE_PRODUCTS // ng)
-        for r in range(0, front_a.size, rows):
-            fa, fb = front_a[r:r + rows], front_b[r:r + rows]
-            wide = fa.size * nt >= 1024  # narrower: numpy call costs outweigh the kernel
-            if wide and translate is None:
-                shift, twist = np.flatnonzero(gen_a == 0), np.flatnonzero(gen_a)
-                translate = base.mul_outer_by(gen_b[shift])
-                shift, twist = (slice(c[0], c[-1] + 1) if len(c) and c[-1] - c[0] == len(c) - 1
-                                else c for c in (shift, twist))  # a run of columns assigns faster
-            cols = twist if wide else slice(None)
-            part = (aut_mul[fa[:, None], gen_a[cols]] * nb
-                    + base.mul_many(aut_perms[gen_a[cols], fb[:, None]], gen_b[cols]))
-            keys = np.empty((fa.size, ng), dtype=np.int64) if wide else part
-            if wide:
-                keys[:, shift] = translate(fb) + (fa * nb)[:, None]
-                keys[:, twist] = part
-            keys = keys.ravel()
-            fresh = np.flatnonzero(pair_index[keys] < 0)
-            # first occurrences, sort-free: pair_index[key] = least position of key
-            k, pos = keys[fresh], np.arange(fresh.size)
-            pair_index[k] = fresh.size
-            np.minimum.at(pair_index, k, pos)
-            take = fresh[pair_index[k] == pos]
-            if size + take.size > cap:
-                raise ClosureOverflow(f"closure exceeded the cap of {cap} elements")
-            new_keys = keys[take]
-            pair_index[new_keys] = np.arange(size, size + take.size)
-            aut_part.append(new_keys // nb)
-            base_part.append(new_keys % nb)
-            parent.append(lo + r + take // ng)
-            genidx.append(take % ng)
-            size += take.size
-        lo += front_a.size
-        front_a, front_b = (np.concatenate(p[layer:]) for p in (aut_part, base_part))
+        wide = front_a.size * nt >= 1024  # narrower: numpy call costs outweigh the kernel
+        if wide and translate is None:
+            shift, twist = np.flatnonzero(gen_a == 0), np.flatnonzero(gen_a)
+            translate = base.mul_outer_by(gen_b[shift])
+            shift, twist = (slice(c[0], c[-1] + 1) if len(c) and c[-1] - c[0] == len(c) - 1
+                            else c for c in (shift, twist))  # a run of columns assigns faster
+        cols = twist if wide else slice(None)
+        part = (aut_mul[front_a[:, None], gen_a[cols]] * nb
+                + base.mul_many(aut_perms[gen_a[cols], front_b[:, None]], gen_b[cols]))
+        keys = np.empty((front_a.size, ng), dtype=np.int64) if wide else part
+        if wide:
+            keys[:, shift] = translate(front_b) + (front_a * nb)[:, None]
+            keys[:, twist] = part
+        keys = keys.ravel()
+        fresh = np.flatnonzero(pair_index[keys] < 0)
+        # first occurrences, sort-free: pair_index[key] = least position of key
+        k, pos = keys[fresh], np.arange(fresh.size)
+        pair_index[k] = fresh.size
+        np.minimum.at(pair_index, k, pos)
+        take = fresh[pair_index[k] == pos]
+        if size + take.size > cap:
+            raise ClosureOverflow(f"closure exceeded the cap of {cap} elements")
+        new_keys = keys[take]
+        pair_index[new_keys] = np.arange(size, size + take.size)
+        front_a, front_b = new_keys // nb, new_keys % nb
+        aut_part.append(front_a)
+        base_part.append(front_b)
+        parent.append(lo + take // ng)
+        genidx.append(take % ng)
+        lo, size = size, size + take.size
 
     gen_elements = tuple(int(pair_index[a * nb + b]) for a, b in gen_pairs)
     return ExtensionGroup(base, aut_perms, aut_mul, aut_inv,

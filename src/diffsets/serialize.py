@@ -241,7 +241,7 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]],
                          text: str = "", at: int = -1) -> Group:
     """The group of a file's sections, its [elements] table checked.  With
     `at` >= 0 the table is text[at:] (see _sections), compared in place with
-    the rebuilt text; it is split into lines only to name where they differ."""
+    the rebuilt text; if they differ, the line path reads the whole text."""
     by_name = dict(sections)
     if "group" not in by_name:
         raise ParseError("missing [group] section")
@@ -289,8 +289,10 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]],
                     except (ClosureOverflow, ParameterError):
                         certified = None  # extension_closure below reports it
             ng = _int(_one(kv, "gens", name), f"[{name}] gens")
-            gens = [_parse_gen(_one(kv, f"gen{gi}", name), f"[{name}] gen{gi}")
-                    for gi in range(ng)]
+            gens = []
+            for gi in range(ng):
+                word, b = _parse_gen(_one(kv, f"gen{gi}", name), f"[{name}] gen{gi}")
+                gens.append((word, b))
             try:
                 rebuilt = extension_closure(group, auts, gens, cap=size)
             except ClosureOverflow:
@@ -307,8 +309,7 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]],
     want = _element_text(group_levels(group))
     if at >= 0 and len(text) - at == len(want) and text.startswith(want, at):
         return group
-    elems = (by_name["elements"] if at < 0  # else split from the header on
-             else _split_sections(text[at - len(_ELEMENTS) + 1:])[0][1])
+    elems = by_name["elements"] if at < 0 else dict(_split_sections(text))["elements"]
     _check_element_lines(elems, want, group.size)
     return group
 
@@ -374,8 +375,9 @@ def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
                                  f"group has {len(group.generators)} generators")
             auts.append(aut_from_images(group, images))
         ng = _int(_one(kv, "gens", "transfer"), "[transfer] gens")
-        gens = [_parse_gen(_one(kv, f"gen{gi}", "transfer"), f"[transfer] gen{gi}")
-                for gi in range(ng)]
+        gens = []
+        for gi in range(ng):
+            gens.append(_parse_gen(_one(kv, f"gen{gi}", "transfer"), f"[transfer] gen{gi}"))
         tlog = list(kv.get("log", []))
         instance = make_instance(design, auts, gens, log=tlog)
     return design, instance

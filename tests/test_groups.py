@@ -387,29 +387,6 @@ def test_extension_closure_matches_oracle_closure(corpus, d4):
             assert have.tolist() == want
 
 
-_CLOSURE_ARRAYS = ("aut_perms", "aut_mul", "aut_inv", "aut_part", "base_part", "pair_index",
-                   "bfs_parent", "bfs_genidx", "generators", "gen_pairs")
-
-
-@pytest.mark.parametrize("bound", [7, 2048], ids=["narrow-chunks", "wide-chunks"])
-def test_chunked_closure_changes_no_array(corpus, d4, monkeypatch, bound):
-    """With the product bound at 7 a layer is taken a few rows at a time, too
-    narrow for the translation kernel; at 2048 the wide layers of the C3^6 and
-    C3^2 x C364 cases split into chunks that still take it.  Both closure
-    oracle tests pass, and every case of _closure_cases closes to the same
-    ten arrays as without chunks."""
-    cases = _closure_cases(corpus, d4)
-    whole = [extension_closure(base, auts, gens, cap=base.size * 24)
-             for base, auts, gens in cases]
-    monkeypatch.setattr(groups, "_CLOSURE_PRODUCTS", bound)
-    test_extension_closure_matches_reference_bfs(corpus, d4)
-    test_extension_closure_matches_oracle_closure(corpus, d4)
-    for (base, auts, gens), want in zip(cases, whole):
-        got = extension_closure(base, auts, gens, cap=base.size * 24)
-        for name in _CLOSURE_ARRAYS:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-
-
 def test_extension_pair_table_ceiling(monkeypatch):
     """The automorphism closure stops at the table ceiling before it grows
     further or allocates the pair index."""
