@@ -28,7 +28,7 @@ def main() -> int:
     for variant in (1, 2):
         rep = transfer_rds(rds_transfer(1, variant))
         fp = fingerprint(rep.new_group)
-        orders = sorted(element_orders(rep.new_group)[list(rep.new_forbidden.members)].tolist())
+        orders = sorted(element_orders(rep.new_group)[rep.new_forbidden.members].tolist())
         print(f"variant {variant}: RDS{rep.verified.params} in a "
               f"{'nonabelian' if not fp.is_abelian else 'abelian'} group "
               f"of order {fp.order}")

@@ -21,7 +21,7 @@ def describe(label: str, design) -> None:
     flavor = "abelian" if fp.is_abelian else "nonabelian"
     print(f"{label}: {res.kind}{res.params} in {design.group!r} "
           f"({flavor}, exponent {fp.exponent})")
-    print(f"    members = {design.members}")
+    print(f"    members = {tuple(design.members.tolist())}")
     print(f"    reversible (closed under inversion): {res.reversible}")
 
 
@@ -29,7 +29,7 @@ def main() -> int:
     design, x_sub = dillon_fixture()
     describe("start ", design)
     print(f"    index-2 subgroup X of order {x_sub.order} "
-          f"(members {x_sub.members})")
+          f"(members {tuple(x_sub.members.tolist())})")
 
     chain = corollary_chain(design, x_sub, abelian_make((8, 2)))
 

@@ -23,7 +23,7 @@ from diffsets import (
 
 def show_subgroup(group, sub, label: str) -> None:
     wit = normality_witness(group, sub)
-    mem = list(sub.members)
+    mem = sub.members.tolist()
     pair = next(((a, b) for a in mem for b in mem
                  if group.mul(a, b) != group.mul(b, a)), None)
     print(f"  {label}: order {sub.order}")

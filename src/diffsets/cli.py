@@ -132,6 +132,20 @@ def _result_line(res: VerifyResult) -> str:
     return ", ".join(parts)
 
 
+def _print_summary(result: VerifyResult, design: DesignSet,
+                   instance: Optional[TransferInstance]) -> str:
+    """Print a checked design's result line, its forbidden subgroup's order
+    and its transfer data; return the result line."""
+    line = _result_line(result)
+    print(line)
+    if design.forbidden is not None:
+        print(f"forbidden subgroup order {design.forbidden.order}")
+    if instance is not None:
+        print(f"transfer data: {len(instance.aut_gens)} automorphism(s), "
+              f"{len(instance.candidate_gens)} candidate generator(s)")
+    return line
+
+
 @contextlib.contextmanager
 def _open_out(path: str) -> Iterator[TextIO]:
     try:
@@ -159,13 +173,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     result = verify_design(design)
     elapsed = time.perf_counter() - t0
 
-    line = _result_line(result)
-    print(line)
-    if design.forbidden is not None:
-        print(f"forbidden subgroup order {design.forbidden.order}")
-    if instance is not None:
-        print(f"transfer data: {len(instance.aut_gens)} automorphism(s), "
-              f"{len(instance.candidate_gens)} candidate generator(s)")
+    line = _print_summary(result, design, instance)
 
     out = args.out or _default_out(family, params)
     rendered_group = group_text(design.group)
@@ -261,13 +269,7 @@ def _read(path: str) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     design, instance = parse_design(_read(args.design))
-    result = verify_design(design)
-    print(_result_line(result))
-    if design.forbidden is not None:
-        print(f"forbidden subgroup order {design.forbidden.order}")
-    if instance is not None:
-        print(f"transfer data: {len(instance.aut_gens)} automorphism(s), "
-              f"{len(instance.candidate_gens)} candidate generator(s)")
+    _print_summary(verify_design(design), design, instance)
     return 0
 
 

@@ -17,6 +17,10 @@ p - 1) exceeds 64, since p^e is at least 2 to that power, and otherwise forms
 p^e, which is then below 2^128.  A family whose order has a cyclic tail as
 well checks its prime-power part this way, and `abelian_make` checks the
 whole order.
+
+Members are assembled as int64 arrays, a block per plane or orbit, and
+DesignSet sorts and checks them; a map on points acts on the hyperplanes
+through _plane_image.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _iproduct
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,7 +168,7 @@ def dihedral_converse(design: DesignSet, x_sub: Subgroup) -> TransferInstance:
         raise IndexNotTwo(f"[G:X] = {group.size // x_sub.order}, need 2")
     if not design.is_inverse_closed():
         raise NotReversible("the design is not closed under inversion")
-    if design.kind == "PDS" and group.identity in design.members:
+    if design.kind == "PDS" and design.mask[group.identity]:
         raise NotReversible("a regular PDS must not contain the identity")
     inversion = aut_from_images(group, [group.inv(g) for g in group.generators])
     y = int(np.nonzero(~x_sub.mask)[0][0])
@@ -189,16 +193,16 @@ def dillon_forward(dihedral_design: DesignSet, target: AbelianGroup) -> DesignSe
     h_codes = sorted(int(b) for b in group.base_part[group.aut_part == 0])
     h_set = set(h_codes)
 
-    member_arr = np.array(dihedral_design.members, dtype=np.int64)
+    member_arr = dihedral_design.members
     member_aut = group.aut_part[member_arr]
-    d1 = sorted(int(b) for b in group.base_part[member_arr[member_aut == 0]])
+    d1 = group.base_part[member_arr[member_aut == 0]]
     twisted = group.base_part[member_arr[member_aut != 0]]
-    if len(set(group.aut_part[member_arr].tolist()) - {0}) > 1:
+    if len(set(member_aut.tolist()) - {0}) > 1:
         raise DecompositionFailure("design members span more than one twisted slice")
     if twisted.size == 0:
         raise DecompositionFailure("design has no members outside the translation slice")
     c_ref = int(twisted.min())
-    d2 = sorted(int(base.mul(c_ref, base.inv(int(mcode)))) for mcode in twisted)
+    d2 = base.mul_many(c_ref, base.inv_many(twisted))
 
     gens = list(greedy_span(base, h_codes).gens)
     orders = element_orders(base)[gens].tolist()
@@ -222,7 +226,7 @@ def dillon_forward(dihedral_design: DesignSet, target: AbelianGroup) -> DesignSe
     for o in orders:
         candidate_lists.append([t for t in range(target.size)
                                 if target.pow(t, o) == target.identity])
-    emb: Optional[Dict[int, int]] = None
+    emb: Optional[np.ndarray] = None
     for images in _iproduct(*candidate_lists):
         dests = []
         for exps in tuples:
@@ -231,15 +235,17 @@ def dillon_forward(dihedral_design: DesignSet, target: AbelianGroup) -> DesignSe
                 acc = target.mul(acc, target.pow(img, e))
             dests.append(int(acc))
         if len(set(dests)) == len(h_set):
-            emb = dict(zip(sources, dests))
+            emb = np.zeros(base.size, dtype=np.int64)
+            emb[sources] = dests
             break
     if emb is None:
         raise IndexNotTwo("the target contains no index-2 copy of the translation slice")
 
-    image_set = set(emb.values())
-    k_elt = min(t for t in range(target.size) if t not in image_set)
-    members = sorted({emb[d] for d in d1} | {int(target.mul(emb[d], k_elt)) for d in d2})
-    out = DesignSet(target, tuple(members), "DS", dihedral_design.claimed,
+    image = np.zeros(target.size, dtype=bool)
+    image[emb[sources]] = True
+    k_elt = int(np.argmin(image))
+    members = np.concatenate([emb[d1], target.mul_many(emb[d2], k_elt)])
+    out = DesignSet(target, members, "DS", dihedral_design.claimed,
                     log=[f"D1 size {len(d1)}, D2 size {len(d2)}, reference twist base "
                          f"{base.element_name(c_ref)}, k = {target.element_name(k_elt)}"])
     verify_ds(out)
@@ -294,15 +300,11 @@ def pcp_pds(p: int, n: int, s: int) -> DesignSet:
     lines = [cs.copy(), q * cs]
     for slope in range(1, p):
         lines.append(cs + q * ((cs * slope) % q))
-    chosen = lines[:s]
-    members: set = set()
-    for line in chosen:
-        members |= set(int(z) for z in line)
-    members.discard(group.identity)
-    assert len(members) == s * (q - 1), "lines do not intersect trivially"
+    members = np.concatenate(lines[:s])
+    members = members[members != group.identity]  # DesignSet rejects any other overlap
     claimed = (q * q, s * (q - 1), q + s * s - 3 * s, s * s - s)
     slopes = list(range(1, p))[:max(0, s - 2)]
-    design = DesignSet(group, tuple(sorted(members)), "PDS", claimed,
+    design = DesignSet(group, members, "PDS", claimed,
                        log=[f"lines: <(1,0)>, <(0,1)>"
                             + ("".join(f", <(1,{j})>" for j in slopes))])
     verify_pds(design, require_regular=True)
@@ -352,14 +354,15 @@ def spence(d: int) -> TransferInstance:
     F = field_make(3, m, modulus_override=override)
     planes = hyperplanes(F)
     wbase = 3 ** m
-    h0 = set(planes[0].members)
-    members: List[int] = [x for x in range(3 ** m) if x not in h0]
-    for j in range(1, r):
-        members.extend(h + wbase * j for h in planes[j].members)
+    outside_h0 = np.ones(wbase, dtype=bool)
+    outside_h0[planes[0]] = False
+    # plane j, j >= 1, carries w^j
+    members = np.concatenate([np.flatnonzero(outside_h0),
+                              (planes[1:] + wbase * np.arange(1, r)[:, None]).ravel()])
     v = (3 ** m) * r
     k = 3 ** (m - 1) * (3 ** m + 1) // 2
     lam = 3 ** (m - 1) * (3 ** (m - 1) + 1) // 2
-    design = DesignSet(group, tuple(sorted(members)), "DS", (v, k, lam),
+    design = DesignSet(group, members, "DS", (v, k, lam),
                        log=[f"field {F!r}",
                             "members: (complement of H0, w^0) and (H0*g^j, w^j) for j >= 1"])
     verify_ds(design)
@@ -370,7 +373,7 @@ def spence(d: int) -> TransferInstance:
 
     h0_basis = _SpanGF(m, 3)
     basis_codes: List[int] = []
-    for h in sorted(h0):
+    for h in planes[0].tolist():
         if h0_basis.add(F.digits[h]):
             basis_codes.append(h)
     a_star = None
@@ -431,7 +434,7 @@ def denniston_even(m: int, r: int) -> TransferInstance:
         raise NoValidAlpha(f"Q vanishes at {zero_count} nonzero points; the form is degenerate")
     k1 = 2 ** (m + r) - 2 ** m + 2 ** r
     claimed = (q ** 3, k1 * (q - 1), q - kbound + k1 * (kbound - 2), k1 * (kbound - 1))
-    design = DesignSet(group, tuple(sorted(set(members.tolist()))), "PDS", claimed,
+    design = DesignSet(group, members, "PDS", claimed,
                        log=[f"alpha = {F.element_str(alpha)}, K = codes below 2^{r}"])
     verify_pds(design, require_regular=True)
 
@@ -468,28 +471,26 @@ def denniston_gr4(t: int, k: int) -> TransferInstance:
     w = int(F.exp[w_i])
     one_plus_w = F.add(1, w)
 
-    planes = hyperplanes(F)
-    ksets = [ring.iso_table[list(plane.members)] for plane in planes]
+    ksets = ring.iso_table[hyperplanes(F)]
 
     def dbl(code: int) -> int:
         return int(ring.add(code, code))
 
-    members: List[int] = []
+    blocks = []
     for i in range(n1):
         s_code = int(F.exp[i])
         for j in range(n1):
             pi_a = F.add(F.mul(F.exp[i], one_plus_w), F.mul(F.exp[j], w))
             base_pt = ring.add(ring.add(int(ring.hpow[i]), int(ring.hpow[(2 * i - j) % n1])),
                                int(ring.iso_table[int(pi_a)]))
-            members.extend((ring.additive.mul_many(base_pt, ksets[j]) + rsize * s_code).tolist())
+            blocks.append(ring.additive.mul_many(base_pt, ksets[j]) + rsize * s_code)
     k1 = 2 ** (2 * t - 1) - 2 ** (t - 1)
     claimed = (2 ** (3 * t), k1 * (2 ** t - 1),
                2 ** (t - 1) + k1 * (2 ** (t - 1) - 2), k1 * (2 ** (t - 1) - 1))
-    design = DesignSet(group, tuple(sorted(members)), "PDS", claimed,
+    design = DesignSet(group, np.concatenate(blocks), "PDS", claimed,
                        log=[f"ring {ring!r}, w = g^{w_i}"])
     verify_pds(design, require_regular=True)
 
-    member_set = set(design.members)
     tr_g = int(F.trace(int(F.exp[1])))
     auts: List[GroupAutomorphism] = []
     for ell in range(k):
@@ -512,7 +513,8 @@ def denniston_gr4(t: int, k: int) -> TransferInstance:
                     f_val = int(ring.add(f_val, dbl(int(ring.hpow[(j + 2 ** kk) % n1]))))
                 images.append(f_val + rsize * 2 ** j)
         aut = aut_from_images(group, images)
-        if set(aut.perm[list(design.members)].tolist()) != member_set:
+        # a permutation fixes a set iff it maps every member into it
+        if not design.mask[aut.perm[design.members]].all():
             raise PsiDoesNotFixD(f"psi_{ell} does not fix the design at t = {t}; "
                                  f"retry with k <= {ell}")
         auts.append(aut)
@@ -547,16 +549,16 @@ def denniston_odd(p: int, t: int) -> TransferInstance:
     emb = field_embed(F1, F2)
     rev = {int(v): i for i, v in enumerate(emb)}
     omega = rev[int(F2.exp[(q1 + 1) % (q2 - 1)])]
-    members: List[int] = []
+    blocks = []
     for i in range(c):
         a_i = np.array([F1.pow(omega, i + c * j) for j in range(p - 1)], dtype=np.int64)
         b_idx = (i + c * np.arange((q2 - 1) // c, dtype=np.int64)) % (q2 - 1)
         b_i = np.concatenate([F2.exp[b_idx], np.array([0], dtype=np.int64)])
-        members.extend(int(z) for z in np.add.outer(a_i, q1 * b_i).ravel())
+        blocks.append(np.add.outer(a_i, q1 * b_i).ravel())
     k1 = p ** (m + 1) - p ** m + p
     claimed = (p ** (3 * m), (q1 - 1) * ((p - 1) * (q1 + 1) + 1),
                q1 - p + k1 * (p - 2), k1 * (p - 1))
-    design = DesignSet(group, tuple(sorted(members)), "PDS", claimed,
+    design = DesignSet(group, np.concatenate(blocks), "PDS", claimed,
                        log=[f"fields {F1!r} and {F2!r}",
                             f"omega = pullback of the relative norm of alpha = "
                             f"{F1.element_str(omega)}"])
@@ -594,10 +596,12 @@ def _cycles(image: Sequence[int]) -> Tuple[List[int], List[List[int]]]:
     return fixed, cycles
 
 
-def _plane_codes(plane, q: int) -> List[int]:
-    if isinstance(plane.members[0], tuple):
-        return [x + q * y for (x, y) in plane.members]
-    return list(plane.members)
+def _plane_image(planes: np.ndarray, table: np.ndarray) -> List[int]:
+    """The index of each plane's image under the point map code ->
+    table[code].  Planes are rows of sorted point codes; each image row is
+    sorted and looked up by its bytes."""
+    index = {row.tobytes(): i for i, row in enumerate(planes)}
+    return [index[row.tobytes()] for row in np.sort(table[planes], axis=1)]
 
 
 def mcfarland_base(q: int, s: int) -> DesignSet:
@@ -618,16 +622,13 @@ def mcfarland_base(q: int, s: int) -> DesignSet:
     group = abelian_make((p,) * ((s + 1) * e) + (r + 1,))
     if s == 1:
         planes = hyperplanes(field_make(p, e), ambient_dim=2)
-        plane_codes = [_plane_codes(pl, q) for pl in planes]
     else:
         planes = hyperplanes(field_make(p, s + 1))
-        plane_codes = [list(pl.members) for pl in planes]
     assert len(planes) == r
-    members: List[int] = []
-    for a, codes in enumerate(plane_codes, start=1):
-        members.extend(ec + e_size * a for ec in codes)
+    # plane a - 1 carries tail element a
+    members = (planes + e_size * np.arange(1, r + 1)[:, None]).ravel()
     claimed = (e_size * (r + 1), q ** s * r, q ** s * (q ** s - 1) // (q - 1))
-    design = DesignSet(group, tuple(sorted(members)), "DS", claimed,
+    design = DesignSet(group, members, "DS", claimed,
                        log=[f"{r} hyperplanes tagged by nonidentity elements of "
                             f"C{r + 1}"])
     verify_ds(design)
@@ -648,12 +649,11 @@ def mcfarland_even(d: int, variant: int) -> TransferInstance:
     # variant 3's group is the base of its dihedral-tail extension
     group = abelian_make((2,) * (2 * d) + (q + 2 if variant in (1, 2) else half,))
     planes = hyperplanes(field_make(2, d), ambient_dim=2)
-    by_set = {frozenset(pl.members): i for i, pl in enumerate(planes)}
-    # the coordinate swap fixes the diagonal alone and pairs the other planes
-    [fixed], pairs = _cycles([by_set[frozenset((y, x) for (x, y) in pl.members)]
-                              for pl in planes])
     e_size = q * q
-    plane_codes = [_plane_codes(pl, q) for pl in planes]
+    # the coordinate swap x + q y -> y + q x fixes the diagonal alone and
+    # pairs the other planes
+    codes = np.arange(e_size)
+    [fixed], pairs = _cycles(_plane_image(planes, codes // q + q * (codes % q)))
     e1, e2 = 1, q
     other_e = [2 ** i for i in range(1, d)] + [q * 2 ** i for i in range(1, d)]
     claimed = (q * q * (q + 2), q * (q + 1), q)
@@ -667,10 +667,8 @@ def mcfarland_even(d: int, variant: int) -> TransferInstance:
             assign[i] = x
             pool.remove((q + 2 - x) % (q + 2))
             assign[j] = (q + 2 - x) % (q + 2)
-        members: List[int] = []
-        for codes, a in zip(plane_codes, assign):
-            members.extend(ec + e_size * a for ec in codes)
-        design = DesignSet(group, tuple(sorted(members)), "DS", claimed,
+        members = (planes + e_size * np.array(assign)[:, None]).ravel()
+        design = DesignSet(group, members, "DS", claimed,
                            log=[f"fixed plane -> {half}; swap pairs matched to "
                                 f"inverse pairs of C_{q + 2}"])
         verify_ds(design)
@@ -713,12 +711,10 @@ def mcfarland_even(d: int, variant: int) -> TransferInstance:
         pool2.remove(mate)
         assign_k[i] = (a, jj)
         assign_k[j] = mate
-    members = []
-    for codes, tag in zip(plane_codes, assign_k):
-        a, jj = tag  # type: ignore[misc]
-        for ec in codes:
-            members.append(gprime.index_of_pair(a, ec + e_size * jj))
-    design = DesignSet(gprime, tuple(sorted(members)), "DS", claimed,
+    tags = np.array(assign_k)
+    # the element (a, ec + e_size jj) of gprime for a plane tagged (a, jj)
+    members = gprime.pair_index[tags[:, :1] * group.size + planes + e_size * tags[:, 1:]]
+    design = DesignSet(gprime, members.ravel(), "DS", claimed,
                        log=["dihedral tail; fixed plane tagged by the involution u"])
     verify_ds(design)
 
@@ -770,16 +766,12 @@ def mcfarland_odd(q: int, s: int) -> TransferInstance:
     e_size = q ** n
     edigits = espace.digits_of(np.arange(e_size))
 
-    normals = []
-    plane_members = []
-    for fcode in range(1, e_size):
-        f = edigits[fcode]
-        nz = np.nonzero(f)[0]
-        if f[nz[0]] != 1:
-            continue
-        normals.append(fcode)
-        plane_members.append(np.nonzero((edigits @ f) % q == 0)[0])
+    # one normal per hyperplane: the vectors whose first nonzero digit is 1
+    lead = edigits[np.arange(e_size), np.argmax(edigits != 0, axis=1)]
+    normals = np.flatnonzero(lead == 1)
     assert len(normals) == r
+    # row i: the codes orthogonal to normal i, ascending
+    planes = np.nonzero((edigits @ edigits[normals].T % q == 0).T)[1].reshape(r, -1)
 
     # column action of the unipotent bidiagonal block: e_1 -> e_1,
     # e_j -> e_(j-1) + e_j
@@ -787,10 +779,7 @@ def mcfarland_odd(q: int, s: int) -> TransferInstance:
     for j in range(1, n):
         m_images.append(int(espace.generators[j - 1] + espace.generators[j]))
     m_aut = aut_from_images(espace, m_images)
-    by_set = {frozenset(int(z) for z in mem): i for i, mem in enumerate(plane_members)}
-    plane_image = [by_set[frozenset(int(z) for z in m_aut.perm[mem])]
-                   for mem in plane_members]
-    fixed, plane_orbits = _cycles(plane_image)
+    fixed, plane_orbits = _cycles(_plane_image(planes, m_aut.perm))
     assert len(fixed) == 1 and normals[fixed[0]] == q ** s, \
         "the column action should fix exactly the hyperplane with normal e_(s+1)"
 
@@ -810,11 +799,9 @@ def mcfarland_odd(q: int, s: int) -> TransferInstance:
         for pi, ki in zip(porb, korb):
             assign[pi] = ki
 
-    members: List[int] = []
-    for mem, a in zip(plane_members, assign):
-        members.extend(int(z) + e_size * a for z in mem)
+    members = (planes + e_size * np.array(assign)[:, None]).ravel()
     claimed = (e_size * twop, q ** s * r, q ** s * (q ** s - 1) // (q - 1))
-    design = DesignSet(group, tuple(sorted(members)), "DS", claimed,
+    design = DesignSet(group, members, "DS", claimed,
                        log=[f"sigma multiplier c = {c}; fixed hyperplane tagged by p = {pp}"])
     verify_ds(design)
 
@@ -845,16 +832,16 @@ def _rds_group(d: int) -> Tuple[AbelianGroup, FiniteField, int]:
     return group, field_make(2, 2 * d), q * q
 
 
-def _spread_rds(group: AbelianGroup, planes, ladder: Sequence[int], log: str) -> DesignSet:
+def _spread_rds(group: AbelianGroup, planes: np.ndarray, ladder: Sequence[int],
+                log: str) -> DesignSet:
     """The spread RDS in C_(q^2) x GF(q^2)^2: slot i, the i-th power of w
     for i = 1 .. q^2, carries hyperplane ladder[i]; the forbidden subgroup is
     the first coordinate axis."""
     qq = group.orders[0]
-    members: List[int] = []
-    for i in range(1, qq + 1):
-        members.extend(i % qq + qq * (x + qq * y) for (x, y) in planes[ladder[i]].members)
+    slots = np.arange(1, qq + 1)
+    members = (slots[:, None] % qq + qq * planes[np.asarray(ladder)[slots]]).ravel()
     forbidden = subgroup_closure(group, tuple(qq * 2 ** i for i in range(qq.bit_length() - 1)))
-    design = DesignSet(group, tuple(sorted(members)), "RDS", (qq * qq, qq, qq * qq, qq),
+    design = DesignSet(group, members, "RDS", (qq * qq, qq, qq * qq, qq),
                        forbidden=forbidden, log=[log])
     verify_rds(design)
     return design
@@ -883,9 +870,11 @@ def rds_transfer(d: int, variant: int) -> TransferInstance:
     group, F, qq = _rds_group(d)
     q = 2 ** d
     planes = hyperplanes(F, ambient_dim=2)
-    by_set = {frozenset(pl.members): i for i, pl in enumerate(planes)}
-    fixed, pairs = _cycles([by_set[frozenset((int(F.frob(x, d)), int(F.frob(y, d)))
-                                             for (x, y) in pl.members)] for pl in planes])
+    frob = np.arange(qq)
+    for _ in range(d):  # x -> x^(2^d), by d squarings
+        frob = F.mul_many(frob, frob)
+    codes = np.arange(qq * qq)
+    fixed, pairs = _cycles(_plane_image(planes, frob[codes % qq] + qq * frob[codes // qq]))
     if len(fixed) != 3:
         raise ReindexObstruction(
             f"the coordinatewise {q}-power map fixes {len(fixed)} of the {qq + 1} "

@@ -41,12 +41,14 @@ the rings), so its entries stay below (m + 1)(p - 1)^2 < 2^41 for every
 p^m <= MAX_GROUP_ORDER: exact in int64, whose bound is m (p - 1)^2 < 2^63
 (float64 BLAS would need < 2^53).  The GR(4,t) product reduces a
 convolution, whose 2t - 1 coefficients stay below 9t, as exactly.
+
+Hyperplanes come as one int64 array with a sorted row of point codes per
+plane; a point (x, y) of GF(q)^2 has the code x + q y.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -284,41 +286,28 @@ def field_embed(small: FiniteField, big: FiniteField) -> np.ndarray:
 # hyperplanes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """A maximal proper subspace, stored as a sorted member tuple.
+def hyperplanes(field: FiniteField, ambient_dim: int = 1) -> np.ndarray:
+    """Deterministically ordered hyperplanes, one sorted int64 row of member
+    codes per plane.
 
-    For ambient_dim 1 the members are field codes; for ambient_dim 2 they are
-    (x, y) code pairs.
-    """
-    index: int
-    members: tuple
-
-
-def hyperplanes(field: FiniteField, ambient_dim: int = 1) -> List[Hyperplane]:
-    """Deterministically ordered hyperplane list.
-
-    ambient_dim 1: the GF(p)-hyperplanes of (GF(p^m), +).  The first is the
-    kernel of the absolute trace; the rest are its multiplicative translates
-    by successive powers of the primitive element.
+    ambient_dim 1: the GF(p)-hyperplanes of (GF(p^m), +), as field codes.
+    The first is the kernel of the absolute trace; the rest are its
+    multiplicative translates by successive powers of the primitive element.
 
     ambient_dim 2: the GF(q)-lines of GF(q)^2 in the order <(1,0)>, <(0,1)>,
-    then <(1, g^j)> for j = 0 .. q-2 with g the primitive element.
+    then <(1, g^j)> for j = 0 .. q-2 with g the primitive element; the point
+    (x, y) has code x + q y.
     """
     q, p = field.q, field.p
     if ambient_dim == 1:
         # the absolute trace is GF(p)-linear: tr(a) = digits(a) . tr(x^i)
         tr = np.array([field.trace(p ** i) for i in range(field.m)])
         h0 = np.flatnonzero(field.digits @ tr % p == 0)
-        rows = np.sort(field.mul_many(h0, field.exp[:(q - 1) // (p - 1), None]), axis=1)
-        return [Hyperplane(i, tuple(row)) for i, row in enumerate(rows.tolist())]
+        return np.sort(field.mul_many(h0, field.exp[:(q - 1) // (p - 1), None]), axis=1)
     if ambient_dim == 2:
-        codes = range(q)
-        planes = [Hyperplane(0, tuple((x, 0) for x in codes)),
-                  Hyperplane(1, tuple((0, y) for y in codes))]
-        slopes = field.mul_many(np.arange(q), field.exp[:, None]).tolist()
-        planes.extend(Hyperplane(2 + j, tuple(zip(codes, ys))) for j, ys in enumerate(slopes))
-        return planes
+        x = np.arange(q)
+        slopes = x + q * field.mul_many(x, field.exp[:, None])
+        return np.sort(np.concatenate([x[None], q * x[None], slopes]), axis=1)
     raise ParameterError(f"ambient_dim must be 1 or 2, got {ambient_dim}")
 
 

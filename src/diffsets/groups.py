@@ -36,6 +36,10 @@ e_i, by its presentation n_i img(e_i) = 1; over an extension by
 perm(x g) = perm(x) img(g) for every element x and generator g (every
 element is a positive word in the generators, so induction on word length
 covers all products).  The closure keys automorphisms on generator images.
+
+A subgroup's members are a sorted, read-only int64 array with a read-only
+mask (element_set, which DesignSet shares).  Group.mul and Group.inv are the
+vector products on scalars.
 """
 
 from __future__ import annotations
@@ -102,10 +106,10 @@ class Group:
     generators: Tuple[int, ...]
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return int(self.mul_many(a, b))
 
     def inv(self, a: int) -> int:
-        raise NotImplementedError
+        return int(self.inv_many(a))
 
     def mul_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -249,12 +253,6 @@ class AbelianGroup(Group):
         if self._blocks is None:
             self._blocks = _build_blocks(self.orders, self._radix)
         return self._blocks
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_many(a, b))
-
-    def inv(self, a: int) -> int:
-        return int(self.inv_many(a))
 
     def mul_many(self, a, b):
         a = np.asarray(a)
@@ -467,19 +465,6 @@ class ExtensionGroup(Group):
                 f"pair (aut {a}, {self.base.element_name(b)}) is not in the closure")
         return idx
 
-    def mul(self, x: int, y: int) -> int:
-        a1, b1 = int(self.aut_part[x]), int(self.base_part[x])
-        a2, b2 = int(self.aut_part[y]), int(self.base_part[y])
-        a = int(self.aut_mul[a1, a2])
-        b = self.base.mul(int(self.aut_perms[a2, b1]), b2)
-        return int(self.pair_index[a * self._nb + b])
-
-    def inv(self, x: int) -> int:
-        a, b = int(self.aut_part[x]), int(self.base_part[x])
-        ai = int(self.aut_inv[a])
-        bi = int(self.aut_perms[ai, self.base.inv(b)])
-        return int(self.pair_index[ai * self._nb + bi])
-
     def mul_many(self, x, y):
         x = np.asarray(x)
         y = np.asarray(y)
@@ -675,18 +660,38 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
 # subgroups and cosets
 # ---------------------------------------------------------------------------
 
+def element_set(group: Group, elements, what: str) -> Tuple[np.ndarray, np.ndarray]:
+    """A set of element indices as a sorted, read-only int64 array and its
+    read-only membership mask over the group.  Raises ParameterError if an
+    index repeats, else naming the first one in input order that is out of
+    range.  Indices above int64 arrive as an object array and compare as
+    Python ints."""
+    given = np.asarray(elements).reshape(-1)
+    members = np.sort(given)
+    if (members[1:] == members[:-1]).any():
+        raise ParameterError(f"{what} members must be distinct")
+    outside = (given < 0) | (given >= group.size)
+    if outside.any():
+        raise ParameterError(f"member index {given[outside.argmax()]} out of range")
+    members = members.astype(np.int64, copy=False)
+    mask = np.zeros(group.size, dtype=bool)
+    mask[members] = True
+    members.flags.writeable = mask.flags.writeable = False
+    return members, mask
+
+
 class Subgroup:
-    def __init__(self, parent: Group, members: Tuple[int, ...], gens: Tuple[int, ...]):
+    """Its members are a sorted, read-only int64 array with a read-only mask;
+    `gens` generate it."""
+
+    def __init__(self, parent: Group, members, gens: Sequence[int]):
         self.parent = parent
-        self.members = members
+        self.members, self.mask = element_set(parent, members, "subgroup")
         self.gens = gens
-        mask = np.zeros(parent.size, dtype=bool)
-        mask[list(members)] = True
-        self.mask = mask
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return self.members.size
 
     def __contains__(self, idx: int) -> bool:
         return bool(self.mask[idx])
@@ -708,7 +713,7 @@ def subgroup_closure(group: Group, gens: Sequence[int]) -> Subgroup:
         prods = group.mul_outer(frontier, gen_arr).ravel()
         frontier = sorted_unique(prods[~seen[prods]])
         seen[frontier] = True
-    return Subgroup(group, tuple(np.nonzero(seen)[0].tolist()), gens)
+    return Subgroup(group, np.flatnonzero(seen), gens)
 
 
 def greedy_span(group: Group, members: Sequence[int]) -> Subgroup:
@@ -763,11 +768,10 @@ def _next_unassigned(cosid: np.ndarray, pos: int) -> int:
 def right_cosets(group: Group, sub: Subgroup) -> CosetTable:
     """Cosets H x numbered by their smallest element, which is the rep."""
     cosid = np.full(group.size, -1, dtype=np.int64)
-    members = np.array(sub.members, dtype=np.int64)
     reps = []
     idx = 0
     while idx < group.size:
-        cosid[group.mul_many(members, idx)] = len(reps)
+        cosid[group.mul_many(sub.members, idx)] = len(reps)
         reps.append(idx)
         idx = _next_unassigned(cosid, idx + 1)
     return CosetTable(tuple(reps), cosid)

@@ -40,6 +40,7 @@ from .groups import (
     factor_runs,
     greedy_span,
     group_levels,
+    sorted_unique,
 )
 from .transfer import TransferInstance, make_instance
 from .verify import DesignSet
@@ -130,10 +131,10 @@ def _design_head_lines(design: DesignSet,
     for entry in design.log:
         lines.append(f"log = {entry}")
     lines.append("[members]")
-    lines.extend(str(m) for m in design.members)
+    lines.extend(map(str, design.members.tolist()))
     if design.forbidden is not None:
         lines.append("[forbidden]")
-        lines.append(",".join(str(m) for m in design.forbidden.members))
+        lines.append(",".join(map(str, design.forbidden.members.tolist())))
     if instance is not None:
         if instance.design is not design:
             raise ParameterError("transfer instance does not belong to this design")
@@ -339,13 +340,18 @@ def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
 
     if "members" not in by_name:
         raise ParseError("missing [members] section")
+    lines = by_name["members"]
     try:
-        members = tuple(int(line) for line in by_name["members"])
+        try:
+            members = np.array(lines, dtype=np.int64)
+        except OverflowError:  # out of range; Python ints name the first offender
+            members = np.array([int(line) for line in lines], dtype=object)
     except ValueError:
         raise ParseError("non-integer entry in [members]") from None
-    for m in members:
-        if not 0 <= m < group.size:
-            raise ParseError(f"member {m} is out of range for a group of order {group.size}")
+    outside = (members < 0) | (members >= group.size)
+    if outside.any():
+        raise ParseError(f"member {members[outside.argmax()]} is out of range for a group "
+                         f"of order {group.size}")
 
     forbidden = None
     if "forbidden" in by_name:
@@ -356,9 +362,10 @@ def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
             if not 0 <= m < group.size:
                 raise ParseError(f"forbidden element {m} is out of range")
         forbidden = greedy_span(group, f_members)
-        if sorted(forbidden.members) != sorted(set(f_members)):
+        stored = sorted_unique(f_members)
+        if not np.array_equal(forbidden.members, stored):
             raise ForbiddenNotSubgroup(
-                f"the stored forbidden set of size {len(set(f_members))} closes to a "
+                f"the stored forbidden set of size {stored.size} closes to a "
                 f"subgroup of order {forbidden.order}")
 
     design = DesignSet(group, members, kind, claimed, forbidden=forbidden, log=log)
@@ -417,7 +424,7 @@ def cayley_export(design: DesignSet, fmt: str) -> Tuple[str, Iterator[str], str]
         us = np.arange(group.size, dtype=np.int64)
         lefts = np.array([left.format(u) for u in range(group.size)], dtype=object)
         rights = np.array([right.format(v) for v in range(group.size)], dtype=object)
-        for d in design.members:
+        for d in design.members.tolist():
             vs = group.mul_many(d, us)
             keep = slice(None) if directed else us <= vs
             u_keep = us[keep]

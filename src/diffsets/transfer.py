@@ -68,18 +68,17 @@ def make_instance(design: DesignSet,
     candidate words or base elements out of range (ParameterError)."""
     group = design.group
     # a permutation fixes a set iff it maps every member into it
-    members, mask = np.array(design.members, dtype=np.int64), design.member_mask()
     for i, aut in enumerate(aut_gens):
         if aut.group is not group:
             raise DesignNotFixed(f"automorphism {i} acts on a different group")
-        image = aut.perm[members]
-        if not mask[image].all():
-            moved = np.sort(image[~mask[image]])[:3].tolist()
+        image = aut.perm[design.members]
+        if not design.mask[image].all():
+            moved = np.sort(image[~design.mask[image]])[:3].tolist()
             raise DesignNotFixed(
                 f"automorphism {i} does not fix the design; image gains "
                 + ", ".join(group.element_name(z) for z in moved))
         forbidden = design.forbidden
-        if forbidden is not None and not forbidden.mask[aut.perm[list(forbidden.members)]].all():
+        if forbidden is not None and not forbidden.mask[aut.perm[forbidden.members]].all():
             raise DesignNotFixed(f"automorphism {i} does not fix the forbidden subgroup")
     for word, base in candidate_gens:
         for a in word:
@@ -136,8 +135,7 @@ def check_conditions(inst: TransferInstance) -> TransferReport:
 
     # X = base parts of the pure-translation slice (identity automorphism part)
     x_members = np.sort(closure.base_part[closure.aut_part == 0])
-    x_tuple = tuple(x_members.tolist())
-    x_sub = Subgroup(group, x_tuple, x_tuple)
+    x_sub = Subgroup(group, x_members, x_members)
 
     # (ii) in the closure holds: 1xX is the kernel of the projection (a, b) -> a
     wit = normality_witness(group, x_sub)
@@ -158,10 +156,9 @@ def check_conditions(inst: TransferInstance) -> TransferReport:
     return TransferReport(inst, closure, x_sub, cond_i, cond_ii, cond_iii, witnesses)
 
 
-def _lift_members(closure: ExtensionGroup, members: Sequence[int]) -> Tuple[int, ...]:
-    mask = np.zeros(closure.base.size, dtype=bool)
-    mask[np.asarray(members, dtype=np.int64)] = True
-    return tuple(np.flatnonzero(mask[closure.base_part]).tolist())
+def _lift_members(closure: ExtensionGroup, mask: np.ndarray) -> np.ndarray:
+    """The closure elements whose base part lies in the set `mask` marks."""
+    return np.flatnonzero(mask[closure.base_part])
 
 
 def _require_pass(report: TransferReport) -> ExtensionGroup:
@@ -181,14 +178,14 @@ def transfer_design(inst: TransferInstance) -> TransferReport:
     report = check_conditions(inst)
     closure = _require_pass(report)
     design = inst.design
-    lifted = _lift_members(closure, design.members)
+    lifted = _lift_members(closure, design.mask)
     if len(lifted) != design.size:
         raise ParameterMismatch(
             f"lifted design has {len(lifted)} members, source has {design.size}")
     forbidden = None
     if design.kind == "RDS":
         assert design.forbidden is not None
-        u_lift = _lift_members(closure, design.forbidden.members)
+        u_lift = _lift_members(closure, design.forbidden.mask)
         if len(u_lift) != design.forbidden.order:
             raise ForbiddenNotSubgroup(
                 f"lifted forbidden set has {len(u_lift)} elements, "

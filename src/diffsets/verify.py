@@ -16,6 +16,10 @@ automorphism parts before they are transformed, in merged rows (see
 _slice_counts): a transfer output takes one forward row and one inverse row.
 The SRG cross-check counts products with the same kernel.  Only a count the
 guard rejects is counted directly, from the k^2 quotients or products.
+
+A design's members, like a subgroup's, are one sorted, read-only int64 array
+with a read-only mask over the group (groups.element_set), so every check
+indexes them directly.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from .errors import (
     ParameterError,
     ParameterMismatch,
 )
-from .groups import (AbelianGroup, Group, Subgroup, greedy_span, group_levels, sorted_unique,
-                     tower_has, tower_walk)
+from .groups import (AbelianGroup, Group, Subgroup, element_set, greedy_span, group_levels,
+                     sorted_unique, tower_has, tower_walk)
 
 KINDS = ("DS", "PDS", "RDS")
 # Working set of the blocked loops: a direct count takes max(_BLOCK_ENTRIES, v)
@@ -47,29 +51,26 @@ KINDS = ("DS", "PDS", "RDS")
 _BLOCK_ENTRIES = 1 << 14
 
 
-@dataclass
+@dataclass(eq=False)
 class DesignSet:
     """A candidate design: member indices in a group plus the claimed
     parameter tuple ((v,k,lambda) for DS, (v,k,lambda,mu) for PDS,
-    (m,u,k,lambda) for RDS with forbidden subgroup U)."""
+    (m,u,k,lambda) for RDS with forbidden subgroup U).  The members are kept
+    as a sorted, read-only int64 array with a read-only mask over the group
+    (groups.element_set)."""
 
     group: Group
-    members: Tuple[int, ...]
+    members: np.ndarray
     kind: str
     claimed: Tuple[int, ...]
     forbidden: Optional[Subgroup] = None
     log: List[str] = field(default_factory=list)
+    mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ParameterError(f"design kind must be one of {KINDS}, got {self.kind!r}")
-        members = tuple(int(x) for x in self.members)
-        if len(set(members)) != len(members):
-            raise ParameterError("design members must be distinct")
-        for x in members:
-            if not 0 <= x < self.group.size:
-                raise ParameterError(f"member index {x} out of range")
-        self.members = tuple(sorted(members))
+        self.members, self.mask = element_set(self.group, self.members, "design")
         want = 4 if self.kind in ("PDS", "RDS") else 3
         self.claimed = tuple(int(x) for x in self.claimed)
         if len(self.claimed) != want:
@@ -77,29 +78,24 @@ class DesignSet:
                 f"{self.kind} parameter tuple needs {want} entries, got {self.claimed}")
         if self.kind == "RDS" and self.forbidden is None:
             raise ParameterError("an RDS needs its forbidden subgroup")
+        if self.kind != "RDS" and self.forbidden is not None:
+            raise ParameterError(f"a {self.kind} has no forbidden subgroup; only an RDS takes one")
 
     @property
     def size(self) -> int:
-        return len(self.members)
-
-    def member_mask(self) -> np.ndarray:
-        mask = np.zeros(self.group.size, dtype=bool)
-        mask[list(self.members)] = True
-        return mask
+        return self.members.size
 
     def is_inverse_closed(self) -> bool:
         # the members are distinct and inversion is a bijection
-        arr = np.array(self.members, dtype=np.int64)
-        return bool(self.member_mask()[self.group.inv_many(arr)].all())
+        return bool(self.mask[self.group.inv_many(self.members)].all())
 
 
 def difference_profile(design: DesignSet) -> np.ndarray:
     """Count quotients d1 * d2^(-1) over ordered pairs of distinct members;
     the counts sum to k^2 - k."""
     group = design.group
-    members = np.array(design.members, dtype=np.int64)
-    counts = _exact_counts(group, members)
-    counts[group.identity] -= len(members)
+    counts = _exact_counts(group, design.members)
+    counts[group.identity] -= design.size
     return counts
 
 
@@ -295,7 +291,7 @@ def verify_pds(design: DesignSet, require_regular: bool = False) -> VerifyResult
         raise ParameterMismatch(f"group order {group.size} != claimed v = {v}")
     if design.size != k:
         raise ParameterMismatch(f"design size {design.size} != claimed k = {k}")
-    mask = design.member_mask()
+    mask = design.mask
     regular = (not mask[group.identity]) and design.is_inverse_closed()
     if require_regular and not regular:
         if mask[group.identity]:
@@ -314,12 +310,11 @@ def verify_pds(design: DesignSet, require_regular: bool = False) -> VerifyResult
 def _check_subgroup(group: Group, sub: Subgroup) -> None:
     if sub.parent is not group:
         raise ForbiddenNotSubgroup("forbidden subgroup belongs to a different group")
-    members = np.array(sub.members, dtype=np.int64)
     if not sub.mask[group.identity]:
         raise ForbiddenNotSubgroup("forbidden set does not contain the identity")
-    if not sub.mask[group.inv_many(members)].all():
+    if not sub.mask[group.inv_many(sub.members)].all():
         raise ForbiddenNotSubgroup("forbidden set is not closed under inversion")
-    if not np.array_equal(greedy_span(group, members).mask, sub.mask):
+    if not np.array_equal(greedy_span(group, sub.members).mask, sub.mask):
         raise ForbiddenNotSubgroup("forbidden set is not closed under the group operation")
 
 
@@ -361,8 +356,8 @@ def multiplier_check(design: DesignSet, m: int) -> bool:
         raise ParameterError("multiplier checks are defined here only for abelian groups")
     if gcd(m, group.size) != 1:
         raise NotCoprime(f"multiplier {m} shares a factor with the group order {group.size}")
-    powered = group.pow_many(np.array(design.members, dtype=np.int64), m)
-    return set(powered.tolist()) == set(design.members)
+    # x -> x^m is a bijection for m coprime to |G|, so it fixes D iff it maps D into D
+    return bool(design.mask[group.pow_many(design.members, m)].all())
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +387,12 @@ def cayley_srg_check(design: DesignSet) -> SrgResult:
     """
     group = design.group
     n = group.size
-    mask = design.member_mask()
+    mask = design.mask
     if mask[group.identity]:
         raise NotClosedUnderInverse("graph check needs an identity-free connection set")
     if not design.is_inverse_closed():
         raise NotClosedUnderInverse("graph check needs an inverse-closed connection set")
-    common = _exact_counts(group, np.array(design.members, dtype=np.int64), product=True)
+    common = _exact_counts(group, design.members, product=True)
     outside = ~mask
     outside[group.identity] = False
     lam_vals = sorted_unique(common[mask])

@@ -84,7 +84,7 @@ def test_criterion_1_dillon_chain():
         final = verify_ds(chain.final_design)
         assert final.params == (16, 6, 2) and final.reversible is False
         assert repr(chain.final_design.group) == "C8 x C2"
-        assert chain.final_design.members == (0, 1, 2, 6, 8, 13)
+        assert chain.final_design.members.tolist() == [0, 1, 2, 6, 8, 13]
 
 
 def test_criterion_2_pgroup_transfer():

@@ -87,6 +87,46 @@ def test_verify_corrupted_members_exits_3(tmp_path, capsys):
     assert "offender" in stderr
 
 
+@pytest.mark.parametrize("entries, message", [
+    (["x7"], "non-integer entry in [members]"),
+    (["-5"], "member -5 is out of range for a group of order 16"),
+    (["99", "-1"], "member 99 is out of range for a group of order 16"),
+    (["99999999999999999999999"],
+     "member 99999999999999999999999 is out of range for a group of order 16"),
+    (["16", "99999999999999999999999"], "member 16 is out of range for a group of order 16"),
+    (["99999999999999999999999", "x"], "non-integer entry in [members]"),
+    (["0", "0"], "design members must be distinct"),
+])
+def test_bad_member_lines_exit_2(tmp_path, capsys, entries, message):
+    """Each bad [members] entry exits 2 with one message: a non-integer line
+    before any range check, then the first member out of range in file order,
+    one above int64 included."""
+    run(capsys, "construct", "mcfarland", "--q", "2", "--s", "1", "--out", str(tmp_path / "mcf"))
+    path = tmp_path / "mcf.design.txt"
+    lines = path.read_text().splitlines()
+    i = lines.index("[members]") + 1
+    lines[i:i + len(entries)] = entries
+    path.write_text("\n".join(lines) + "\n")
+    code, stdout, stderr = run(capsys, "verify", "--design", str(path))
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("family, kind", [(("spence", "--d", "1"), "DS"),
+                                          (("pgroup", "--p", "2", "--n", "2"), "PDS")])
+@pytest.mark.parametrize("command", ["verify", "transfer"])
+def test_forbidden_section_outside_an_rds_exits_2(tmp_path, capsys, family, kind, command):
+    """Only an RDS claim reads a forbidden subgroup: a [forbidden] section in
+    a DS or PDS file is an error naming the kind, where verify used to
+    report it and transfer to drop it."""
+    run(capsys, "construct", *family, "--out", str(tmp_path / "d"))
+    path = tmp_path / "d.design.txt"
+    path.write_text(path.read_text().replace("[transfer]\n", "[forbidden]\n0\n[transfer]\n", 1))
+    extra = ["--out", str(tmp_path / "dx")] if command == "transfer" else []
+    code, stdout, stderr = run(capsys, command, "--design", str(path), *extra)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: a {kind} has no forbidden subgroup; only an RDS takes one\n"
+
+
 def test_verify_corrupted_enumeration_exits_2(tmp_path, capsys):
     out = str(tmp_path / "mcf")
     run(capsys, "construct", "mcfarland", "--q", "2", "--s", "1", "--out", out)

@@ -185,9 +185,9 @@ def test_hyperplanes_dim1_translate_the_power_sum_trace_kernel(p, m, override):
     F = field_make(p, m, modulus_override=override)
     h0 = oracle.trace_kernel(p, F.modulus)
     planes = hyperplanes(F, 1)
-    assert [pl.index for pl in planes] == list(range((F.q - 1) // (p - 1)))
-    assert [pl.members for pl in planes] == [
-        tuple(sorted(F.mul(a, int(F.exp[i])) for a in h0)) for i in range(len(planes))]
+    assert planes.dtype == np.int64 and len(planes) == (F.q - 1) // (p - 1)
+    assert planes.tolist() == [
+        sorted(F.mul(a, int(F.exp[i])) for a in h0) for i in range(len(planes))]
 
 
 def test_modulus_override_spence_cubic():
@@ -201,24 +201,26 @@ def test_hyperplanes_dim1():
     planes = hyperplanes(F, 1)
     assert len(planes) == (F.q - 1) // (F.p - 1) == 7
     for pl in planes:
-        mem = set(pl.members)
+        mem = set(pl.tolist())
         assert len(mem) == F.q // F.p and 0 in mem
         # additively closed
         assert all(F.add(a, b) in mem for a in mem for b in mem)
-    assert len({pl.members for pl in planes}) == 7
+    assert len({tuple(pl.tolist()) for pl in planes}) == 7
 
 
 def test_hyperplanes_dim2_form_a_spread():
     F = field_make(2, 2)
     planes = hyperplanes(F, 2)
     assert len(planes) == F.q + 1
-    # pairwise intersections are exactly the origin -> lines partition points
+    assert (np.diff(planes, axis=1) > 0).all()  # each row sorted
+    # pairwise intersections are exactly the origin -> lines partition points;
+    # the point (x, y) has code x + q y, so the origin is 0
     cover = set()
     for pl in planes:
-        mem = set(pl.members)
+        mem = set(pl.tolist())
         assert len(mem) == F.q
-        assert not (cover & (mem - {(0, 0)}))
-        cover |= mem - {(0, 0)}
+        assert not (cover & (mem - {0}))
+        cover |= mem - {0}
     assert len(cover) == F.q * F.q - 1
 
 

@@ -17,6 +17,7 @@ from diffsets import (
     NotBijective,
     NotHomomorphism,
     ParameterError,
+    Subgroup,
     abelian_make,
     aut_from_images,
     coset_action_transitive,
@@ -423,6 +424,15 @@ def test_subgroups_and_normality(d4):
     first = next((g, s, c) for g in d4.generators for s in refl.gens
                  for c in [d4.mul(d4.inv(g), d4.mul(s, g))] if not refl.mask[c])
     assert wit == first
+
+
+@pytest.mark.parametrize("members, message", [
+    ((0, 4, 0), "subgroup members must be distinct"),
+    ((0, 8, -3), "member index 8 out of range"),
+])
+def test_subgroup_validation_messages(members, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        Subgroup(abelian_make((4, 2)), members, members[1:2])
 
 
 def test_right_cosets_partition(d4):

@@ -117,7 +117,7 @@ def test_condition_ii_failure_over_a_nonabelian_base():
     d = DesignSet(s3, (0,), "DS", (6, 1, 0))
     rep = check_conditions(make_instance(d, [conj], [((), s), ((0,), r)]))
     assert (rep.cond_i, rep.cond_ii, rep.cond_iii) == (True, False, True)
-    assert rep.x_subgroup.members == (0, s)
+    assert rep.x_subgroup.members.tolist() == [0, s]
     g, x, c = normality_witness(s3, rep.x_subgroup)
     assert rep.witnesses["ii"] == (
         f"X is not normal in the base group: {s3.element_name(g)}^-1 * "

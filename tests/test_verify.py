@@ -53,6 +53,40 @@ def test_fano_ds():
     assert oracle.ds_lambda(7, mul, inv, FANO) == 1
 
 
+@pytest.mark.parametrize("members, message", [
+    ((3, 1, 3), "design members must be distinct"),
+    ((20, 20, -1), "design members must be distinct"),  # checked before the range
+    ((5, 16, -1, 99), "member index 16 out of range"),  # first offender in input order
+    ((2, 2 ** 70), "member index 1180591620717411303424 out of range"),
+])
+def test_design_set_validation_messages(members, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        DesignSet(abelian_make((4, 4)), members, "DS", (16, 3, 0))
+
+
+def test_forbidden_subgroup_only_in_an_rds():
+    g = abelian_make((4, 2))
+    for kind, claimed in (("DS", (8, 1, 0)), ("PDS", (8, 1, 0, 0))):
+        with pytest.raises(ParameterError, match=f"^a {kind} has no forbidden subgroup"):
+            DesignSet(g, (1,), kind, claimed, forbidden=subgroup_closure(g, ()))
+
+
+def test_member_sets_are_sorted_read_only_arrays():
+    g = abelian_make((7,))
+    given = np.array([4, 1, 2])
+    d = DesignSet(g, given, "DS", (7, 3, 1))
+    sub = subgroup_closure(abelian_make((4, 2)), (2,))
+    assert d.members.dtype == sub.members.dtype == np.int64
+    assert d.members.tolist() == [1, 2, 4] and sub.members.tolist() == [0, 2]
+    assert d.mask.tolist() == [False, True, True, False, True, False, False]
+    for arr in (d.members, d.mask, sub.members, sub.mask):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    # the caller's array is copied, not frozen or sorted in place
+    given[0] = 5
+    assert given.tolist() == [5, 1, 2] and d.members.tolist() == [1, 2, 4]
+
+
 def test_fano_complement():
     g = abelian_make((7,))
     comp = DesignSet(g, tuple(z for z in range(7) if z not in FANO), "DS", (7, 4, 2))
