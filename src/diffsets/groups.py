@@ -657,7 +657,7 @@ def extension_closure(base: Group, auts: Sequence[GroupAutomorphism],
 
 
 # ---------------------------------------------------------------------------
-# subgroups and cosets
+# subgroups
 # ---------------------------------------------------------------------------
 
 def element_set(group: Group, elements, what: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -740,74 +740,6 @@ def normality_witness(group: Group, sub: Subgroup) -> Optional[Tuple[int, int, i
         if bad.size:
             return (g, int(sgens[bad[0]]), int(conj[bad[0]]))
     return None
-
-
-@dataclass(frozen=True)
-class CosetTable:
-    reps: Tuple[int, ...]
-    cosid: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return len(self.reps)
-
-
-def _next_unassigned(cosid: np.ndarray, pos: int) -> int:
-    """The smallest index >= pos with no coset yet, or len(cosid); the window
-    doubles, so a run of assigned indices costs a few numpy calls."""
-    width = 64
-    while pos < cosid.size:
-        hit = np.flatnonzero(cosid[pos:pos + width] < 0)
-        if hit.size:
-            return pos + int(hit[0])
-        pos += width
-        width *= 2
-    return pos
-
-
-def right_cosets(group: Group, sub: Subgroup) -> CosetTable:
-    """Cosets H x numbered by their smallest element, which is the rep."""
-    cosid = np.full(group.size, -1, dtype=np.int64)
-    reps = []
-    idx = 0
-    while idx < group.size:
-        cosid[group.mul_many(sub.members, idx)] = len(reps)
-        reps.append(idx)
-        idx = _next_unassigned(cosid, idx + 1)
-    return CosetTable(tuple(reps), cosid)
-
-
-@dataclass(frozen=True)
-class TransitivityResult:
-    transitive: bool
-    reached: int
-    total: int
-    witness_rep: Optional[int]  # a coset representative not reached, if any
-
-
-def coset_action_transitive(group: Group, sub: Subgroup,
-                            acting: Sequence[Tuple[np.ndarray, int]]) -> TransitivityResult:
-    """Orbit of the subgroup's own coset under (Xh) -> X h^phi g.
-
-    `acting` is a list of (permutation over the group, element g) pairs.
-    """
-    table = right_cosets(group, sub)
-    reps = np.array(table.reps, dtype=np.int64)
-    seen = np.zeros(table.count, dtype=bool)
-    frontier = table.cosid[:1]
-    seen[frontier] = True
-    # one orbit layer at a time: the images of every frontier coset's rep
-    while frontier.size and acting:
-        rep = reps[frontier]
-        cids = np.concatenate([table.cosid[group.mul_many(perm[rep], g)]
-                               for perm, g in acting])
-        frontier = sorted_unique(cids[~seen[cids]])
-        seen[frontier] = True
-    reached = int(seen.sum())
-    witness = None
-    if reached != table.count:
-        witness = int(table.reps[int(np.argmin(seen))])
-    return TransitivityResult(reached == table.count, reached, table.count, witness)
 
 
 # ---------------------------------------------------------------------------

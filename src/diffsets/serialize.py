@@ -40,7 +40,6 @@ from .groups import (
     factor_runs,
     greedy_span,
     group_levels,
-    sorted_unique,
 )
 from .transfer import TransferInstance, make_instance
 from .verify import DesignSet
@@ -231,6 +230,15 @@ def _ints(text: str, what: str) -> List[int]:
         raise ParseError(f"bad integer list in {what}: {text!r}") from None
 
 
+def _int_array(tokens: List[str]) -> np.ndarray:
+    """The tokens as int64 in one vector pass, or as Python ints if one is
+    above int64, so a range check names the first offender; else ValueError."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        return np.array([int(tok) for tok in tokens], dtype=object)
+
+
 def _parse_gen(entry: str, what: str) -> Tuple[Tuple[int, ...], int]:
     if "|" not in entry:
         raise ParseError(f"{what} must look like 'word|base', got {entry!r}")
@@ -340,12 +348,8 @@ def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
 
     if "members" not in by_name:
         raise ParseError("missing [members] section")
-    lines = by_name["members"]
     try:
-        try:
-            members = np.array(lines, dtype=np.int64)
-        except OverflowError:  # out of range; Python ints name the first offender
-            members = np.array([int(line) for line in lines], dtype=object)
+        members = _int_array(by_name["members"])
     except ValueError:
         raise ParseError("non-integer entry in [members]") from None
     outside = (members < 0) | (members >= group.size)
@@ -357,13 +361,21 @@ def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
     if "forbidden" in by_name:
         if len(by_name["forbidden"]) != 1:
             raise ParseError("[forbidden] must be a single comma-separated line")
-        f_members = _ints(by_name["forbidden"][0], "[forbidden]")
-        for m in f_members:
-            if not 0 <= m < group.size:
-                raise ParseError(f"forbidden element {m} is out of range")
-        forbidden = greedy_span(group, f_members)
-        stored = sorted_unique(f_members)
-        if not np.array_equal(forbidden.members, stored):
+        line = by_name["forbidden"][0]
+        try:
+            stored = _int_array(list(filter(None, line.split(","))))
+        except ValueError:
+            raise ParseError(f"bad integer list in [forbidden]: {line!r}") from None
+        outside = (stored < 0) | (stored >= group.size)
+        if outside.any():
+            raise ParseError(f"forbidden element {stored[outside.argmax()]} is out of range")
+        ordered = np.sort(stored)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ParseError(f"forbidden element {repeated[0]} is repeated")
+        # distinct entries fill their span iff they are as many as its order
+        forbidden = greedy_span(group, stored)
+        if forbidden.order != stored.size:
             raise ForbiddenNotSubgroup(
                 f"the stored forbidden set of size {stored.size} closes to a "
                 f"subgroup of order {forbidden.order}")

@@ -9,6 +9,9 @@ close them up inside Aut(G) x G and test three conditions:
   (iii) the closure acts transitively on the right cosets of X in G, where
         (phi, g) sends the coset X*h to X*(h^phi * g).
 
+With B the base parts, (phi, b) sends X to X*b and B*X lies in B; so under (ii)
+(iii) holds iff B = G, which under (i) makes the base-part projection a bijection.
+
 When all three hold, the pullback of D along the base-part projection is a
 design in the closure with the same parameters - and we recount to prove it.
 """
@@ -25,7 +28,6 @@ from .errors import (
     ConditionsFailed,
     DesignNotFixed,
     ForbiddenNotSubgroup,
-    NotBijective,
     ParameterError,
     ParameterMismatch,
 )
@@ -34,7 +36,6 @@ from .groups import (
     Group,
     GroupAutomorphism,
     Subgroup,
-    coset_action_transitive,
     extension_closure,
     greedy_span,
     normality_witness,
@@ -146,12 +147,14 @@ def check_conditions(inst: TransferInstance) -> TransferReport:
                            f"{group.element_name(g)}^-1 * {group.element_name(s)} * "
                            f"{group.element_name(g)} = {group.element_name(c)}")
 
-    acting = [(closure.aut_perms[a], b) for a, b in closure.gen_pairs]
-    trans = coset_action_transitive(group, x_sub, acting)
-    cond_iii = trans.transitive
+    # (iii): B = G; the least element outside B is an unreached coset's rep
+    reached = np.zeros(group.size, dtype=bool)
+    reached[closure.base_part] = True
+    cond_iii = bool(reached.all())
     if not cond_iii:
-        witnesses["iii"] = (f"coset action reaches {trans.reached} of {trans.total} cosets; "
-                            f"coset of {group.element_name(trans.witness_rep)} is unreached")
+        witnesses["iii"] = (f"coset action reaches {np.count_nonzero(reached) // x_sub.order} "
+                            f"of {group.size // x_sub.order} cosets; coset of "
+                            f"{group.element_name(int(np.argmin(reached)))} is unreached")
 
     return TransferReport(inst, closure, x_sub, cond_i, cond_ii, cond_iii, witnesses)
 
@@ -166,10 +169,7 @@ def _require_pass(report: TransferReport) -> ExtensionGroup:
         raise ConditionsFailed("; ".join(report.condition_lines()))
     closure = report.new_group
     assert closure is not None
-    # regular action: with (i)-(iii) in hand the base-part projection must be
-    # a bijection, so the pullback has one element per source member per coset
-    if np.bincount(closure.base_part, minlength=closure.base.size).max() > 1:
-        raise NotBijective("base-part projection of the closure is not injective")
+    # (i) and (iii) make the base-part projection a bijection
     return closure
 
 

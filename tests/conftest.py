@@ -1,11 +1,15 @@
 import pytest
 
 from diffsets import (
+    DesignSet,
+    abelian_make,
+    aut_from_images,
     denniston_even,
     denniston_gr4,
     denniston_odd,
     dihedral_converse,
     dillon_fixture,
+    make_instance,
     mcfarland_even,
     mcfarland_odd,
     pgroup_multiplier_transfer,
@@ -56,3 +60,13 @@ def corpus():
             rep = transfer_pds(inst)
         out[name] = (inst, rep)
     return out
+
+
+@pytest.fixture
+def v4_swap():
+    """DS(4,1,0) in C2 x C2 with the coordinate swap and candidates
+    (swap, 0), (1, (1,1)): the closure has order 4 and X = {0, (1,1)} is
+    normal, but every base part lies in X, so condition (iii) fails."""
+    v4 = abelian_make((2, 2))
+    design = DesignSet(v4, (0,), "DS", (4, 1, 0))
+    return make_instance(design, [aut_from_images(v4, [2, 1])], [((0,), 0), ((), 3)])

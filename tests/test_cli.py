@@ -111,6 +111,27 @@ def test_bad_member_lines_exit_2(tmp_path, capsys, entries, message):
     assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("0,4,8,12,4", "forbidden element 4 is repeated"),
+    ("0,4,8,12,12,8", "forbidden element 8 is repeated"),
+    ("0,4,64,-1", "forbidden element 64 is out of range"),
+    ("0,99999999999999999999999,64", "forbidden element 99999999999999999999999 is out of range"),
+    ("0,4,8,12,4,64", "forbidden element 64 is out of range"),
+    ("0,4,x,99999999999999999999999", "bad integer list in [forbidden]: '0,4,x,99999999999999999999999'"),
+])
+def test_bad_forbidden_line_exits_2(tmp_path, capsys, line, message):
+    """A bad [forbidden] line exits 2 with one message: a non-integer entry
+    before any range check, then the first element out of range in file
+    order, then a repeated element, which used to be dropped silently."""
+    run(capsys, "construct", "rds", "--d", "1", "--out", str(tmp_path / "rds"))
+    path = tmp_path / "rds.design.txt"
+    text = path.read_text()
+    assert "[forbidden]\n0,4,8,12\n" in text
+    path.write_text(text.replace("[forbidden]\n0,4,8,12\n", f"[forbidden]\n{line}\n", 1))
+    code, stdout, stderr = run(capsys, "verify", "--design", str(path))
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("family, kind", [(("spence", "--d", "1"), "DS"),
                                           (("pgroup", "--p", "2", "--n", "2"), "PDS")])
 @pytest.mark.parametrize("command", ["verify", "transfer"])
@@ -337,6 +358,17 @@ def test_out_of_range_transfer_gen_exits_2(tmp_path, capsys, entry, message):
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_condition_iii_failure_from_file_exits_3(tmp_path, capsys, v4_swap):
+    path = tmp_path / "v4.design.txt"
+    path.write_text(serialize.design_text(v4_swap.design, v4_swap))
+    code, stdout, stderr = run(capsys, "transfer", "--design", str(path),
+                               "--out", str(tmp_path / "v4x"))
+    assert (code, stdout) == (3, "")
+    assert stderr.startswith("error: ") and "condition (iii): fail" in stderr
+    assert "Traceback" not in stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v4.design.txt"]
+
+
 def test_transfer_failure_reports_witness(capsys, tmp_path):
     code, _, stderr = run(capsys, "transfer", "--family", "rds-transfer",
                           "--d", "2", "--out", str(tmp_path / "r"))
@@ -441,7 +473,7 @@ def _far(family, *flags):
 
 
 @pytest.mark.parametrize("argv", [
-    ["denniston-gr4", "--t", "7", "--k", "1"],
+    ["denniston-gr4", "--t", "8", "--k", "1"],
     ["denniston-odd", "--p", "3", "--t", "2"],
     ["rds", "--d", "12"],
     ["rds-transfer", "--d", "12"],

@@ -1,5 +1,5 @@
 """Group layer: abelian tables, automorphism certification, extension
-closures, subgroups, cosets, and fingerprints."""
+closures, subgroups, and fingerprints."""
 
 import itertools
 import random
@@ -20,13 +20,11 @@ from diffsets import (
     Subgroup,
     abelian_make,
     aut_from_images,
-    coset_action_transitive,
     element_orders,
     extension_closure,
     fingerprint,
     nonabelian_witness,
     normality_witness,
-    right_cosets,
     subgroup_closure,
 )
 from diffsets import groups
@@ -185,7 +183,8 @@ def test_group_order_check_forms_no_huge_integer():
     for base, exp in [(2, 65), (3, 10 ** 30), (10 ** 4000, 2)]:
         with pytest.raises(ParameterError, match=too_large):
             check_power_order(base, exp)
-    for base, exp in [(2, 63), (2, MAX_FACTORS + 1), (3, 13)]:
+    e3 = next(e for e in itertools.count() if 3 ** e > MAX_GROUP_ORDER)
+    for base, exp in [(2, 63), (2, MAX_FACTORS + 1), (3, e3)]:
         with pytest.raises(ParameterError, match=f"group order {base ** exp} exceeds"):
             check_power_order(base, exp)
     check_power_order(2, MAX_FACTORS)
@@ -433,57 +432,6 @@ def test_subgroups_and_normality(d4):
 def test_subgroup_validation_messages(members, message):
     with pytest.raises(ParameterError, match=f"^{message}$"):
         Subgroup(abelian_make((4, 2)), members, members[1:2])
-
-
-def test_right_cosets_partition(d4):
-    refl = subgroup_closure(d4, (d4.generators[1],))
-    cosets = right_cosets(d4, refl)
-    assert cosets.count == 4 and len(cosets.reps) == 4
-    # every element belongs to exactly one coset, of size |refl|
-    import collections
-    sizes = collections.Counter(int(c) for c in cosets.cosid)
-    assert sorted(sizes) == list(range(4)) and set(sizes.values()) == {2}
-
-
-def test_coset_action_transitivity(d4):
-    rot = subgroup_closure(d4, (d4.generators[0],))
-    ident = np.arange(d4.size, dtype=np.int64)
-    # right multiplication by the reflection swaps the two cosets
-    res = coset_action_transitive(d4, rot, [(ident, d4.generators[1])])
-    assert res.transitive and res.total == 2
-    # right multiplication by a rotation fixes both cosets
-    res2 = coset_action_transitive(d4, rot, [(ident, d4.generators[0])])
-    assert not res2.transitive and res2.reached == 1
-
-
-def test_cosets_match_reference(d4, corpus):
-    def check(group, sub, acting):
-        table = right_cosets(group, sub)
-        reps, cosid = oracle.right_cosets(group.size, group.mul, sub.members)
-        assert list(table.reps) == reps and table.cosid.tolist() == cosid
-        res = coset_action_transitive(group, sub, acting)
-        want = oracle.coset_orbit(group.size, group.mul, sub.members, acting)
-        assert (res.reached, res.total, res.witness_rep) == want
-        assert res.transitive == (want[0] == want[1])
-
-    ident = np.arange(d4.size, dtype=np.int64)
-    for gens in [(), (d4.generators[0],), (d4.generators[1],), d4.generators]:
-        sub = subgroup_closure(d4, gens)
-        for acting in [[], [(ident, d4.generators[0])], [(ident, d4.generators[1])]]:
-            check(d4, sub, acting)
-    for name in ("spence_d1", "denniston_gr4_t3_k3"):
-        inst, rep = corpus[name]
-        closure = rep.new_group
-        # condition (iii) as the transfer runs it, then with one acting pair
-        acting = [(closure.aut_perms[a], b) for a, b in closure.gen_pairs]
-        check(inst.design.group, rep.x_subgroup, acting)
-        check(inst.design.group, rep.x_subgroup, acting[:1])
-        # a small subgroup of the nonabelian closure: many cosets
-        sub = subgroup_closure(closure, closure.generators[:1])
-        ident = np.arange(closure.size, dtype=np.int64)
-        check(closure, sub, [(ident, g) for g in closure.generators])
-        for g in closure.generators:  # partial orbits, several witnesses
-            check(closure, sub, [(ident, g)])
 
 
 def _small_closures(corpus):

@@ -126,6 +126,54 @@ def test_condition_ii_failure_over_a_nonabelian_base():
         transfer_pds(make_instance(d, [conj], [((), s), ((0,), r)]))
 
 
+def _coset_orbit_reference(inst, rep):
+    """(cond_iii, witness text) from the right-coset orbit BFS of the
+    reference, acting by the closure's generator pairs."""
+    group, closure = inst.design.group, rep.new_group
+    acting = [(closure.aut_perms[a].tolist(), b) for a, b in closure.gen_pairs]
+    reached, total, rep_left = oracle.coset_orbit(
+        group.size, group.mul, rep.x_subgroup.members.tolist(), acting)
+    if rep_left is None:
+        return True, None
+    return False, (f"coset action reaches {reached} of {total} cosets; "
+                   f"coset of {group.element_name(rep_left)} is unreached")
+
+
+def _untwisted(inst):
+    """The instance with every twisted candidate's base element set to the
+    identity: the closure keeps order |G| and a normal X, but its base parts
+    no longer cover G."""
+    gens = [(word, 0 if word else base) for word, base in inst.candidate_gens]
+    return make_instance(inst.design, inst.aut_gens, gens)
+
+
+def test_condition_iii_matches_the_coset_orbit(corpus, v4_swap):
+    """Condition (iii), read off the base parts, agrees with an orbit BFS
+    over right-coset representatives, witness text included: on every corpus
+    instance (all transitive), on each with its twists untwisted, and on the
+    C2 x C2 swap."""
+    cases = [(name, inst) for name, (inst, _) in corpus.items()]
+    cases += [(name + " untwisted", _untwisted(inst)) for name, (inst, _) in corpus.items()]
+    cases.append(("v4 swap", v4_swap))
+    failing = 0
+    for name, inst in cases:
+        rep = check_conditions(inst)
+        assert rep.cond_i and rep.cond_ii, name
+        want = _coset_orbit_reference(inst, rep)
+        assert (rep.cond_iii, rep.witnesses.get("iii")) == want, name
+        failing += not rep.cond_iii
+    assert failing == len(corpus) + 1
+
+
+def test_condition_iii_failure(v4_swap):
+    rep = check_conditions(v4_swap)
+    assert (rep.cond_i, rep.cond_ii, rep.cond_iii) == (True, True, False)
+    with pytest.raises(ConditionsFailed, match=re.escape(
+            "condition (iii): fail [coset action reaches 1 of 2 cosets; "
+            "coset of (1,0) is unreached]")):
+        transfer_pds(v4_swap)
+
+
 def test_spence_transfer_full_report(corpus):
     inst, rep = corpus["spence_d1"]
     assert rep.all_pass
