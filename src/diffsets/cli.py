@@ -239,10 +239,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
     fp_lines = _fingerprint_lines(report)
     for line in fp_lines:
         print(line)
-    line = _result_line(report.verified)
-    print(line)
-    if report.new_forbidden is not None:
-        print(f"forbidden subgroup order {report.new_forbidden.order}")
+    line = _print_summary(report.verified, report.new_design, None)
 
     _write(f"{out}.design.txt", design_text(report.new_design))
     report_body = "\n".join(["[report]"] + report.condition_lines()

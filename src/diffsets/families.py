@@ -275,7 +275,8 @@ def corollary_chain(design: DesignSet, x_sub: Subgroup, target: AbelianGroup) ->
 # ---------------------------------------------------------------------------
 
 def _check_prime(p: int, exp: int, least: int, msg: str) -> None:
-    """Check p >= least, then p^exp within the order ceiling, then p prime (slow if huge)."""
+    """Check p >= least, then p^exp within the order ceiling, then p prime:
+    the order check keeps isprime within its bound."""
     if p >= least:
         check_power_order(p, exp)
     if p < least or not isprime(p):

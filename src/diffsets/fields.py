@@ -5,10 +5,12 @@ the integer code sum(c_i * p**i), so the q field elements are coded exactly by
 0 .. q-1, with 0 the zero element and 1 the one element.  The same convention
 holds for the rings with radix 4.  These codes are the element indices of the
 additive group - C_p^m for GF(p^m), C_4^t for GR(4,t) - so each structure
-keeps that AbelianGroup as `additive`: addition is its product, and `digits`
-tables its digits, the coefficient vectors.  Field multiplication goes through
-exp/log tables of the primitive element, built once per (p, m, modulus) triple
-and cached; ring multiplication reduces the polynomial product on demand.
+keeps that AbelianGroup as `additive`: addition is its product, and a field's
+`digits` tables its digits, the coefficient vectors.  Field multiplication goes
+through exp/log tables of the primitive element, built once per (p, m, modulus)
+triple and cached.  A ring keeps only what the Galois-ring Denniston family
+reads: its addition, the Teichmueller powers `hpow`, its residue field and the
+map `iso_table` of that field onto the ideal 2R.
 
 Every table is GF(p)-linear algebra on coefficient vectors.  Multiplication
 by x modulo a monic x^m + c_{m-1} x^(m-1) + ... + c_0 is the companion
@@ -39,8 +41,7 @@ primitive survivor.  An overridden modulus passes the same certificate.
 Every matmul sums at most m + 1 products of residues below p (below 4 for
 the rings), so its entries stay below (m + 1)(p - 1)^2 < 2^41 for every
 p^m <= MAX_GROUP_ORDER: exact in int64, whose bound is m (p - 1)^2 < 2^63
-(float64 BLAS would need < 2^53).  The GR(4,t) product reduces a
-convolution, whose 2t - 1 coefficients stay below 9t, as exactly.
+(float64 BLAS would need < 2^53).
 
 Hyperplanes come as one int64 array with a sorted row of point codes per
 plane; a point (x, y) of GF(q)^2 has the code x + q y.
@@ -55,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import LiftFailure, NonPrimitiveModulus, ParameterError
-from .groups import AbelianGroup, abelian_make
+from .groups import AbelianGroup, abelian_make, check_power_order
 from .numtheory import factorint, isprime
 
 # The default-modulus search tests this many candidates first, then twice as
@@ -135,7 +136,7 @@ def _default_modulus(p: int, m: int) -> Tuple[int, ...]:
     raise NonPrimitiveModulus(f"no primitive degree-{m} polynomial found over GF({p})")
 
 
-def _poly_str(digits: Sequence[int], var: str = "x") -> str:
+def _poly_str(digits: Sequence[int]) -> str:
     terms = []
     for i in range(len(digits) - 1, -1, -1):
         c = digits[i]
@@ -145,7 +146,7 @@ def _poly_str(digits: Sequence[int], var: str = "x") -> str:
             terms.append(str(c))
         else:
             head = "" if c == 1 else str(c)
-            terms.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
+            terms.append(f"{head}x" + (f"^{i}" if i > 1 else ""))
     return "+".join(terms) if terms else "0"
 
 
@@ -213,20 +214,18 @@ class FiniteField:
         """k-fold Frobenius a -> a^(p^k)."""
         return self.pow(a, self.p ** k)
 
-    def trace(self, a: int, sub_degree: int = 1) -> int:
-        if self.m % sub_degree != 0:
-            raise ParameterError(
-                f"sub_degree {sub_degree} does not divide extension degree {self.m}")
+    def trace(self, a: int) -> int:
+        """The absolute trace a + a^p + ... + a^(p^(m-1)), in GF(p)."""
         acc = 0
-        for i in range(self.m // sub_degree):
-            acc = self.add(acc, self.pow(a, self.p ** (sub_degree * i)))
+        for i in range(self.m):
+            acc = self.add(acc, self.frob(a, i))
         return acc
 
     def in_subfield(self, a: int, sub_degree: int) -> bool:
         return self.frob(a, sub_degree) == a
 
-    def element_str(self, code: int, var: str = "x") -> str:
-        return _poly_str(self.digits[code].tolist(), var)
+    def element_str(self, code: int) -> str:
+        return _poly_str(self.digits[code].tolist())
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.m}; {_poly_str(self.modulus)})"
@@ -238,12 +237,15 @@ def _field_cached(p: int, m: int, modulus: Tuple[int, ...]) -> FiniteField:
 
 
 def field_make(p: int, m: int, modulus_override: Optional[Sequence[int]] = None) -> FiniteField:
-    """Construct GF(p^m), selecting the default primitive modulus unless overridden."""
-    if not isprime(p):
-        raise ParameterError(f"p = {p} is not prime")
+    """Construct GF(p^m), selecting the default primitive modulus unless
+    overridden.  The order is checked before primality, as in the families,
+    so isprime only ever sees p <= MAX_GROUP_ORDER."""
     if m < 1:
         raise ParameterError(f"extension degree must be positive, got {m}")
-    _elementary(p, m)  # an oversized order fails here, before any modulus search
+    if p >= 2:
+        check_power_order(p, m)
+    if p < 2 or not isprime(p):
+        raise ParameterError(f"p = {p} is not prime")
     if modulus_override is not None:
         mod = tuple(int(c) % p for c in modulus_override)
         if len(mod) != m + 1 or modulus_override[m] != 1:
@@ -354,7 +356,6 @@ class GaloisRing:
         self.t = t
         self.q = 4 ** t
         self.additive = abelian_make((4,) * t)
-        self.digits = self.additive.digits_of(np.arange(self.q))
         if t == 3:
             self.phi2: Tuple[int, ...] = (1, 1, 0, 1)
         else:
@@ -370,38 +371,14 @@ class GaloisRing:
                               f"{_poly_str(self.phi)} over Z4")
 
         self.residue_field = field_make(2, t, modulus_override=self.phi2)
-        hvecs = _powers(self.phi[:t], 4, n1)
-        self.hpow = self.additive.encode(hvecs)
-        self._xpow = hvecs[:2 * t - 1]  # x^0 .. x^(2t-2), to reduce products
-
-        # reduction mod 2: the residue field's encode takes every Z4 digit mod 2
-        self.proj_table = self.residue_field.additive.encode(self.digits)
+        self.hpow = self.additive.encode(_powers(self.phi[:t], 4, n1))
         # 2R is the image of the Teichmueller set under doubling: g^i -> 2 h^i
         iso = np.zeros(2 ** t, dtype=np.int64)
         iso[self.residue_field.exp] = self.additive.mul_many(self.hpow, self.hpow)
         self.iso_table = iso
 
-    # -- arithmetic -------------------------------------------------------
-
     def add(self, a: int, b: int) -> int:
         return self.additive.mul(a, b)
-
-    def mul(self, a: int, b: int) -> int:
-        prod = np.convolve(self.digits[a], self.digits[b])
-        return int(self.additive.encode(prod @ self._xpow))
-
-    def pow(self, a: int, e: int) -> int:
-        acc = 1
-        base = a
-        while e > 0:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
-
-    def element_str(self, code: int, var: str = "h") -> str:
-        return _poly_str(self.digits[code].tolist(), var)
 
     def __repr__(self) -> str:
         return f"GR(4,{self.t}; {_poly_str(self.phi)})"

@@ -693,9 +693,6 @@ class Subgroup:
     def order(self) -> int:
         return self.members.size
 
-    def __contains__(self, idx: int) -> bool:
-        return bool(self.mask[idx])
-
     def __repr__(self) -> str:
         return f"Subgroup(order {self.order} of {self.parent!r})"
 

@@ -41,7 +41,7 @@ from .groups import (
     greedy_span,
     group_levels,
 )
-from .transfer import TransferInstance, make_instance
+from .transfer import GenWord, TransferInstance, make_instance
 from .verify import DesignSet
 
 FORMAT_TAG = "diffsets-text-1"
@@ -98,6 +98,18 @@ def _element_text(levels: List[Group]) -> str:
     return raw.replace(b"\0", b"").decode("ascii")
 
 
+def _block_lines(auts: Sequence[Sequence[int]], gens: Sequence[GenWord]) -> List[str]:
+    """The automorphism and generator records of a [level i] or [transfer]
+    section: each automorphism's generator images, then each generator's
+    automorphism word and base element."""
+    lines = [f"auts = {len(auts)}"]
+    lines += [f"aut{ai} = " + ",".join(map(str, images)) for ai, images in enumerate(auts)]
+    lines.append(f"gens = {len(gens)}")
+    lines += [f"gen{gi} = " + ",".join(map(str, word)) + f"|{b}"
+              for gi, (word, b) in enumerate(gens)]
+    return lines
+
+
 def _group_head_lines(levels: List[Group]) -> List[str]:
     """The group's sections up to and including the [elements] header."""
     lines = ["[group]", f"levels = {len(levels)}"]
@@ -110,14 +122,8 @@ def _group_head_lines(levels: List[Group]) -> List[str]:
             assert isinstance(lev, ExtensionGroup)
             lines.append("kind = extension")
             lines.append(f"size = {lev.size}")
-            na = lev.aut_perms.shape[0]
-            lines.append(f"auts = {na}")
-            for ai in range(na):
-                imgs = ",".join(str(int(lev.aut_perms[ai, g])) for g in lev.base.generators)
-                lines.append(f"aut{ai} = {imgs}")
-            lines.append(f"gens = {len(lev.gen_pairs)}")
-            for gi, (a, b) in enumerate(lev.gen_pairs):
-                lines.append(f"gen{gi} = {a}|{b}")
+            lines += _block_lines(lev.aut_perms[:, list(lev.base.generators)].tolist(),
+                                  [((a,), b) for a, b in lev.gen_pairs])
     lines.append("[elements]")
     return lines
 
@@ -138,13 +144,8 @@ def _design_head_lines(design: DesignSet,
         if instance.design is not design:
             raise ParameterError("transfer instance does not belong to this design")
         lines.append("[transfer]")
-        lines.append(f"auts = {len(instance.aut_gens)}")
-        for ai, aut in enumerate(instance.aut_gens):
-            lines.append(f"aut{ai} = " + ",".join(str(i) for i in aut.images))
-        lines.append(f"gens = {len(instance.candidate_gens)}")
-        for gi, (word, b) in enumerate(instance.candidate_gens):
-            word_s = ",".join(str(w) for w in word)
-            lines.append(f"gen{gi} = {word_s}|{b}")
+        lines += _block_lines([aut.images for aut in instance.aut_gens],
+                              instance.candidate_gens)
         for entry in instance.log:
             lines.append(f"log = {entry}")
     return lines
@@ -239,11 +240,27 @@ def _int_array(tokens: List[str]) -> np.ndarray:
         return np.array([int(tok) for tok in tokens], dtype=object)
 
 
-def _parse_gen(entry: str, what: str) -> Tuple[Tuple[int, ...], int]:
+def _parse_gen(entry: str, what: str) -> GenWord:
     if "|" not in entry:
         raise ParseError(f"{what} must look like 'word|base', got {entry!r}")
     word_s, _, base_s = entry.partition("|")
     return tuple(_ints(word_s, what)), _int(base_s, f"{what} base element")
+
+
+def _parse_block(kv: Dict[str, List[str]], section: str,
+                 n_images: int) -> Tuple[List[List[int]], List[GenWord]]:
+    """The records _block_lines writes: each automorphism's generator images,
+    n_images of them, and each generator's (word, base) pair."""
+    auts = []
+    for ai in range(_int(_one(kv, "auts", section), f"[{section}] auts")):
+        images = _ints(_one(kv, f"aut{ai}", section), f"[{section}] aut{ai}")
+        if len(images) != n_images:
+            raise ParseError(f"[{section}] aut{ai} has {len(images)} images, but the "
+                             f"group it acts on has {n_images} generators")
+        auts.append(images)
+    ng = _int(_one(kv, "gens", section), f"[{section}] gens")
+    return auts, [_parse_gen(_one(kv, f"gen{gi}", section), f"[{section}] gen{gi}")
+                  for gi in range(ng)]
 
 
 def parse_group_sections(sections: List[Tuple[str, List[str]]],
@@ -274,17 +291,13 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]],
             if group is None:
                 raise ParseError("extension level has no base group")
             size = _int(_one(kv, "size", name), f"[{name}] size")
-            na = _int(_one(kv, "auts", name), f"[{name}] auts")
+            image_lists, gens = _parse_block(kv, name, len(group.generators))
             auts: List[GroupAutomorphism] = []
             # an automorphism with the generator images of a product of ones
             # certified before it is that product: only the others are certified
             certified: Optional[List[np.ndarray]] = []
             perms, keys, _ = close_automorphisms(group, certified, size)
-            for ai in range(na):
-                images = _ints(_one(kv, f"aut{ai}", name), f"[{name}] aut{ai}")
-                if len(images) != len(group.generators):
-                    raise ParseError(f"[{name}] aut{ai} has {len(images)} images, "
-                                     f"base group has {len(group.generators)} generators")
+            for images in image_lists:
                 key = (np.array(images, dtype=np.int64).tobytes()
                        if all(0 <= i < group.size for i in images) else None)
                 if certified is not None and key in keys:
@@ -297,11 +310,6 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]],
                         perms, keys, _ = close_automorphisms(group, certified, size)
                     except (ClosureOverflow, ParameterError):
                         certified = None  # extension_closure below reports it
-            ng = _int(_one(kv, "gens", name), f"[{name}] gens")
-            gens = []
-            for gi in range(ng):
-                word, b = _parse_gen(_one(kv, f"gen{gi}", name), f"[{name}] gen{gi}")
-                gens.append((word, b))
             try:
                 rebuilt = extension_closure(group, auts, gens, cap=size)
             except ClosureOverflow:
@@ -385,20 +393,9 @@ def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
     instance = None
     if "transfer" in by_name:
         kv = _kv(by_name["transfer"], "transfer")
-        na = _int(_one(kv, "auts", "transfer"), "[transfer] auts")
-        auts = []
-        for ai in range(na):
-            images = _ints(_one(kv, f"aut{ai}", "transfer"), f"[transfer] aut{ai}")
-            if len(images) != len(group.generators):
-                raise ParseError(f"[transfer] aut{ai} has {len(images)} images, "
-                                 f"group has {len(group.generators)} generators")
-            auts.append(aut_from_images(group, images))
-        ng = _int(_one(kv, "gens", "transfer"), "[transfer] gens")
-        gens = []
-        for gi in range(ng):
-            gens.append(_parse_gen(_one(kv, f"gen{gi}", "transfer"), f"[transfer] gen{gi}"))
-        tlog = list(kv.get("log", []))
-        instance = make_instance(design, auts, gens, log=tlog)
+        image_lists, gens = _parse_block(kv, "transfer", len(group.generators))
+        auts = [aut_from_images(group, images) for images in image_lists]
+        instance = make_instance(design, auts, gens, log=list(kv.get("log", [])))
     return design, instance
 
 

@@ -164,19 +164,14 @@ def _lift_members(closure: ExtensionGroup, mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask[closure.base_part])
 
 
-def _require_pass(report: TransferReport) -> ExtensionGroup:
+def transfer_design(inst: TransferInstance) -> TransferReport:
+    """Run the conditions and, if they pass, lift and re-verify the design."""
+    report = check_conditions(inst)
     if not report.all_pass:
         raise ConditionsFailed("; ".join(report.condition_lines()))
     closure = report.new_group
     assert closure is not None
     # (i) and (iii) make the base-part projection a bijection
-    return closure
-
-
-def transfer_design(inst: TransferInstance) -> TransferReport:
-    """Run the conditions and, if they pass, lift and re-verify the design."""
-    report = check_conditions(inst)
-    closure = _require_pass(report)
     design = inst.design
     lifted = _lift_members(closure, design.mask)
     if len(lifted) != design.size:

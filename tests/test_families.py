@@ -286,8 +286,8 @@ def test_mcfarland_odd(corpus):
 
 def test_huge_prime_parameter_fails_on_order_before_primality(monkeypatch):
     """A prime parameter far above the order ceiling is rejected by the order
-    check, which reads exponents, before any primality test: above 3.3e24
-    the test goes to sympy and takes seconds for a number like 2^4423 - 1."""
+    check, which reads exponents, before any primality test: isprime takes
+    no n above 2^40, and a number like 2^4423 - 1 is far beyond that."""
     def no_primality_test(n):
         raise AssertionError("isprime ran before the order check")
     monkeypatch.setattr(families, "isprime", no_primality_test)

@@ -82,14 +82,6 @@ def test_trace_matches_power_sum_and_is_balanced(p, m):
     assert counts == {c: F.q // p for c in range(p)}
 
 
-def test_relative_trace_onto_subfield():
-    F = field_make(2, 4)
-    for a in range(F.q):
-        t = F.trace(a, sub_degree=2)
-        assert F.in_subfield(t, 2)
-        assert t == F.add(a, F.frob(a, 2))
-
-
 def test_lex_smallest_primitive_modulus():
     # GF(8): x^3 + x^2 + 1 is the lex-first primitive cubic when coefficient
     # vectors are compared low degree first: (1,0,1) sorts before (1,1,0).
@@ -238,30 +230,22 @@ def test_field_embed_is_a_ring_embedding():
 def test_galois_ring_t3_modulus_and_units():
     ring = galois_ring_make(3)
     assert repr(ring) == "GR(4,3; x^3+2x^2+x+3)"
-    # the Teichmuller element h has multiplicative order 2^t - 1
-    h = 4  # the code of h, the residue of x
-    for i in range(1, 2**3 - 1):
-        assert ring.pow(h, i) != 1
-    assert ring.pow(h, 2**3 - 1) == 1
-    assert [ring.pow(h, i) for i in range(2**3 - 1)] == [int(x) for x in ring.hpow]
+    # the Teichmuller element h, the residue of x, has multiplicative order 2^t - 1
+    powers = oracle.field_powers(4, ring.phi, 2**3)
+    assert 1 not in powers[1:2**3 - 1] and powers[2**3 - 1] == 1
+    assert powers[:2**3 - 1] == ring.hpow.tolist()
 
 
 def test_galois_ring_ideal_and_projection():
     ring = galois_ring_make(2)
     F = ring.residue_field
-    # projection is a ring homomorphism onto the residue field
-    for a in range(ring.q):
-        for b in range(ring.q):
-            pa, pb = int(ring.proj_table[a]), int(ring.proj_table[b])
-            assert int(ring.proj_table[ring.add(a, b)]) == F.add(pa, pb)
-            assert int(ring.proj_table[ring.mul(a, b)]) == F.mul(pa, pb)
     # iso_table identifies the ideal 2R with the residue field additively
     for a in range(F.q):
         for b in range(F.q):
             assert int(ring.iso_table[F.add(a, b)]) == ring.add(
                 int(ring.iso_table[a]), int(ring.iso_table[b]))
-    # 2R is the kernel of reduction
-    assert int(ring.proj_table[ring.iso_table[1]]) == 0
+    # 2R is the kernel of reduction mod 2: every Z4 digit of its elements is even
+    assert all(d % 2 == 0 for c in ring.iso_table.tolist() for d in oracle.decode((4, 4), c))
 
 
 @pytest.mark.parametrize("kind,p,m", [
@@ -281,7 +265,8 @@ def test_addition_matches_digitwise_oracle(kind, p, m):
     xs, ys, want = a.ravel()[::step], b.ravel()[::step], expect.ravel()[::step]
     assert [ring.add(int(x), int(y)) for x, y in zip(xs, ys)] == want.tolist()
     assert ring.additive.mul_many(xs, ys).tolist() == want.tolist()
-    assert ring.digits.tolist() == [[x // p**i % p for i in range(m)] for x in range(q)]
+    if kind == "GF":
+        assert ring.digits.tolist() == [[x // p**i % p for i in range(m)] for x in range(q)]
 
 
 def test_galois_ring_t5_structure():
@@ -289,27 +274,34 @@ def test_galois_ring_t5_structure():
     F = ring.residue_field
     assert ring.q == 1024 and F.q == 32
     # h = x has order exactly 2^5 - 1 = 31, and hpow lists its powers
-    assert [ring.pow(4, i) for i in range(31)] == ring.hpow.tolist()
-    assert len(set(ring.hpow.tolist())) == 31 and ring.pow(4, 31) == 1
-    # proj_table is an additive homomorphism onto the residue field, over all pairs
-    a, b = np.meshgrid(np.arange(ring.q), np.arange(ring.q), indexing="ij")
-    proj = ring.proj_table
-    assert np.array_equal(proj[ring.additive.mul_many(a, b)],
-                          F.additive.mul_many(proj[a], proj[b]))
-    rng = random.Random(0x6A5)
-    for _ in range(200):
-        x, y = rng.randrange(ring.q), rng.randrange(ring.q)
-        assert int(proj[ring.mul(x, y)]) == F.mul(int(proj[x]), int(proj[y]))
-    # iso_table is an injective additive homomorphism from F into 2R = ker proj
+    powers = oracle.field_powers(4, ring.phi, 32)
+    assert powers[:31] == ring.hpow.tolist()
+    assert len(set(ring.hpow.tolist())) == 31 and powers[31] == 1
+    # iso_table is an injective additive homomorphism from F into 2R, the
+    # elements whose Z4 digits are all even
     u, v = np.meshgrid(np.arange(F.q), np.arange(F.q), indexing="ij")
     iso = ring.iso_table
     assert np.array_equal(iso[F.additive.mul_many(u, v)],
                           ring.additive.mul_many(iso[u], iso[v]))
-    assert len(set(iso.tolist())) == F.q and not proj[iso].any()
+    assert len(set(iso.tolist())) == F.q
+    assert all(d % 2 == 0 for c in iso.tolist() for d in oracle.decode((4,) * 5, c))
 
 
 def test_bad_parameters():
-    with pytest.raises(ParameterError):
-        field_make(4, 2)  # p must be prime
+    for p in (4, 1, 0, -3):
+        with pytest.raises(ParameterError, match=f"^p = {p} is not prime$"):
+            field_make(p, 2)
+    with pytest.raises(ParameterError, match="extension degree must be positive"):
+        field_make(2, 0)
     with pytest.raises(ParameterError):
         hyperplanes(field_make(2, 2), 3)
+
+
+def test_field_make_checks_the_order_before_primality(monkeypatch):
+    """A prime far above the order ceiling is rejected on its order, as in the
+    families, before isprime, which takes no n above 2^40, sees it."""
+    def no_primality_test(n):
+        raise AssertionError("isprime ran before the order check")
+    monkeypatch.setattr(fields, "isprime", no_primality_test)
+    with pytest.raises(ParameterError, match="exceeds the supported maximum"):
+        field_make(2 ** 4423 - 1, 1)

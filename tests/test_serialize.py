@@ -162,6 +162,22 @@ def test_rds_round_trip_with_forbidden(corpus):
     assert rep2.verified.params == (16, 4, 16, 4)
 
 
+@pytest.mark.parametrize("section", ["transfer", "level 1"])
+def test_short_automorphism_row_names_section_and_counts(corpus, section):
+    """[transfer] and an extension level share one reader of their
+    automorphism rows: a row one image short is named with both counts."""
+    inst, rep = corpus["spence_d1"]  # C3^3 x C13, four generators
+    text = (design_text(inst.design, inst) if section == "transfer"
+            else design_text(rep.new_design))
+    lines = text.split("\n")
+    i = lines.index(f"[{section}]")
+    i += next(j for j, ln in enumerate(lines[i:]) if ln.startswith("aut0 = "))
+    lines[i] = lines[i].rpartition(",")[0]
+    with pytest.raises(ParseError, match=re.escape(
+            f"[{section}] aut0 has 3 images, but the group it acts on has 4 generators")):
+        parse_design("\n".join(lines))
+
+
 def test_corrupted_enumeration_rejected():
     txt = design_text(mcfarland_base(2, 1))
     lines = txt.splitlines()
