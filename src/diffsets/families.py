@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iproduct
-from math import gcd
+from math import gcd, prod
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,6 +56,7 @@ from .groups import (
     element_orders,
     extension_closure,
     greedy_span,
+    sorted_unique,
     subgroup_closure,
 )
 from .numtheory import factorint, isprime
@@ -191,7 +192,6 @@ def dillon_forward(dihedral_design: DesignSet, target: AbelianGroup) -> DesignSe
             f"the design's group has {len(aut_values)} automorphism slices, need exactly 2")
     base = group.base
     h_codes = sorted(int(b) for b in group.base_part[group.aut_part == 0])
-    h_set = set(h_codes)
 
     member_arr = dihedral_design.members
     member_aut = group.aut_part[member_arr]
@@ -206,14 +206,10 @@ def dillon_forward(dihedral_design: DesignSet, target: AbelianGroup) -> DesignSe
 
     gens = list(greedy_span(base, h_codes).gens)
     orders = element_orders(base)[gens].tolist()
-    tuples = list(_iproduct(*[range(o) for o in orders]))
-    sources: List[int] = []
-    for exps in tuples:
-        acc = base.identity
-        for g, e in zip(gens, exps):
-            acc = base.mul(acc, base.pow(g, e))
-        sources.append(int(acc))
-    if len(set(sources)) != len(h_set) or set(sources) != h_set:
+    # every exponent vector, in lexicographic order, and its product of powers
+    exps = np.indices(orders).reshape(len(orders), prod(orders)).T
+    sources = base.encode(exps @ base.digits_of(gens))
+    if not np.array_equal(sorted_unique(sources), h_codes):
         raise DecompositionFailure("the translation slice is not the direct product "
                                    "of its greedy generators")
 
@@ -222,24 +218,16 @@ def dillon_forward(dihedral_design: DesignSet, target: AbelianGroup) -> DesignSe
     if target.size != 2 * len(h_codes):
         raise IndexNotTwo(f"target order {target.size} != 2*|H| = {2 * len(h_codes)}")
 
-    candidate_lists = []
-    for o in orders:
-        candidate_lists.append([t for t in range(target.size)
-                                if target.pow(t, o) == target.identity])
-    emb: Optional[np.ndarray] = None
-    for images in _iproduct(*candidate_lists):
-        dests = []
-        for exps in tuples:
-            acc = target.identity
-            for img, e in zip(images, exps):
-                acc = target.mul(acc, target.pow(img, e))
-            dests.append(int(acc))
-        if len(set(dests)) == len(h_set):
-            emb = np.zeros(base.size, dtype=np.int64)
-            emb[sources] = dests
+    points = np.arange(target.size)
+    candidates = [np.flatnonzero(target.pow_many(points, o) == target.identity) for o in orders]
+    for images in _iproduct(*candidates):
+        dests = target.encode(exps @ target.digits_of(images))
+        if sorted_unique(dests).size == len(h_codes):
             break
-    if emb is None:
+    else:
         raise IndexNotTwo("the target contains no index-2 copy of the translation slice")
+    emb = np.zeros(base.size, dtype=np.int64)
+    emb[sources] = dests
 
     image = np.zeros(target.size, dtype=bool)
     image[emb[sources]] = True
@@ -273,6 +261,13 @@ def corollary_chain(design: DesignSet, x_sub: Subgroup, target: AbelianGroup) ->
 # ---------------------------------------------------------------------------
 # p-group PDSs from partial congruence partitions
 # ---------------------------------------------------------------------------
+
+def _first_primitive(F: FiniteField, ok) -> Optional[int]:
+    """The first primitive element g^e, 1 <= e < q - 1 with gcd(e, q - 1) = 1,
+    that satisfies ok, or None."""
+    return next((int(F.exp[e]) for e in range(1, F.q - 1)
+                 if gcd(e, F.q - 1) == 1 and ok(int(F.exp[e]))), None)
+
 
 def _check_prime(p: int, exp: int, least: int, msg: str) -> None:
     """Check p >= least, then p^exp within the order ceiling, then p prime:
@@ -372,11 +367,8 @@ def spence(d: int) -> TransferInstance:
     images.append(wbase * (3 ** d % r))
     phi = aut_from_images(group, images)
 
-    h0_basis = _SpanGF(m, 3)
-    basis_codes: List[int] = []
-    for h in planes[0].tolist():
-        if h0_basis.add(F.digits[h]):
-            basis_codes.append(h)
+    # a subgroup of C3^m is a GF(3)-span, so these are the independent codes in turn
+    basis_codes = list(greedy_span(F.additive, planes[0]).gens)
     a_star = None
     for i in range(m):
         if F.trace(3 ** i) != 0:
@@ -394,7 +386,7 @@ def spence_sylow3(report: TransferReport) -> Subgroup:
     closure = report.new_group
     assert closure is not None
     gens = closure.generators
-    m = len(report.instance.source_group.orders) - 1
+    m = len(report.instance.design.group.orders) - 1
     return subgroup_closure(closure, tuple(gens[:m - 1]) + (gens[m],))
 
 
@@ -412,14 +404,7 @@ def denniston_even(m: int, r: int) -> TransferInstance:
     group = abelian_make((2,) * (3 * m))
     F = field_make(2, m)
     q = 2 ** m
-    alpha = None
-    for e in range(1, q - 1):
-        if gcd(e, q - 1) != 1:
-            continue
-        cand = int(F.exp[e % (q - 1)])
-        if F.trace(F.inv(cand)) == 1:
-            alpha = cand
-            break
+    alpha = _first_primitive(F, lambda a: F.trace(F.inv(a)) == 1)
     if alpha is None:
         raise NoValidAlpha("no primitive element alpha satisfies tr(1/alpha) = 1")
 
@@ -636,6 +621,18 @@ def mcfarland_base(q: int, s: int) -> DesignSet:
     return design
 
 
+def _pair_tags(size: int, fixed_tag, pairs, pool, mate) -> list:
+    """One tag per plane: `fixed_tag` on the fixed plane and, for each swap
+    pair (i, j) in turn, the first tag left in `pool` on i and its mate on j
+    (every other plane lies in a pair)."""
+    tags, pool = [fixed_tag] * size, list(pool)
+    for i, j in pairs:
+        tags[i] = pool.pop(0)
+        tags[j] = mate(tags[i])
+        pool.remove(tags[j])
+    return tags
+
+
 def mcfarland_even(d: int, variant: int) -> TransferInstance:
     """McFarland design over E = GF(q)^2, q = 2^d, tail C_(q+2) (variants 1
     and 2) or dihedral of order q+2 (variant 3), with the coordinate swap
@@ -660,14 +657,8 @@ def mcfarland_even(d: int, variant: int) -> TransferInstance:
     claimed = (q * q * (q + 2), q * (q + 1), q)
 
     if variant in (1, 2):
-        assign = [0] * len(planes)
-        assign[fixed] = half
-        pool = [x for x in range(1, q + 2) if x != half]
-        for (i, j) in pairs:
-            x = pool.pop(0)
-            assign[i] = x
-            pool.remove((q + 2 - x) % (q + 2))
-            assign[j] = (q + 2 - x) % (q + 2)
+        assign = _pair_tags(len(planes), half, pairs,
+                            [x for x in range(1, q + 2) if x != half], lambda x: -x % (q + 2))
         members = (planes + e_size * np.array(assign)[:, None]).ravel()
         design = DesignSet(group, members, "DS", claimed,
                            log=[f"fixed plane -> {half}; swap pairs matched to "
@@ -701,18 +692,9 @@ def mcfarland_even(d: int, variant: int) -> TransferInstance:
         return gprime.index_of_pair(a, e_size * j)
 
     u_el = kp(1, 0)
-    kp_list = [(0, j) for j in range(1, half)] + [(1, j) for j in range(half)]
-    kp_list.remove((1, 0))
-    assign_k: List[Optional[Tuple[int, int]]] = [None] * len(planes)
-    assign_k[fixed] = (1, 0)
-    pool2 = list(kp_list)
-    for (i, j) in pairs:
-        a, jj = pool2.pop(0)
-        mate = (a, (-jj) % half)
-        pool2.remove(mate)
-        assign_k[i] = (a, jj)
-        assign_k[j] = mate
-    tags = np.array(assign_k)
+    kp_list = [(0, j) for j in range(1, half)] + [(1, j) for j in range(1, half)]
+    tags = np.array(_pair_tags(len(planes), (1, 0), pairs, kp_list,
+                               lambda t: (t[0], -t[1] % half)))
     # the element (a, ec + e_size jj) of gprime for a plane tagged (a, jj)
     members = gprime.pair_index[tags[:, :1] * group.size + planes + e_size * tags[:, 1:]]
     design = DesignSet(gprime, members.ravel(), "DS", claimed,
@@ -903,14 +885,7 @@ def rds_transfer(d: int, variant: int) -> TransferInstance:
         cands += [((), qq * qq * 2 ** i) for i in range(2 * d)]
         log = ["generators (phi,w,0,0), (1,w^2,0,0), and a basis of V"]
     else:
-        beta = None
-        for e in range(1, qq - 1):
-            if gcd(e, qq - 1) != 1:
-                continue
-            cand = int(F.exp[e % (qq - 1)])
-            if not F.in_subfield(cand, d):
-                beta = cand
-                break
+        beta = _first_primitive(F, lambda a: not F.in_subfield(a, d))
         assert beta is not None
         span = _SpanGF(4 * d, 2)
         zeros = np.zeros(2 * d, dtype=np.int64)
@@ -919,13 +894,9 @@ def rds_transfer(d: int, variant: int) -> TransferInstance:
                 span.add(np.concatenate([F.digits[a], zeros]))
                 span.add(np.concatenate([zeros, F.digits[a]]))
         span.complete_avoiding(np.concatenate([F.digits[beta], zeros]))
-        bcodes = []
-        for row in span.rows:
-            x = int(np.sum(row[:2 * d] * (1 << np.arange(2 * d))))
-            y = int(np.sum(row[2 * d:] * (1 << np.arange(2 * d))))
-            bcodes.append(qq * (x + qq * y))
+        x, y = F.additive.encode(np.reshape(span.rows, (-1, 2, 2 * d))).T
         cands = [((0,), qq * beta), ((), 1)]
-        cands += [((), b) for b in bcodes]
+        cands += [((), int(b)) for b in qq * (x + qq * y)]
         log = [f"beta = {F.element_str(beta)}; B completed greedily from the "
                f"GF({q}) x GF({q}) block"]
     return make_instance(design, [phi], cands, log=log)

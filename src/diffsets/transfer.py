@@ -9,11 +9,14 @@ close them up inside Aut(G) x G and test three conditions:
   (iii) the closure acts transitively on the right cosets of X in G, where
         (phi, g) sends the coset X*h to X*(h^phi * g).
 
-With B the base parts, (phi, b) sends X to X*b and B*X lies in B; so under (ii)
-(iii) holds iff B = G, which under (i) makes the base-part projection a bijection.
+X is normal in the closure as the kernel of (a, b) -> a; in G it is tested on
+its Schreier generators, the base parts of t_a s t_(as)^-1 over the closure's
+generators s, t_a the first element of automorphism part a.  With B the base
+parts, (phi, b) sends X to X*b and B*X lies in B; so under (ii) (iii) holds
+iff B = G, which under (i) makes the base-part projection a bijection.
 
-When all three hold, the pullback of D along the base-part projection is a
-design in the closure with the same parameters - and we recount to prove it.
+When all three hold, the pullback of D along it is a design in the closure of
+D's size with the same parameters - and we recount to prove it.
 """
 
 from __future__ import annotations
@@ -33,12 +36,12 @@ from .errors import (
 )
 from .groups import (
     ExtensionGroup,
-    Group,
     GroupAutomorphism,
     Subgroup,
     extension_closure,
     greedy_span,
     normality_witness,
+    sorted_unique,
 )
 from .verify import DesignSet, VerifyResult, verify_design
 
@@ -54,10 +57,6 @@ class TransferInstance:
     aut_gens: List[GroupAutomorphism]
     candidate_gens: List[GenWord]
     log: List[str] = field(default_factory=list)
-
-    @property
-    def source_group(self) -> Group:
-        return self.design.group
 
 
 def make_instance(design: DesignSet,
@@ -121,7 +120,7 @@ class TransferReport:
 
 
 def check_conditions(inst: TransferInstance) -> TransferReport:
-    group = inst.source_group
+    group = inst.design.group
     witnesses: dict = {}
     try:
         closure = extension_closure(group, inst.aut_gens, inst.candidate_gens)
@@ -134,9 +133,13 @@ def check_conditions(inst: TransferInstance) -> TransferReport:
         witnesses["i"] = f"closure has order {closure.size}, base group {group.size}"
         return TransferReport(inst, closure, None, False, None, None, witnesses)
 
-    # X = base parts of the pure-translation slice (identity automorphism part)
+    # X: base parts of the pure-translation slice, generated by those of t_a s t_(as)^-1
     x_members = np.sort(closure.base_part[closure.aut_part == 0])
-    x_sub = Subgroup(group, x_members, x_members)
+    auts, first = np.unique(closure.aut_part, return_index=True)
+    ts = closure.mul_outer(first, closure.generators).ravel()
+    t_as = first[np.searchsorted(auts, closure.aut_part[ts])]
+    schreier = closure.base_part[closure.mul_many(ts, closure.inv_many(t_as))]
+    x_sub = Subgroup(group, x_members, tuple(sorted_unique(schreier).tolist()))
 
     # (ii) in the closure holds: 1xX is the kernel of the projection (a, b) -> a
     wit = normality_witness(group, x_sub)
@@ -159,11 +162,6 @@ def check_conditions(inst: TransferInstance) -> TransferReport:
     return TransferReport(inst, closure, x_sub, cond_i, cond_ii, cond_iii, witnesses)
 
 
-def _lift_members(closure: ExtensionGroup, mask: np.ndarray) -> np.ndarray:
-    """The closure elements whose base part lies in the set `mask` marks."""
-    return np.flatnonzero(mask[closure.base_part])
-
-
 def transfer_design(inst: TransferInstance) -> TransferReport:
     """Run the conditions and, if they pass, lift and re-verify the design."""
     report = check_conditions(inst)
@@ -171,34 +169,23 @@ def transfer_design(inst: TransferInstance) -> TransferReport:
         raise ConditionsFailed("; ".join(report.condition_lines()))
     closure = report.new_group
     assert closure is not None
-    # (i) and (iii) make the base-part projection a bijection
+    # the base-part projection is a bijection, so each pullback has its image's
+    # size; it is no homomorphism, so the lifted forbidden set must be re-closed
     design = inst.design
-    lifted = _lift_members(closure, design.mask)
-    if len(lifted) != design.size:
-        raise ParameterMismatch(
-            f"lifted design has {len(lifted)} members, source has {design.size}")
     forbidden = None
     if design.kind == "RDS":
         assert design.forbidden is not None
-        u_lift = _lift_members(closure, design.forbidden.mask)
-        if len(u_lift) != design.forbidden.order:
-            raise ForbiddenNotSubgroup(
-                f"lifted forbidden set has {len(u_lift)} elements, "
-                f"expected {design.forbidden.order}")
+        u_lift = np.flatnonzero(design.forbidden.mask[closure.base_part])
         forbidden = greedy_span(closure, u_lift)
         if forbidden.order != len(u_lift):
             raise ForbiddenNotSubgroup(
                 f"lifted forbidden set generates a subgroup of order {forbidden.order}, "
                 f"it is not closed at order {len(u_lift)}")
-    new_design = DesignSet(closure, lifted, design.kind, design.claimed,
-                           forbidden=forbidden, log=list(design.log))
-    result = verify_design(new_design)
-    if result.params != tuple(design.claimed):
-        raise ParameterMismatch(
-            f"lifted parameters {result.params} differ from source {tuple(design.claimed)}")
-    report.new_design = new_design
+    report.new_design = DesignSet(closure, np.flatnonzero(design.mask[closure.base_part]),
+                                  design.kind, design.claimed, forbidden=forbidden,
+                                  log=list(design.log))
     report.new_forbidden = forbidden
-    report.verified = result
+    report.verified = verify_design(report.new_design)  # the claimed parameters, or it raises
     return report
 
 

@@ -10,6 +10,7 @@ mixed radix with the first coordinate varying fastest:
 idx = d0 + orders[0] * (d1 + orders[1] * (d2 + ...)).
 """
 
+from itertools import product
 from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -286,6 +287,66 @@ def coset_orbit(size: int, mul: MulFn, members: Sequence[int],
     reached = sum(seen)
     witness = None if reached == len(reps) else reps[seen.index(False)]
     return reached, len(reps), witness
+
+
+def _power(mul: MulFn, g: int, e: int, identity: int = 0) -> int:
+    acc = identity
+    for _ in range(e):
+        acc = mul(acc, g)
+    return acc
+
+
+def _word(mul: MulFn, gens: Sequence[int], exps: Sequence[int]) -> int:
+    acc = 0
+    for g, e in zip(gens, exps):
+        acc = mul(acc, _power(mul, g, e))
+    return acc
+
+
+def dillon_forward(group, members: Sequence[int], target):
+    """Dillon's substitution by scalar search: (sorted members in the target,
+    log line), or None when no choice of generator images embeds the
+    translation slice H.  `group` is the dihedral design's extension group,
+    read through its aut_part / base_part tables and its base's scalar mul
+    and inv; `target` through its scalar mul and size.  H's generators are
+    taken greedily, each least element of H outside the span of those before;
+    each image runs over the target elements whose power by the generator's
+    order is the identity, in lexicographic order."""
+    base = group.base
+    aut = [int(a) for a in group.aut_part]
+    bp = [int(b) for b in group.base_part]
+    h_codes = sorted(bp[z] for z in range(len(aut)) if aut[z] == 0)
+    d1 = [bp[z] for z in members if aut[z] == 0]
+    twisted = [bp[z] for z in members if aut[z] != 0]
+    c_ref = min(twisted)
+    d2 = [base.mul(c_ref, base.inv(t)) for t in twisted]
+    gens: List[int] = []
+    span = {0}
+    for h in h_codes:
+        if h not in span:
+            gens.append(h)
+            frontier = list(span)
+            while frontier:
+                frontier = [y for y in {base.mul(x, g) for x in frontier for g in gens}
+                            if y not in span]
+                span.update(frontier)
+    orders = [element_order(base.mul, g) for g in gens]
+    tuples = list(product(*[range(o) for o in orders]))
+    sources = [_word(base.mul, gens, exps) for exps in tuples]
+    candidates = [[t for t in range(target.size) if _power(target.mul, t, o) == 0]
+                  for o in orders]
+    for images in product(*candidates):
+        dests = [_word(target.mul, images, exps) for exps in tuples]
+        if len(set(dests)) == len(h_codes):
+            break
+    else:
+        return None
+    emb = dict(zip(sources, dests))
+    image = set(dests)
+    k = min(t for t in range(target.size) if t not in image)
+    out = sorted([emb[x] for x in d1] + [target.mul(emb[x], k) for x in d2])
+    return out, (f"D1 size {len(d1)}, D2 size {len(d2)}, reference twist base "
+                 f"{base.element_name(c_ref)}, k = {target.element_name(k)}")
 
 
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int],

@@ -4,6 +4,8 @@ from math import gcd
 
 import pytest
 
+import oracle
+
 from diffsets import (
     FiniteField,
     IndexNotTwo,
@@ -115,6 +117,25 @@ def test_dihedral_converse_rejects_bad_inputs():
     fano = DesignSet(g, (1, 2, 4), "DS", (7, 3, 1))
     with pytest.raises((NotReversible, IndexNotTwo)):
         dihedral_converse(fano, subgroup_closure(g, (1,)))
+
+
+@pytest.mark.parametrize("orders", [(8, 2), (4, 4), (4, 2, 2), (16,), (2, 2, 2, 2)])
+def test_dillon_forward_matches_the_scalar_search(corpus, orders):
+    """The substitution picks the embedding the scalar search in
+    tests/oracle.py picks: the same final members and log on the targets
+    holding an index-2 copy of H = C4 x C2, and IndexNotTwo on C16 and C2^4,
+    which hold none."""
+    design, x_sub = dillon_fixture()
+    target = abelian_make(orders)
+    dihedral = corpus["dillon"][1].new_design
+    want = oracle.dillon_forward(dihedral.group, dihedral.members.tolist(), target)
+    assert (want is None) == (orders in ((16,), (2, 2, 2, 2)))
+    if want is None:
+        with pytest.raises(IndexNotTwo, match="no index-2 copy"):
+            corollary_chain(design, x_sub, target)
+    else:
+        final = corollary_chain(design, x_sub, target).final_design
+        assert (final.members.tolist(), final.log) == (want[0], [want[1]])
 
 
 def test_corollary_chain_round_trip():

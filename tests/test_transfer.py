@@ -220,3 +220,35 @@ def test_condition_lines_format(corpus):
     assert len(lines) == 3
     assert all(line.startswith("condition (") for line in lines)
     assert all("pass" in line for line in lines)
+
+
+def test_projection_is_a_bijection_when_i_and_iii_hold(corpus):
+    """Every corpus instance, both RDS transfers among them, passes (i) and
+    (iii); there the base-part projection permutes range(|G|), so the lifted
+    design and the lifted forbidden set have their sources' sizes."""
+    for name, (inst, rep) in corpus.items():
+        assert rep.cond_i and rep.cond_iii, name
+        group = inst.design.group
+        assert np.array_equal(np.sort(rep.new_group.base_part), np.arange(group.size)), name
+        assert rep.new_design.size == inst.design.size, name
+        if inst.design.kind == "RDS":
+            assert rep.new_forbidden.order == inst.design.forbidden.order, name
+    assert sum(inst.design.kind == "RDS" for inst, _ in corpus.values()) == 2
+
+
+def test_schreier_generators_span_x(corpus):
+    """X's generators, the base parts of the Schreier generators, span X on
+    every corpus instance and over S3, where (ii) still fails."""
+    c3 = abelian_make((3,))
+    s3 = extension_closure(c3, [aut_from_images(c3, [2])], [((), 1), ((0,), 0)])
+    r, s = s3.generators
+    conj = aut_from_images(s3, [s3.mul(s3.mul(r, z), s3.inv(r)) for z in s3.generators])
+    s3_inst = make_instance(DesignSet(s3, (0,), "DS", (6, 1, 0)), [conj], [((), s), ((0,), r)])
+    cases = [(name, inst, rep) for name, (inst, rep) in corpus.items()]
+    cases.append(("S3", s3_inst, check_conditions(s3_inst)))
+    for name, inst, rep in cases:
+        x_sub = rep.x_subgroup
+        assert isinstance(x_sub.gens, tuple), name
+        span = subgroup_closure(inst.design.group, x_sub.gens)
+        assert np.array_equal(span.members, x_sub.members), name
+    assert (cases[-1][2].cond_i, cases[-1][2].cond_ii, cases[-1][2].cond_iii) == (True, False, True)
