@@ -106,15 +106,7 @@ class DecompositionFailure(MathError):
     pass
 
 
-class MultiplierFails(MathError):
-    pass
-
-
 class NoValidAlpha(MathError):
-    pass
-
-
-class PsiDoesNotFixD(MathError):
     pass
 
 

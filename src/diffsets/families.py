@@ -35,11 +35,9 @@ import numpy as np
 from .errors import (
     DecompositionFailure,
     IndexNotTwo,
-    MultiplierFails,
     NotReversible,
     NoValidAlpha,
     ParameterError,
-    PsiDoesNotFixD,
     ReindexObstruction,
     RPlusOneNotTwiceOddPrime,
     TooManyLines,
@@ -61,57 +59,48 @@ from .groups import (
 )
 from .numtheory import factorint, isprime
 from .transfer import TransferInstance, TransferReport, make_instance, transfer_pds
-from .verify import DesignSet, multiplier_check, verify_ds, verify_pds, verify_rds
+from .verify import DesignSet, verify_ds, verify_pds, verify_rds
 
 
 # ---------------------------------------------------------------------------
 # small linear algebra over GF(p) on exponent vectors
 # ---------------------------------------------------------------------------
 
-class _SpanGF:
-    """Incremental row space over GF(p), kept in reduced echelon form so that
-    membership tests are a single forward elimination."""
+# A span over GF(p) is a square matrix S whose row c is the span's reduced
+# echelon row with pivot column c, or 0 where c is no pivot.  Each pivot column
+# holds a 1 in its own row and 0 in every other, so a vector v reduces in one
+# step to v - v @ S, which is 0 iff v lies in the span; S depends on the span
+# alone, and the zero matrix is the zero span.
 
-    def __init__(self, dim: int, p: int):
-        self.dim = dim
-        self.p = p
-        self.rows: List[np.ndarray] = []
+def _outside(span: np.ndarray, v: np.ndarray, p: int) -> bool:
+    return bool(((v - v @ span) % p).any())
 
-    def reduce(self, vec) -> np.ndarray:
-        v = np.array(vec, dtype=np.int64) % self.p
-        for row in self.rows:
-            piv = int(np.nonzero(row)[0][0])
-            if v[piv]:
-                v = (v - int(v[piv]) * row) % self.p
-        return v
 
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec).any()
+def _span_add(span: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
+    """The span with the vectors added in turn: a vector's remainder, scaled
+    to a leading 1, clears its pivot column from the other rows and becomes
+    that column's row."""
+    for v in vectors:
+        v = (v - v @ span) % p
+        nz = np.flatnonzero(v)
+        if nz.size:
+            v = v * pow(int(v[nz[0]]), -1, p) % p
+            span = (span - np.outer(span[:, nz[0]], v)) % p
+            span[nz[0]] = v
+    return span
 
-    def add(self, vec) -> bool:
-        v = self.reduce(vec)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        v = (v * pow(int(v[nz[0]]), -1, self.p)) % self.p
-        piv = int(nz[0])
-        for i, row in enumerate(self.rows):
-            if row[piv]:
-                self.rows[i] = (row - int(row[piv]) * v) % self.p
-        self.rows.append(v)
-        self.rows.sort(key=lambda r: int(np.nonzero(r)[0][0]))
-        return True
 
-    def complete_avoiding(self, u) -> None:
-        """Greedily add the standard basis vectors, in order, each one only if
-        u stays outside the span.  Started from a span that misses u, this
-        ends at a hyperplane that misses u."""
-        for e in np.eye(self.dim, dtype=np.int64):
-            trial = _SpanGF(self.dim, self.p)
-            trial.rows = list(self.rows)
-            if trial.add(e) and not trial.contains(u):
-                self.rows = trial.rows
-        assert len(self.rows) == self.dim - 1 and not self.contains(u)
+def _complete_avoiding(span: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
+    """The rows, in pivot order, of a hyperplane through the span that misses
+    u: each unit vector in turn is added if u stays outside.  Started from a
+    span that misses u, this ends at a hyperplane that misses u."""
+    for e in np.eye(u.size, dtype=np.int64):
+        trial = _span_add(span, e[None], p)
+        if _outside(trial, u, p):
+            span = trial
+    rows = span[np.flatnonzero(span.diagonal())]
+    assert len(rows) == u.size - 1 and _outside(span, u, p)
+    return rows
 
 
 def invariant_hyperplane(group: AbelianGroup,
@@ -128,15 +117,13 @@ def invariant_hyperplane(group: AbelianGroup,
     if any(o != p for o in group.orders):
         raise ParameterError("invariant hyperplanes need an elementary abelian group")
     dim = len(group.orders)
-    span = _SpanGF(dim, p)
     # the generators are the unit digit vectors
-    for row in group.digits_of(aut.perm[list(group.generators)]) - np.eye(dim, dtype=np.int64):
-        span.add(row)
-    u_digits = next((e for e in np.eye(dim, dtype=np.int64) if not span.contains(e)), None)
+    unit = np.eye(dim, dtype=np.int64)
+    span = _span_add(0 * unit, group.digits_of(aut.perm[list(group.generators)]) - unit, p)
+    u_digits = next((e for e in unit if _outside(span, e, p)), None)
     if u_digits is None:
         raise ParameterError("phi - 1 is surjective; no invariant hyperplane avoids anything")
-    span.complete_avoiding(u_digits)
-    basis = tuple(int(group.encode(row)) for row in span.rows)
+    basis = tuple(int(group.encode(row)) for row in _complete_avoiding(span, u_digits, p))
     return int(group.encode(u_digits)), basis
 
 
@@ -322,9 +309,6 @@ def pgroup_multiplier_transfer(p: int, n: int, s: int = 2) -> TransferInstance:
     design = pcp_pds(p, n, s)
     group = design.group
     t = p ** (n - 1) + 1
-    if not multiplier_check(design, t):
-        raise MultiplierFails(f"{t} is not a multiplier of this design, which contradicts "
-                              "the multiplier theorem for regular abelian PDSs")
     phi = aut_from_images(group, [group.pow(g, t) for g in group.generators])
     x, y = group.generators
     cands = [((), x), ((), group.pow(y, p)), ((0,), y)]
@@ -498,12 +482,7 @@ def denniston_gr4(t: int, k: int) -> TransferInstance:
                         continue
                     f_val = int(ring.add(f_val, dbl(int(ring.hpow[(j + 2 ** kk) % n1]))))
                 images.append(f_val + rsize * 2 ** j)
-        aut = aut_from_images(group, images)
-        # a permutation fixes a set iff it maps every member into it
-        if not design.mask[aut.perm[design.members]].all():
-            raise PsiDoesNotFixD(f"psi_{ell} does not fix the design at t = {t}; "
-                                 f"retry with k <= {ell}")
-        auts.append(aut)
+        auts.append(aut_from_images(group, images))
 
     cands = [((), 4 ** i) for i in range(t)]
     cands += [((), rsize * 2 ** j) for j in range(k, t)]
@@ -887,14 +866,12 @@ def rds_transfer(d: int, variant: int) -> TransferInstance:
     else:
         beta = _first_primitive(F, lambda a: not F.in_subfield(a, d))
         assert beta is not None
-        span = _SpanGF(4 * d, 2)
-        zeros = np.zeros(2 * d, dtype=np.int64)
-        for a in range(1, qq):
-            if F.in_subfield(a, d):
-                span.add(np.concatenate([F.digits[a], zeros]))
-                span.add(np.concatenate([zeros, F.digits[a]]))
-        span.complete_avoiding(np.concatenate([F.digits[beta], zeros]))
-        x, y = F.additive.encode(np.reshape(span.rows, (-1, 2, 2 * d))).T
+        # the GF(q) x GF(q) block: each coordinate's subfield, the other 0
+        sub = F.digits[[a for a in range(1, qq) if F.in_subfield(a, d)]]
+        block = np.block([[sub, 0 * sub], [0 * sub, sub]])
+        rows = _complete_avoiding(_span_add(np.zeros((4 * d,) * 2, dtype=np.int64), block, 2),
+                                  np.pad(F.digits[beta], (0, 2 * d)), 2)
+        x, y = F.additive.encode(np.reshape(rows, (-1, 2, 2 * d))).T
         cands = [((0,), qq * beta), ((), 1)]
         cands += [((), int(b)) for b in qq * (x + qq * y)]
         log = [f"beta = {F.element_str(beta)}; B completed greedily from the "

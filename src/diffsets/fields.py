@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import functools
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -177,7 +177,6 @@ class FiniteField:
         log = np.full(self.q, -1, dtype=np.int64)
         log[self.exp] = np.arange(self.q - 1)
         self.log = log
-        self._embeddings: Dict[int, np.ndarray] = {}
 
     # -- basic arithmetic on codes --------------------------------------
 
@@ -267,9 +266,6 @@ def field_embed(small: FiniteField, big: FiniteField) -> np.ndarray:
     modulus.  Its powers y^i form the matrix B, and the table is
     encode(small.digits @ B mod p).
     """
-    key = id(small)
-    if key in big._embeddings:
-        return big._embeddings[key]
     if small.p != big.p or big.m % small.m != 0:
         raise ParameterError(f"{small!r} is not a subfield of {big!r}")
     step = (big.q - 1) // (small.q - 1)
@@ -279,9 +275,7 @@ def field_embed(small: FiniteField, big: FiniteField) -> np.ndarray:
     hit = np.flatnonzero(~(np.array(small.modulus) @ ypow % big.p).any(axis=1))
     if not hit.size:
         raise ParameterError(f"no root of {_poly_str(small.modulus)} found in {big!r}")
-    table = big.additive.encode(small.digits @ ypow[hit[0], :small.m])
-    big._embeddings[key] = table
-    return table
+    return big.additive.encode(small.digits @ ypow[hit[0], :small.m])
 
 
 # ---------------------------------------------------------------------------

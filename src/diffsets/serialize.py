@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ClosureOverflow, ForbiddenNotSubgroup, ParameterError, ParseError
+from .errors import ClosureOverflow, ParameterError, ParseError
 from .groups import (
     AbelianGroup,
     ExtensionGroup,
@@ -38,11 +38,10 @@ from .groups import (
     close_automorphisms,
     extension_closure,
     factor_runs,
-    greedy_span,
     group_levels,
 )
 from .transfer import GenWord, TransferInstance, make_instance
-from .verify import DesignSet
+from .verify import DesignSet, forbidden_subgroup
 
 FORMAT_TAG = "diffsets-text-1"
 _MARKED = re.compile(r"\n[\[#]")  # a line starting "[" or "#"
@@ -345,6 +344,10 @@ def _check_element_lines(elems: List[str], want: str, size: int) -> None:
 def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
     sections, at = _sections(text)
     by_name = dict(sections)
+    if len(by_name) < len(sections):
+        names = [name for name, _ in sections]
+        again = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ParseError(f"section [{again}] appears more than once")
     if "design" not in by_name:
         raise ParseError("missing [design] section")
     head = _kv(by_name["design"], "design")
@@ -381,12 +384,7 @@ def parse_design(text: str) -> Tuple[DesignSet, Optional[TransferInstance]]:
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if repeated.size:
             raise ParseError(f"forbidden element {repeated[0]} is repeated")
-        # distinct entries fill their span iff they are as many as its order
-        forbidden = greedy_span(group, stored)
-        if forbidden.order != stored.size:
-            raise ForbiddenNotSubgroup(
-                f"the stored forbidden set of size {stored.size} closes to a "
-                f"subgroup of order {forbidden.order}")
+        forbidden = forbidden_subgroup(group, stored)
 
     design = DesignSet(group, members, kind, claimed, forbidden=forbidden, log=log)
 

@@ -30,7 +30,6 @@ from .errors import (
     ClosureOverflow,
     ConditionsFailed,
     DesignNotFixed,
-    ForbiddenNotSubgroup,
     ParameterError,
     ParameterMismatch,
 )
@@ -39,11 +38,10 @@ from .groups import (
     GroupAutomorphism,
     Subgroup,
     extension_closure,
-    greedy_span,
     normality_witness,
     sorted_unique,
 )
-from .verify import DesignSet, VerifyResult, verify_design
+from .verify import DesignSet, VerifyResult, forbidden_subgroup, verify_design
 
 GenWord = Tuple[Tuple[int, ...], int]
 
@@ -170,17 +168,15 @@ def transfer_design(inst: TransferInstance) -> TransferReport:
     closure = report.new_group
     assert closure is not None
     # the base-part projection is a bijection, so each pullback has its image's
-    # size; it is no homomorphism, so the lifted forbidden set must be re-closed
+    # size; every closure automorphism fixes U, as make_instance checked its
+    # generators, so the base part of a product of U's pullbacks lies in U:
+    # that pullback is a subgroup of order |U|, and its span only names generators
     design = inst.design
     forbidden = None
     if design.kind == "RDS":
         assert design.forbidden is not None
-        u_lift = np.flatnonzero(design.forbidden.mask[closure.base_part])
-        forbidden = greedy_span(closure, u_lift)
-        if forbidden.order != len(u_lift):
-            raise ForbiddenNotSubgroup(
-                f"lifted forbidden set generates a subgroup of order {forbidden.order}, "
-                f"it is not closed at order {len(u_lift)}")
+        forbidden = forbidden_subgroup(closure,
+                                       np.flatnonzero(design.forbidden.mask[closure.base_part]))
     report.new_design = DesignSet(closure, np.flatnonzero(design.mask[closure.base_part]),
                                   design.kind, design.claimed, forbidden=forbidden,
                                   log=list(design.log))

@@ -266,15 +266,20 @@ def _require(group: Group, counts: np.ndarray,
         raise ParameterMismatch("; ".join(problems))
 
 
+def _check_sizes(design: DesignSet, order: int, label: str, k: int) -> None:
+    """The group has the claimed order, named `label`, and the design k members."""
+    if design.group.size != order:
+        raise ParameterMismatch(f"group order {design.group.size} != claimed {label} = {order}")
+    if design.size != k:
+        raise ParameterMismatch(f"design size {design.size} != claimed k = {k}")
+
+
 def verify_ds(design: DesignSet) -> VerifyResult:
     """Check a (v,k,lambda) difference-set claim; every nonidentity element
     must occur exactly lambda times among distinct-pair quotients."""
     v, k, lam = design.claimed
     group = design.group
-    if group.size != v:
-        raise ParameterMismatch(f"group order {group.size} != claimed v = {v}")
-    if design.size != k:
-        raise ParameterMismatch(f"design size {design.size} != claimed k = {k}")
+    _check_sizes(design, v, "v", k)
     counts = difference_profile(design)
     nonident = np.ones(group.size, dtype=bool)
     nonident[group.identity] = False
@@ -287,10 +292,7 @@ def verify_pds(design: DesignSet, require_regular: bool = False) -> VerifyResult
     with the identity exempt on both sides."""
     v, k, lam, mu = design.claimed
     group = design.group
-    if group.size != v:
-        raise ParameterMismatch(f"group order {group.size} != claimed v = {v}")
-    if design.size != k:
-        raise ParameterMismatch(f"design size {design.size} != claimed k = {k}")
+    _check_sizes(design, v, "v", k)
     mask = design.mask
     regular = (not mask[group.identity]) and design.is_inverse_closed()
     if require_regular and not regular:
@@ -307,15 +309,18 @@ def verify_pds(design: DesignSet, require_regular: bool = False) -> VerifyResult
     return VerifyResult("PDS", (v, k, lam, mu), regular=regular)
 
 
-def _check_subgroup(group: Group, sub: Subgroup) -> None:
-    if sub.parent is not group:
-        raise ForbiddenNotSubgroup("forbidden subgroup belongs to a different group")
-    if not sub.mask[group.identity]:
+def forbidden_subgroup(group: Group, members: np.ndarray) -> Subgroup:
+    """The distinct `members` as a subgroup: their span (greedy_span), if it
+    is no larger; else ForbiddenNotSubgroup names the first property they lack."""
+    span = greedy_span(group, members)
+    if span.order == members.size:
+        return span
+    if group.identity not in members:
         raise ForbiddenNotSubgroup("forbidden set does not contain the identity")
-    if not sub.mask[group.inv_many(sub.members)].all():
+    # closed under inversion iff inversion permutes the set
+    if not np.array_equal(np.sort(group.inv_many(members)), np.sort(members)):
         raise ForbiddenNotSubgroup("forbidden set is not closed under inversion")
-    if not np.array_equal(greedy_span(group, sub.members).mask, sub.mask):
-        raise ForbiddenNotSubgroup("forbidden set is not closed under the group operation")
+    raise ForbiddenNotSubgroup("forbidden set is not closed under the group operation")
 
 
 def verify_rds(design: DesignSet) -> VerifyResult:
@@ -325,13 +330,12 @@ def verify_rds(design: DesignSet) -> VerifyResult:
     group = design.group
     sub = design.forbidden
     assert sub is not None
-    _check_subgroup(group, sub)
+    if sub.parent is not group:
+        raise ForbiddenNotSubgroup("forbidden subgroup belongs to a different group")
+    forbidden_subgroup(group, sub.members)
     if sub.order != u:
         raise ParameterMismatch(f"forbidden subgroup order {sub.order} != claimed u = {u}")
-    if group.size != m * u:
-        raise ParameterMismatch(f"group order {group.size} != claimed m*u = {m * u}")
-    if design.size != k:
-        raise ParameterMismatch(f"design size {design.size} != claimed k = {k}")
+    _check_sizes(design, m * u, "m*u", k)
     counts = difference_profile(design)
     inside = sub.mask.copy()
     inside[group.identity] = False

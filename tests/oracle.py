@@ -499,3 +499,64 @@ def check_element_lines(elems: Sequence[str], want: str, size: int, error: type)
         if got != line:
             raise error(f"element {idx} reads {got!r} but the rebuilt group "
                         f"enumerates {line!r}; the file is corrupted")
+
+
+class SpanGF:
+    """A row space over GF(p) kept in reduced echelon form and grown one row
+    at a time: a vector is reduced row by row, and an added row clears its
+    pivot column from the others before the rows are re-sorted by pivot."""
+
+    def __init__(self, dim: int, p: int):
+        self.dim, self.p = dim, p
+        self.rows: List[List[int]] = []
+
+    def reduce(self, vec: Sequence[int]) -> List[int]:
+        v = [x % self.p for x in vec]
+        for row in self.rows:
+            c = v[next(i for i, x in enumerate(row) if x)]
+            if c:
+                v = [(x - c * y) % self.p for x, y in zip(v, row)]
+        return v
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not any(self.reduce(vec))
+
+    def add(self, vec: Sequence[int]) -> bool:
+        v = self.reduce(vec)
+        if not any(v):
+            return False
+        piv = next(i for i, x in enumerate(v) if x)
+        inv = pow(v[piv], -1, self.p)
+        v = [x * inv % self.p for x in v]
+        self.rows = [[(x - row[piv] * y) % self.p for x, y in zip(row, v)]
+                     for row in self.rows] + [v]
+        self.rows.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
+        return True
+
+    def complete_avoiding(self, u: Sequence[int]) -> None:
+        """Add each unit vector in turn, kept only if u stays outside."""
+        for j in range(self.dim):
+            trial = SpanGF(self.dim, self.p)
+            trial.rows = list(self.rows)
+            if trial.add([int(i == j) for i in range(self.dim)]) and not trial.contains(u):
+                self.rows = trial.rows
+        assert len(self.rows) == self.dim - 1 and not self.contains(u)
+
+
+def invariant_hyperplane(p: int, images: Sequence[int]) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """(u, basis) for the automorphism of C_p^dim sending unit vector j to
+    images[j]: u is the first unit vector outside Im(phi - 1), and the basis
+    that of the hyperplane SpanGF.complete_avoiding grows from that image.
+    None when phi - 1 is surjective."""
+    orders = [p] * len(images)
+    span = SpanGF(len(images), p)
+    for j, img in enumerate(images):
+        digits = decode(orders, img)
+        digits[j] -= 1
+        span.add(digits)
+    units = [[int(i == j) for i in range(len(images))] for j in range(len(images))]
+    u = next((e for e in units if not span.contains(e)), None)
+    if u is None:
+        return None
+    span.complete_avoiding(u)
+    return encode(orders, u), tuple(encode(orders, row) for row in span.rows)

@@ -74,6 +74,27 @@ def test_verify_rds_with_a_large_forbidden_subgroup(tmp_path, capsys):
     assert peak < 64 << 20
 
 
+@pytest.mark.parametrize("line, message", [
+    ("4,8,12", "does not contain the identity"),
+    ("0,1", "is not closed under inversion"),
+    ("0,4,8", "is not closed under the group operation"),
+])
+def test_forbidden_set_that_is_no_subgroup_exits_3(tmp_path, capsys, line, message):
+    """A [forbidden] line that is no subgroup of C4 x C2^4 is named by the
+    first property it lacks, at parse time, and nothing is written."""
+    assert run(capsys, "construct", "rds-transfer", "--d", "1",
+               "--out", str(tmp_path / "r"))[0] == 0
+    lines = (tmp_path / "r.design.txt").read_text().split("\n")
+    lines[lines.index("[forbidden]") + 1] = line
+    path = tmp_path / "bad.design.txt"
+    path.write_text("\n".join(lines))
+    files = sorted(os.listdir(tmp_path))
+    for argv in (["verify", "--design", str(path)],
+                 ["transfer", "--design", str(path), "--out", str(tmp_path / "bx")]):
+        assert run(capsys, *argv) == (3, "", f"error: forbidden set {message}\n")
+        assert sorted(os.listdir(tmp_path)) == files
+
+
 def test_verify_corrupted_members_exits_3(tmp_path, capsys):
     out = str(tmp_path / "mcf")
     run(capsys, "construct", "mcfarland", "--q", "2", "--s", "1", "--out", out)
@@ -540,9 +561,9 @@ print("numpy.ma" in sys.modules)
 
 def test_pipeline_never_loads_numpy_ma(tmp_path):
     """Under numpy 2 a plain np.unique imports numpy.ma, about 15 ms; no
-    stage from construct to the SRG check may pay it.  Both SRG routes run:
-    the denniston-gr4 base design convolves, the other three are counted
-    directly."""
+    stage from construct to the SRG check may pay it.  The SRG check runs on
+    the base and lifted designs of both families, all four by the character
+    route."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

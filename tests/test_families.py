@@ -2,6 +2,7 @@
 
 from math import gcd
 
+import numpy as np
 import pytest
 
 import oracle
@@ -9,6 +10,7 @@ import oracle
 from diffsets import (
     FiniteField,
     IndexNotTwo,
+    NotBijective,
     NoValidAlpha,
     NotReversible,
     ParameterError,
@@ -16,6 +18,7 @@ from diffsets import (
     RPlusOneNotTwiceOddPrime,
     TooManyLines,
     abelian_make,
+    aut_from_images,
     corollary_chain,
     denniston_even,
     denniston_gr4,
@@ -26,6 +29,7 @@ from diffsets import (
     element_orders,
     field_make,
     fingerprint,
+    invariant_hyperplane,
     mcfarland_base,
     mcfarland_even_witnesses,
     mcfarland_odd,
@@ -363,3 +367,74 @@ def test_rds_transfer_d2_obstruction():
     msg = str(err.value)
     assert "fixes 5 of the 17 hyperplanes" in msg
     assert "3 self-paired slots" in msg
+
+
+# ---------------------------------------------------------------------------
+# GF(p) spans: invariant hyperplanes and the variant-2 complement
+# ---------------------------------------------------------------------------
+
+def _check_hyperplane(group, phi, u, basis):
+    """The basis spans a phi-invariant hyperplane that misses u."""
+    x = subgroup_closure(group, basis)
+    assert x.order * group.orders[0] == group.size
+    assert x.mask[phi.perm[x.members]].all() and not x.mask[u]
+
+
+@pytest.mark.parametrize("build, args", [
+    pytest.param(denniston_even, (m, r), id=f"denniston-even-m{m}-r{r}")
+    for m in range(2, 7) for r in range(1, m)
+] + [pytest.param(denniston_odd, (3, 1), id="denniston-odd-p3-t1")])
+def test_invariant_hyperplane_matches_the_reference(build, args):
+    """The one-step reduced echelon spans give the hyperplane, and so the
+    candidates, that the row-by-row reference span gives."""
+    inst = build(*args)
+    group, phi = inst.design.group, inst.aut_gens[0]
+    u, basis = invariant_hyperplane(group, phi)
+    images = phi.perm[list(group.generators)].tolist()
+    assert (u, basis) == oracle.invariant_hyperplane(group.orders[0], images)
+    assert inst.candidate_gens == [((), x) for x in basis] + [((0,), u)]
+    _check_hyperplane(group, phi, u, basis)
+
+
+@pytest.mark.parametrize("p, dim", [(2, 5), (3, 4), (5, 3)])
+def test_invariant_hyperplane_of_random_automorphisms(p, dim):
+    """Random automorphisms of C_p^dim against the reference; where phi - 1
+    is surjective there is no hyperplane, and both say so."""
+    group = abelian_make((p,) * dim)
+    rng = np.random.default_rng(dim)
+    checked = 0
+    for _ in range(200):
+        images = [int(group.encode(row)) for row in rng.integers(0, p, size=(dim, dim))]
+        try:
+            phi = aut_from_images(group, images)
+        except NotBijective:
+            continue
+        want = oracle.invariant_hyperplane(p, images)
+        if want is None:
+            with pytest.raises(ParameterError, match="surjective"):
+                invariant_hyperplane(group, phi)
+            continue
+        u, basis = invariant_hyperplane(group, phi)
+        assert (u, basis) == want
+        _check_hyperplane(group, phi, u, basis)
+        checked += 1
+    assert checked >= 20
+
+
+def test_rds_variant2_complement_matches_the_reference(corpus):
+    """rds_transfer(1, 2)'s B: the reference span of the GF(2) x GF(2) block,
+    completed avoiding (beta, 0), one candidate per row."""
+    inst, _ = corpus["rds_d1_v2"]
+    F, qq = field_make(2, 2), 4
+    (word, beta_code), one = inst.candidate_gens[:2]
+    beta = beta_code // qq
+    assert (word, one) == ((0,), ((), 1)) and not F.in_subfield(beta, 1)
+    span = oracle.SpanGF(4, 2)
+    for a in range(1, qq):
+        if F.in_subfield(a, 1):
+            span.add(F.digits[a].tolist() + [0, 0])
+            span.add([0, 0] + F.digits[a].tolist())
+    span.complete_avoiding(F.digits[beta].tolist() + [0, 0])
+    assert inst.candidate_gens[2:] == [
+        ((), qq * (oracle.encode([2, 2], row[:2]) + qq * oracle.encode([2, 2], row[2:])))
+        for row in span.rows]

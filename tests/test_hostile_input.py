@@ -77,3 +77,32 @@ def test_mutated_design_never_raises(sources, which, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["verify", "--design", str(path)])
     assert code in (0, 2, 3), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def rds_source(tmp_path_factory):
+    """The text of rds-transfer --d 1's base design, which has every kind of
+    section: [design], [members], [forbidden], [transfer], [group],
+    [level 0] and [elements]."""
+    work = tmp_path_factory.mktemp("repeated")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["construct", "rds-transfer", "--d", "1", "--out", str(work / "r")]) == 0
+    return (work / "r.design.txt").read_text(), work
+
+
+@pytest.mark.parametrize("section", ["design", "members", "forbidden", "transfer",
+                                     "level 0", "elements"])
+def test_repeated_section_exits_2(rds_source, section):
+    """A section repeated right after itself is a parse error naming it, not
+    a file whose first copy is silently dropped."""
+    text, work = rds_source
+    lines = text.split("\n")
+    lo = lines.index(f"[{section}]")
+    hi = next((i for i in range(lo + 1, len(lines)) if lines[i].startswith("[")), len(lines))
+    path = work / "repeated.design.txt"
+    path.write_text("\n".join(lines[:hi] + lines[lo:hi] + lines[hi:]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--design", str(path)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: section [{section}] appears more than once\n"

@@ -205,6 +205,19 @@ def test_rds_transfer_lifts_forbidden(corpus):
                          rep.new_forbidden.members, 4)
 
 
+@pytest.mark.parametrize("key", ["rds_d1_v1", "rds_d1_v2"])
+def test_closure_automorphisms_fix_the_forbidden_subgroup(corpus, key):
+    """make_instance checks that each generator automorphism fixes U, so every
+    automorphism of the closure does: the base part of a product of U's
+    pullbacks lies in U, and that pullback is a subgroup of order |U|."""
+    inst, rep = corpus[key]
+    forbidden = inst.design.forbidden
+    assert forbidden.mask[rep.new_group.aut_perms[:, forbidden.members]].all()
+    lifted = rep.new_forbidden
+    assert lifted.order == forbidden.order
+    assert forbidden.mask[rep.new_group.base_part[lifted.members]].all()
+
+
 def test_rds_kind_dispatch(corpus):
     inst, _ = corpus["rds_d1_v1"]
     with pytest.raises(Exception):
