@@ -61,11 +61,16 @@ from .errors import (
     ParameterError,
 )
 
-# Largest abelian group order accepted, checked before anything is allocated.
-# A group holds no per-element table until its first product; then it holds
-# an order x blocks int64 coordinate table and per block a Cayley table of at
-# most BLOCK_ORDER^2 int64s (512 KiB) and a digit table (C2^20: 24 MiB of
-# coordinates, 1 MiB of tables).  It leaves room for Spence d = 2 (265356).
+# Largest group order accepted, checked (check_order) before anything is
+# allocated: an abelian group's order, a family's, and each extension level's
+# claimed size in a file, before it is certified or closed; a transfer caps
+# its closure at the base order.  A group holds no per-element table until
+# its first product; then an abelian one holds an order x blocks int64
+# coordinate table and per block a Cayley table of at most BLOCK_ORDER^2
+# int64s (512 KiB) and a digit table (C2^20: 24 MiB of coordinates, 1 MiB of
+# tables).  The largest tables a legal file can make a command hold are, per
+# extension level, three MAX_PAIR_TABLE tables (128 MiB each) and four int64
+# arrays of one entry per element (32 MiB).  Spence d = 2 (265356) fits.
 MAX_GROUP_ORDER = 1 << 20
 
 # More cyclic factors than this always exceed MAX_GROUP_ORDER: each is >= 2.
@@ -204,14 +209,17 @@ def _character_matrix(factors: Tuple[int, ...], inverse: bool) -> np.ndarray:
     return mat
 
 
-def _too_large(size: Optional[int]) -> ParameterError:
-    """The error for a group order above MAX_GROUP_ORDER.  The order is shown
-    when it is known and short; otherwise the message gives a bound, so it
-    never formats an integer of unbounded length."""
+def check_order(size: Optional[int]) -> None:
+    """Raise ParameterError if a group order (None: one known to be too
+    large) exceeds MAX_GROUP_ORDER.  The order is shown when it is short;
+    otherwise the message gives a bound, so it never formats an integer of
+    unbounded length."""
+    if size is not None and size <= MAX_GROUP_ORDER:
+        return
     shown = (str(size) if size is not None and size.bit_length() <= 64
              else f"{2 * MAX_GROUP_ORDER} or more")
-    return ParameterError(f"group order {shown} exceeds the supported maximum "
-                          f"of {MAX_GROUP_ORDER}")
+    raise ParameterError(f"group order {shown} exceeds the supported maximum "
+                         f"of {MAX_GROUP_ORDER}")
 
 
 def check_power_order(base: int, exp: int) -> None:
@@ -220,9 +228,7 @@ def check_power_order(base: int, exp: int) -> None:
     and it is formed only when bits <= 64 (it is then below 2^128), so a
     request such as 3^(3*10^8) fails at once instead of computing the power
     or a tuple of its factors."""
-    size = base ** exp if exp * (base.bit_length() - 1) <= 64 else None
-    if size is None or size > MAX_GROUP_ORDER:
-        raise _too_large(size)
+    check_order(base ** exp if exp * (base.bit_length() - 1) <= 64 else None)
 
 
 class AbelianGroup(Group):
@@ -233,8 +239,7 @@ class AbelianGroup(Group):
         if any(n < 2 for n in orders):
             raise ParameterError(f"cyclic factor orders must be at least 2, got {orders}")
         size = prod(orders) if len(orders) <= MAX_FACTORS else None
-        if size is None or size > MAX_GROUP_ORDER:
-            raise _too_large(size)
+        check_order(size)
         self.orders = orders
         self.size = size
         self._orders_arr = np.array(orders, dtype=np.int64)
@@ -327,10 +332,11 @@ class AbelianGroup(Group):
         return lambda a: functools.reduce(operator.iadd, (t.take(c[a], 0) for c, t in parts))
 
     def pow_many(self, a, e: int):
-        return self.encode(self.digits_of(a) * e)
+        # e reduced per factor first, so no digit * e leaves int64
+        return self.encode(self.digits_of(a) * (e % self._orders_arr))
 
     def pow(self, a: int, e: int) -> int:
-        return sum(int(a) // r % n * int(e) % n * r for r, n in zip(self.generators, self.orders))
+        return int(self.pow_many(a, e))
 
     def element_name(self, a: int) -> str:
         return "(" + ",".join(str(a // r % n) for r, n in zip(self.generators, self.orders)) + ")"

@@ -35,6 +35,7 @@ from .groups import (
     GroupAutomorphism,
     abelian_make,
     aut_from_images,
+    check_order,
     close_automorphisms,
     extension_closure,
     factor_runs,
@@ -290,6 +291,7 @@ def parse_group_sections(sections: List[Tuple[str, List[str]]],
             if group is None:
                 raise ParseError("extension level has no base group")
             size = _int(_one(kv, "size", name), f"[{name}] size")
+            check_order(size)
             image_lists, gens = _parse_block(kv, name, len(group.generators))
             auts: List[GroupAutomorphism] = []
             # an automorphism with the generator images of a product of ones

@@ -121,7 +121,8 @@ def check_conditions(inst: TransferInstance) -> TransferReport:
     group = inst.design.group
     witnesses: dict = {}
     try:
-        closure = extension_closure(group, inst.aut_gens, inst.candidate_gens)
+        # (i) needs only to know that the closure exceeds |G|
+        closure = extension_closure(group, inst.aut_gens, inst.candidate_gens, cap=group.size)
     except ClosureOverflow as exc:
         witnesses["i"] = str(exc)
         return TransferReport(inst, None, None, False, None, None, witnesses)

@@ -479,6 +479,20 @@ def test_oversized_group_exits_2(tmp_path, capsys):
     assert "exceeds the supported maximum" in stderr and "Traceback" not in stderr
 
 
+def test_extension_level_above_the_ceiling_exits_2(tmp_path, capsys, monkeypatch):
+    """An extension level's claimed size is checked against the ceiling
+    before it is certified or closed: mcfarland-even d = 2 variant 3's file
+    has a bottom level of order 48 and an extension level of size 96."""
+    from diffsets import groups
+    out = str(tmp_path / "m")
+    assert run(capsys, "construct", "mcfarland-even", "--d", "2", "--variant", "3",
+               "--out", out)[0] == 0
+    monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 64)
+    code, stdout, stderr = run(capsys, "verify", "--design", f"{out}.design.txt")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: group order 96 exceeds the supported maximum of 64\n"
+
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 

@@ -1,5 +1,7 @@
 """Family constructors: frozen parameters, witnesses, and error paths."""
 
+import contextlib
+import io
 from math import gcd
 
 import numpy as np
@@ -43,9 +45,10 @@ from diffsets import (
     subgroup_closure,
     verify_design,
     verify_ds,
+    verify_pds,
     verify_rds,
 )
-from diffsets import families
+from diffsets import cli, families, verify
 
 
 # ---------------------------------------------------------------------------
@@ -438,3 +441,87 @@ def test_rds_variant2_complement_matches_the_reference(corpus):
     assert inst.candidate_gens[2:] == [
         ((), qq * (oracle.encode([2, 2], row[:2]) + qq * oracle.encode([2, 2], row[2:])))
         for row in span.rows]
+
+
+# ---------------------------------------------------------------------------
+# the proof boundary: constructors build, commands recount
+# ---------------------------------------------------------------------------
+
+# small parameters, defaults included, for every family the CLI offers
+SMALL = {
+    "pcp": {"p": 3, "n": 1, "s": 2},
+    "pgroup": {"p": 2, "n": 2, "s": 2},
+    "dillon": {},
+    "dillon-forward": {},
+    "spence": {"d": 1},
+    "denniston-even": {"m": 2, "r": 1},
+    "denniston-gr4": {"t": 2, "k": 1},
+    "denniston-odd": {"p": 3, "t": 1},
+    "mcfarland": {"q": 2, "s": 1},
+    "mcfarland-even": {"d": 2, "variant": 3},
+    "mcfarland-odd": {"q": 3, "s": 2},
+    "rds": {"d": 1},
+    "rds-transfer": {"d": 1, "variant": 1},
+}
+# more points of the families whose parameters change the construction's shape
+MORE = [
+    ("pcp", {"p": 2, "n": 2, "s": 3}),
+    ("pgroup", {"p": 3, "n": 2, "s": 3}),
+    ("denniston-even", {"m": 3, "r": 2}),
+    ("denniston-gr4", {"t": 3, "k": 3}),
+    ("mcfarland", {"q": 4, "s": 1}),
+    ("mcfarland", {"q": 3, "s": 2}),
+    ("mcfarland-even", {"d": 2, "variant": 1}),
+    ("mcfarland-even", {"d": 2, "variant": 2}),
+    ("rds-transfer", {"d": 1, "variant": 2}),
+]
+
+
+def test_small_parameters_cover_every_family():
+    assert sorted(SMALL) == sorted(cli.FAMILIES)
+
+
+@pytest.mark.parametrize("family, params", sorted(SMALL.items()) + MORE)
+def test_every_builder_meets_its_claim(family, params):
+    """No constructor recounts its design, so each design is recounted here:
+    it meets its claimed parameters, and every PDS is regular."""
+    built = cli.FAMILIES[family][2](params)
+    design = getattr(built, "design", built)
+    assert verify_design(design).params == design.claimed
+    if design.kind == "PDS":
+        assert verify_pds(design, require_regular=True).regular
+
+
+@pytest.mark.parametrize("family", sorted(SMALL))
+def test_each_command_recounts_each_design_once(family, tmp_path, monkeypatch):
+    """Every recount goes through difference_profile; in one command no
+    design is counted twice.  construct recounts what it built (dillon-forward
+    also the dihedral lift it substitutes from), a transfer the lift alone,
+    and verify the design it reads."""
+    real, seen = verify.difference_profile, []
+    monkeypatch.setattr(verify, "difference_profile",
+                        lambda design: seen.append(design) or real(design))
+    flags = [x for key, val in SMALL[family].items() for x in (f"--{key}", str(val))]
+
+    def recounts(*argv):
+        seen.clear()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+        assert len({id(d) for d in seen}) == len(seen), argv
+        return code, len(seen)
+
+    inner = int(family == "dillon-forward")  # the lift built on the way
+    base, lifted = tmp_path / "b", tmp_path / "x"
+    assert recounts("construct", family, *flags, "--out", str(base)) == (0, inner + 1)
+    assert recounts("verify", "--design", f"{base}.design.txt") == (0, 1)
+    if "[transfer]" in (tmp_path / "b.design.txt").read_text():
+        assert recounts("transfer", "--family", family, *flags, "--out", str(lifted)) == (0, 1)
+        assert recounts("transfer", "--design", f"{base}.design.txt",
+                        "--out", str(lifted)) == (0, 1)
+        assert recounts("verify", "--design", f"{lifted}.design.txt") == (0, 1)
+    else:  # a plain design has nothing to transfer: exit 2 after the build
+        assert recounts("transfer", "--family", family, *flags,
+                        "--out", str(lifted)) == (2, inner)
+        assert recounts("transfer", "--design", f"{base}.design.txt",
+                        "--out", str(lifted)) == (2, 0)

@@ -163,6 +163,19 @@ def test_building_a_group_holds_no_element_table():
     assert g.size == 1 << 18 and held < 1 << 20
 
 
+def test_pow_of_a_large_exponent_is_exact():
+    """pow reduces the exponent per factor, so a digit times it never wraps
+    in int64: here 2^18 - 1 times 2^62 + 5 would."""
+    orders = (3, 1 << 18)
+    g = abelian_make(orders)
+    for e in (2 ** 62 + 5, -(2 ** 62) - 5):
+        for x in (1, g.size - 1, 12345):
+            d = oracle.decode(orders, x)
+            want = oracle.encode(orders, [e * v for v in d])
+            assert g.pow(x, e) == want
+            assert g.pow_many([x], e).tolist() == [want]
+
+
 def test_group_order_ceiling():
     from diffsets.groups import MAX_GROUP_ORDER
     assert abelian_make((3,) * 6 + (364,)).size == 265356  # Spence d = 2

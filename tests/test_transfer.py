@@ -81,6 +81,21 @@ def test_condition_i_failure_reported():
     assert "condition (i)" in str(err.value)
 
 
+def test_closure_above_the_base_order_is_not_built():
+    """(i) needs only to know that the closure exceeds |G|, so the closure is
+    capped at |G|: C2^6 with the swap of its first two coordinates and every
+    translation would close to 128 elements, and stops past 64."""
+    g = abelian_make((2,) * 6)
+    design = DesignSet(g, (0,), "DS", (64, 1, 0))
+    swap = aut_from_images(g, [2, 1] + list(g.generators[2:]))
+    inst = make_instance(design, [swap], [((0,), 0)] + [((), x) for x in range(64)])
+    report = check_conditions(inst)
+    assert (report.cond_i, report.new_group) == (False, None)
+    assert report.witnesses["i"] == "closure exceeded the cap of 64 elements"
+    with pytest.raises(ConditionsFailed, match=r"condition \(i\): fail \[closure exceeded"):
+        transfer_pds(inst)
+
+
 def test_closure_too_small_is_condition_i_failure():
     g = abelian_make((7,))
     d = DesignSet(g, FANO, "DS", (7, 3, 1))
