@@ -5,20 +5,14 @@ output files byte for byte (the manifest's elapsed-time line is the only
 exception).  Exit codes: 0 on success, 2 for bad parameters or unparseable
 files, 3 for mathematical failures (verification mismatches, failed transfer
 conditions, corrupted designs).
-
-The argument parser is built on the first `main()` call and reused by every
-later call in the process: parsing does not modify it, each call gets a fresh
-namespace, and it holds no per-call state.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import sys
 import time
-from typing import Callable, Dict, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .errors import MathError, ParameterError, ParseError
 from .families import (
@@ -49,6 +43,7 @@ from .transfer import TransferInstance, transfer_pds, transfer_rds
 from .verify import DesignSet, VerifyResult, verify_design
 
 Built = Union[DesignSet, TransferInstance]
+Args = Dict[str, Any]
 
 
 def _dillon_instance() -> TransferInstance:
@@ -90,20 +85,22 @@ FAMILIES: Dict[str, Tuple[Tuple[str, ...], Dict[str, int],
 
 PARAM_FLAGS = ("p", "q", "d", "m", "n", "r", "s", "t", "k", "variant")
 
+# the value each flag but the PARAM_FLAGS (integers) takes, as help names it
+METAVARS = {"design": "FILE", "family": "NAME", "format": "edges|dot", "out": "PREFIX"}
+FORMATS = ("edges", "dot")
 
-def _collect_params(args: argparse.Namespace, family: str) -> Dict[str, int]:
+
+def _family_params(family: str, args: Args) -> Dict[str, int]:
+    """The family's parameters from the PARAM_FLAGS in args: every one it
+    needs, none it does not take, and its defaults for the rest."""
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}; choose from "
                              + ", ".join(sorted(FAMILIES)))
     needs, defaults, _ = FAMILIES[family]
-    params: Dict[str, int] = {}
-    for flag in PARAM_FLAGS:
-        val = getattr(args, flag, None)
-        if val is None:
-            continue
+    params = {flag: args[flag] for flag in PARAM_FLAGS if flag in args}
+    for flag in params:
         if flag not in needs and flag not in defaults:
             raise ParameterError(f"family {family!r} does not take --{flag}")
-        params[flag] = val
     for flag in needs:
         if flag not in params:
             raise ParameterError(f"family {family!r} requires --{flag}")
@@ -161,9 +158,8 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
-    family = args.family
-    params = _collect_params(args, family)
+def cmd_construct(args: Args) -> int:
+    family, params = args["family"], args["params"]
     t0 = time.perf_counter()
     built = _build_family(family, params)
     if isinstance(built, TransferInstance):
@@ -175,7 +171,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
     line = _print_summary(result, design, instance)
 
-    out = args.out or _default_out(family, params)
+    out = args.get("out") or _default_out(family, params)
     rendered_group = group_text(design.group)
     _write(f"{out}.group.txt", rendered_group)
     _write(f"{out}.design.txt", design_text(design, instance, rendered_group))
@@ -204,29 +200,22 @@ def _fingerprint_lines(report) -> List[str]:
     return lines
 
 
-def cmd_transfer(args: argparse.Namespace) -> int:
+def cmd_transfer(args: Args) -> int:
     t0 = time.perf_counter()
-    if args.design:
-        ignored = [f"--{f}" for f in ("family",) + PARAM_FLAGS if getattr(args, f) is not None]
-        if ignored:
-            raise ParameterError("transfer --design takes its instance from the file; "
-                                 "drop " + ", ".join(ignored))
-        design, instance = parse_design(_read(args.design))
+    if "design" in args:
+        design, instance = parse_design(_read(args["design"]))
         if instance is None:
-            raise ParameterError(f"{args.design} has no [transfer] section")
+            raise ParameterError(f"{args['design']} has no [transfer] section")
         family, params = "file", {}
-        out = args.out or "transferred"
+        out = args.get("out") or "transferred"
     else:
-        if not args.family:
-            raise ParameterError("transfer needs --design FILE or --family NAME")
-        family = args.family
-        params = _collect_params(args, family)
+        family, params = args["family"], args["params"]
         built = _build_family(family, params)
         if not isinstance(built, TransferInstance):
             raise ParameterError(f"family {family!r} builds a plain design; "
                                  "nothing to transfer")
         instance = built
-        out = args.out or _default_out(family, params) + "_transferred"
+        out = args.get("out") or _default_out(family, params) + "_transferred"
 
     if instance.design.kind == "RDS":
         report = transfer_rds(instance)
@@ -264,21 +253,22 @@ def _read(path: str) -> str:
                          f"at offset {exc.start}") from None
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    design, instance = parse_design(_read(args.design))
+def cmd_verify(args: Args) -> int:
+    design, instance = parse_design(_read(args["design"]))
     _print_summary(verify_design(design), design, instance)
     return 0
 
 
-def cmd_export(args: argparse.Namespace) -> int:
-    design, _ = parse_design(_read(args.design))
-    base = args.design
+def cmd_export(args: Args) -> int:
+    design, _ = parse_design(_read(args["design"]))
+    base = args["design"]
     for ext in (".design.txt", ".txt"):
         if base.endswith(ext):
             base = base[: -len(ext)]
             break
-    out = args.out or base + "." + args.format
-    head, arcs, tail = cayley_export(design, args.format)
+    fmt = args.get("format", FORMATS[0])
+    out = args.get("out") or base + "." + fmt
+    head, arcs, tail = cayley_export(design, fmt)
     n_arcs = 0
     with _open_out(out) as fh:
         fh.write(head)
@@ -293,49 +283,128 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="diffsets",
-        description="construct, transfer, verify, and export difference sets")
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler, summary, positional argument, required arguments,
+# flags); every flag takes one value, and a family named by construct or
+# transfer decides which of the PARAM_FLAGS apply (_family_params)
+COMMANDS: Dict[str, Tuple[Callable[[Args], int], str, Optional[str],
+                          Tuple[str, ...], Tuple[str, ...]]] = {
+    "construct": (cmd_construct, "build and verify a design family",
+                  "family", ("family",), PARAM_FLAGS + ("out",)),
+    "transfer": (cmd_transfer, "transfer the instance in --design's file or of --family, "
+                 "and verify the lift", None, (), ("design", "family") + PARAM_FLAGS + ("out",)),
+    "verify": (cmd_verify, "re-verify a serialized design", None, ("design",), ("design",)),
+    "export": (cmd_export, "write the Cayley graph of a design", None, ("design",),
+               ("design", "format", "out")),
+}
 
-    def add_param_flags(p: argparse.ArgumentParser) -> None:
-        for flag in PARAM_FLAGS:
-            p.add_argument(f"--{flag}", type=int, default=None)
 
-    p_con = sub.add_parser("construct", help="build and verify a design family")
-    p_con.add_argument("family", help="one of: " + ", ".join(sorted(FAMILIES)))
-    add_param_flags(p_con)
-    p_con.add_argument("--out", default=None, help="output file prefix")
-    p_con.set_defaults(func=cmd_construct)
+def _help(command: Optional[str]) -> str:
+    """The usage of every command, or of one, naming each flag it takes; then,
+    for a command that takes a family, each family with its parameters."""
+    lines, takes = ["usage:"], set()
+    for name in [command] if command else COMMANDS:
+        _, summary, positional, required, flags = COMMANDS[name]
+        takes.update(flags)
+        words = [positional.upper()] if positional else []
+        for flag in flags:
+            if flag in METAVARS:
+                word = f"--{flag} {METAVARS[flag]}"
+                words.append(word if flag in required else f"[{word}]")
+            elif flag == PARAM_FLAGS[0]:
+                words.append("[--PARAM N ...]")
+        lines += [f"  diffsets {name} {' '.join(words)}", f"      {summary}"]
+    lines += ["", "A flag reads as --flag VALUE, --flag=VALUE or a unique prefix of the flag;",
+              "the last of a repeated flag counts.  -h or --help prints this help."]
+    if PARAM_FLAGS[0] in takes:
+        lines += ["", "families and the PARAM flags each takes ([--flag default]):"]
+        lines += [f"  {family:<16} " + " ".join(
+            [f"--{f} N" for f in needs] + [f"[--{f} {v}]" for f, v in defaults.items()]
+            or ["(none)"]) for family, (needs, defaults, _) in FAMILIES.items()]
+    return "\n".join(lines)
 
-    p_tr = sub.add_parser("transfer", help="run a transfer and verify the result")
-    p_tr.add_argument("--design", default=None,
-                      help="design file with an embedded [transfer] section")
-    p_tr.add_argument("--family", default=None,
-                      help="build the named family's instance, then transfer")
-    add_param_flags(p_tr)
-    p_tr.add_argument("--out", default=None, help="output file prefix")
-    p_tr.set_defaults(func=cmd_transfer)
 
-    p_ver = sub.add_parser("verify", help="re-verify a serialized design")
-    p_ver.add_argument("--design", required=True)
-    p_ver.set_defaults(func=cmd_verify)
+def _flag(token: str, flags: Tuple[str, ...], where: str) -> str:
+    """The flag a `-h` or `--name` token names: `name` itself, else the one
+    flag (or help) that `name` is a prefix of."""
+    if token == "-h":
+        return "help"
+    name = token[2:] if token.startswith("--") else ""
+    names = flags + ("help",)
+    found = [f for f in names if f == name] or [f for f in names if name and f.startswith(name)]
+    if len(found) != 1:  # none, or several: no two flags of a command share one today
+        raise ParameterError(f"{where} takes no option {token}; see {where} --help")
+    return found[0]
 
-    p_exp = sub.add_parser("export", help="write the Cayley graph of a design")
-    p_exp.add_argument("--design", required=True)
-    p_exp.add_argument("--format", choices=("edges", "dot"), default="edges")
-    p_exp.add_argument("--out", default=None)
-    p_exp.set_defaults(func=cmd_export)
-    return parser
+
+def _is_value(token: str) -> bool:
+    """A token that is no flag; a negative integer such as -1 is a value."""
+    return not token.startswith("-") or token[1:].isdigit()
+
+
+def _value(flag: str, text: str) -> Any:
+    if flag in PARAM_FLAGS:
+        try:
+            return int(text)
+        except ValueError:
+            raise ParameterError(f"--{flag} takes an integer, not {text!r}") from None
+    if flag == "format" and text not in FORMATS:
+        raise ParameterError(f"--format is one of {', '.join(FORMATS)}, not {text!r}")
+    return text
+
+
+def _parse(argv: List[str]) -> Optional[Args]:
+    """The command and its arguments, read by COMMANDS: the positional
+    argument, each flag by `--flag value`, `--flag=value` or a unique prefix
+    of the flag (a repeated flag keeps its last value) and, where a family is
+    named, its parameters as "params".  Prints the help and returns None on
+    -h or --help; raises ParameterError on any other usage error."""
+    if argv and argv[0].startswith("-"):
+        _flag(argv[0].partition("=")[0], (), "diffsets")  # help is the only flag
+        print(_help(None))
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        what = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ParameterError(f"{what}; choose from {', '.join(COMMANDS)} (see diffsets --help)")
+    command, tokens = argv[0], iter(argv[1:])
+    _, _, positional, required, flags = COMMANDS[command]
+    args: Args = {"command": command}
+    for token in tokens:
+        if _is_value(token):
+            if positional is None or positional in args:
+                raise ParameterError(f"unexpected argument {token!r} to {command}")
+            args[positional] = token
+            continue
+        head, eq, value = token.partition("=")
+        flag = _flag(head, flags, f"diffsets {command}")
+        if flag == "help":
+            print(_help(command))
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                raise ParameterError(f"--{flag} needs a value")
+        args[flag] = _value(flag, value)
+    for name in required:
+        if name not in args:
+            raise ParameterError(f"{command} requires "
+                                 + (name.upper() if name == positional else f"--{name}"))
+    if command == "transfer":
+        if "design" in args:
+            dropped = [f"--{f}" for f in ("family",) + PARAM_FLAGS if f in args]
+            if dropped:
+                raise ParameterError("transfer --design takes its instance from the file; "
+                                     "drop " + ", ".join(dropped))
+        elif "family" not in args:
+            raise ParameterError("transfer needs --design FILE or --family NAME")
+    if "family" in args:
+        args["params"] = _family_params(args["family"], args)
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return 0 if args is None else COMMANDS[args["command"]][0](args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

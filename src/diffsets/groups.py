@@ -688,12 +688,15 @@ def element_set(group: Group, elements, what: str) -> Tuple[np.ndarray, np.ndarr
 
 class Subgroup:
     """Its members are a sorted, read-only int64 array with a read-only mask;
-    `gens` generate it."""
+    `gens` generate it.  `spanned` is true only for a subgroup_closure result,
+    whose members are the span of `gens` by construction; other members are a
+    claim, which verify.forbidden_subgroup proves or refutes."""
 
-    def __init__(self, parent: Group, members, gens: Sequence[int]):
+    def __init__(self, parent: Group, members, gens: Sequence[int], spanned: bool = False):
         self.parent = parent
         self.members, self.mask = element_set(parent, members, "subgroup")
         self.gens = gens
+        self.spanned = spanned
 
     @property
     def order(self) -> int:
@@ -716,7 +719,7 @@ def subgroup_closure(group: Group, gens: Sequence[int]) -> Subgroup:
         prods = group.mul_outer(frontier, gen_arr).ravel()
         frontier = sorted_unique(prods[~seen[prods]])
         seen[frontier] = True
-    return Subgroup(group, np.flatnonzero(seen), gens)
+    return Subgroup(group, np.flatnonzero(seen), gens, spanned=True)
 
 
 def greedy_span(group: Group, members: Sequence[int]) -> Subgroup:

@@ -332,7 +332,8 @@ def verify_rds(design: DesignSet) -> VerifyResult:
     assert sub is not None
     if sub.parent is not group:
         raise ForbiddenNotSubgroup("forbidden subgroup belongs to a different group")
-    forbidden_subgroup(group, sub.members)
+    if not sub.spanned:
+        forbidden_subgroup(group, sub.members)
     if sub.order != u:
         raise ParameterMismatch(f"forbidden subgroup order {sub.order} != claimed u = {u}")
     _check_sizes(design, m * u, "m*u", k)

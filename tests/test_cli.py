@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
-import argparse
 import contextlib
 import io
 import os
@@ -11,8 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diffsets import DesignSet, abelian_make, serialize, subgroup_closure
-from diffsets.cli import build_parser, main
+from diffsets import DesignSet, abelian_make, serialize, subgroup_closure, verify
+from diffsets.cli import FAMILIES, PARAM_FLAGS, main
 
 
 def run(capsys, *argv):
@@ -72,6 +71,35 @@ def test_verify_rds_with_a_large_forbidden_subgroup(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0 and "RDS(2,32768,1,0) OK" in stdout
     assert peak < 64 << 20
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (["construct", "rds-transfer", "--d", "1", "--out", "c"], 0),
+    (["transfer", "--family", "rds-transfer", "--d", "1", "--out", "f"], 1),
+    (["transfer", "--design", "r.design.txt", "--out", "t"], 2),
+    (["verify", "--design", "r.design.txt"], 1),
+    (["verify", "--design", "rx.design.txt"], 1),
+    (["export", "--design", "rx.design.txt"], 1),
+], ids=["construct", "transfer-family", "transfer-design", "verify-base", "verify-lift",
+        "export"])
+def test_each_command_spans_each_forbidden_subgroup_once(tmp_path, capsys, monkeypatch,
+                                                         argv, spans):
+    """Every forbidden-set check spans the set through verify.greedy_span;
+    a command spans each subgroup it reads or lifts once, and trusts the
+    subgroup_closure a family builds.  verify_rds re-checks only a Subgroup
+    built by hand."""
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "construct", "rds-transfer", "--d", "1", "--out", "r")[0] == 0
+    assert run(capsys, "transfer", "--design", "r.design.txt", "--out", "rx")[0] == 0
+    real, seen = verify.greedy_span, []
+
+    def spy(group, members):
+        seen.append((id(group), np.asarray(members).tobytes()))
+        return real(group, members)
+
+    monkeypatch.setattr(verify, "greedy_span", spy)
+    assert run(capsys, *argv)[0] == 0
+    assert len(seen) == len(set(seen)) == spans
 
 
 @pytest.mark.parametrize("line, message", [
@@ -555,9 +583,7 @@ def test_tracer_hooks_resolve():
 NUMPY_MA_SCRIPT = """
 import os, sys
 import numpy
-if "numpy.ma" in sys.modules:
-    print("preloaded")
-    raise SystemExit
+preloaded = "numpy.ma" in sys.modules
 from diffsets import cayley_srg_check, cli
 from diffsets.serialize import parse_design
 os.chdir(sys.argv[1])
@@ -569,7 +595,8 @@ for family, flags in (("denniston-even", ["--m", "3", "--r", "1"]),
     for path in ("d.design.txt", "dx.design.txt"):
         with open(path, encoding="utf-8") as fh:
             cayley_srg_check(parse_design(fh.read())[0])
-print("numpy.ma" in sys.modules)
+print(" ".join(sorted({"argparse", "gettext", "locale"} & set(sys.modules))))
+print("preloaded" if preloaded else "numpy.ma" in sys.modules)
 """
 
 
@@ -577,13 +604,15 @@ def test_pipeline_never_loads_numpy_ma(tmp_path):
     """Under numpy 2 a plain np.unique imports numpy.ma, about 15 ms; no
     stage from construct to the SRG check may pay it.  The SRG check runs on
     the base and lifted designs of both families, all four by the character
-    route."""
+    route.  Nor does any stage import argparse, gettext or locale: with the
+    parser tree they served, they took a few ms of the first command."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", NUMPY_MA_SCRIPT, str(tmp_path)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2] == ""
     if proc.stdout.strip().endswith("preloaded"):
         pytest.skip("importing numpy alone loads numpy.ma (numpy 1.x)")
     assert proc.stdout.strip().endswith("False")
@@ -610,36 +639,8 @@ def test_non_utf8_design_exits_2(tmp_path, capsys, command, damage):
     assert stderr == f"error: {path} is not UTF-8 text: byte 0xff at offset {offset}\n"
 
 
-def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
-    """Six calls of main construct the parser tree (the root parser and one
-    per subcommand) once, as many parsers as a single build makes."""
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def spy(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-    build_parser.cache_clear()
-    build_parser()
-    one_build = len(built)
-    build_parser.cache_clear()
-    built.clear()
-    out = str(tmp_path / "mcf")
-    for argv in (["construct", "mcfarland", "--q", "2", "--s", "1", "--out", out],
-                 ["verify", "--design", out + ".design.txt"],
-                 ["export", "--design", out + ".design.txt"],
-                 ["construct", "nosuch"],
-                 ["transfer", "--design", out + ".design.txt"],
-                 ["verify", "--design", out + ".design.txt"]):
-        main(argv)
-    capsys.readouterr()
-    assert len(built) == one_build <= 5
-
-
-# good calls with usage errors (SystemExit(2)) and --help (SystemExit(0))
-# between them, every path relative to the working directory
+# good calls with usage errors (exit 2) and --help (exit 0) between them,
+# every path relative to the working directory
 PARSER_SEQUENCE = [
     ["construct", "denniston-gr4", "--t", "2", "--k", "1", "--out", "g"],
     ["construct", "--bogus"],
@@ -656,16 +657,16 @@ PARSER_SEQUENCE = [
 ]
 
 
-def _run_sequence(capsys, workdir, fresh_parser):
+def _run_sequence(capsys, workdir, fresh_process):
     outcomes = []
     for argv in PARSER_SEQUENCE:
-        if fresh_parser:
-            build_parser.cache_clear()
-        try:
+        if fresh_process:
+            proc = subprocess.run([sys.executable, "-m", "diffsets", *argv], cwd=workdir,
+                                  env=_src_env(), capture_output=True, text=True)
+            outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+        else:
             code = main(argv)
-        except SystemExit as exc:
-            code = ("SystemExit", exc.code)
-        outcomes.append((code,) + tuple(capsys.readouterr()))
+            outcomes.append((code,) + tuple(capsys.readouterr()))
     files = {path.name: [ln for ln in path.read_text(encoding="utf-8").splitlines()
                          if not ln.startswith("elapsed_s")]
              for path in sorted(workdir.iterdir())}
@@ -673,8 +674,9 @@ def _run_sequence(capsys, workdir, fresh_parser):
 
 
 def test_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
-    """The cached parser gives the exit code, stdout, stderr and output files
-    that a parser built afresh for every call gives."""
+    """Calls of main one after another in one process give the exit code,
+    stdout, stderr and output files that each call gives in a fresh
+    interpreter: no call leaves state behind for the next."""
     runs = []
     for fresh in (True, False):
         workdir = tmp_path / ("fresh" if fresh else "reused")
@@ -682,8 +684,130 @@ def test_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(workdir)
         runs.append(_run_sequence(capsys, workdir, fresh))
     (fresh_outcomes, fresh_files), (reused_outcomes, reused_files) = runs
-    assert [o[0] for o in reused_outcomes] == [0, ("SystemExit", 2), ("SystemExit", 2), 2, 2,
-                                               ("SystemExit", 0), 0, 0, 0,
-                                               ("SystemExit", 2), 0, 0]
+    assert [o[0] for o in reused_outcomes] == [0, 2, 2, 2, 2, 0, 0, 0, 0, 2, 0, 0]
     assert reused_outcomes == fresh_outcomes
     assert reused_files == fresh_files and len(reused_files) == 10
+
+
+# (argv, the one stderr line); {d} is a design file with transfer data
+USAGE_ERRORS = [
+    ([], "no command given; choose from construct, transfer, verify, export "
+         "(see diffsets --help)"),
+    (["frobnicate"], "unknown command 'frobnicate'; choose from construct, transfer, "
+                     "verify, export (see diffsets --help)"),
+    (["--bogus"], "diffsets takes no option --bogus; see diffsets --help"),
+    (["construct"], "construct requires FAMILY"),
+    (["construct", "--out", "o"], "construct requires FAMILY"),
+    (["verify"], "verify requires --design"),
+    (["export", "--format", "dot"], "export requires --design"),
+    (["transfer", "--out", "o"], "transfer needs --design FILE or --family NAME"),
+    (["construct", "denniston-even", "--m", "x", "--r", "1"], "--m takes an integer, not 'x'"),
+    (["construct", "spence", "--d=1.5"], "--d takes an integer, not '1.5'"),
+    (["transfer", "--family", "spence", "--d", ""], "--d takes an integer, not ''"),
+    (["export", "--design", "{d}", "--format", "xml"],
+     "--format is one of edges, dot, not 'xml'"),
+    (["construct", "spence", "--d"], "--d needs a value"),
+    (["construct", "spence", "--out", "--d", "1"], "--out needs a value"),
+    (["verify", "--design", "--help"], "--design needs a value"),
+    (["construct", "spence", "--d", "1", "extra"], "unexpected argument 'extra' to construct"),
+    (["verify", "--design", "{d}", "extra"], "unexpected argument 'extra' to verify"),
+    (["construct", "spence", "--bogus", "1"],
+     "diffsets construct takes no option --bogus; see diffsets construct --help"),
+    (["construct", "spence", "-d", "1"],
+     "diffsets construct takes no option -d; see diffsets construct --help"),
+    (["construct", "spence", "--", "--d", "1"],
+     "diffsets construct takes no option --; see diffsets construct --help"),
+    (["verify", "--design", "{d}", "--out", "o"],
+     "diffsets verify takes no option --out; see diffsets verify --help"),
+    (["construct", "spence", "--format", "dot"],
+     "diffsets construct takes no option --format; see diffsets construct --help"),
+    (["construct", "nosuch"], "unknown family 'nosuch'; choose from "
+                              + ", ".join(sorted(FAMILIES))),
+    (["construct", "spence", "--d", "1", "--m", "2"], "family 'spence' does not take --m"),
+    (["transfer", "--family", "denniston-odd", "--p", "3"],
+     "family 'denniston-odd' requires --t"),
+    (["construct", "denniston-even", "--m", "-1", "--r", "1"], "need m >= 2 and 1 <= r < m"),
+]
+
+
+@pytest.fixture(scope="module")
+def transfer_file(tmp_path_factory):
+    work = tmp_path_factory.mktemp("source")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["construct", "dillon", "--out", str(work / "d")]) == 0
+    return str(work / "d.design.txt")
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "(none)" for argv, _ in USAGE_ERRORS])
+def test_usage_error_exits_2(tmp_path, capsys, monkeypatch, transfer_file, argv, message):
+    """Each usage error exits 2 with its one error line, prints nothing to
+    stdout and writes no file."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, *(a.format(d=transfer_file) for a in argv))
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (["construct", "spence", "--d=1", "--out=a"], ["construct", "spence", "--d", "1", "--out", "a"]),
+    (["construct", "--d", "1", "spence", "--out", "a"],
+     ["construct", "spence", "--d", "1", "--out", "a"]),
+    (["construct", "rds-transfer", "--d", "1", "--var", "2", "--o", "a"],
+     ["construct", "rds-transfer", "--d", "1", "--variant", "2", "--out", "a"]),
+    (["construct", "spence", "--d", "7", "--d", "1", "--out", "b", "--out", "a"],
+     ["construct", "spence", "--d", "1", "--out", "a"]),
+    (["transfer", "--fam", "rds-transfer", "--d", "1", "--out", "a"],
+     ["transfer", "--family", "rds-transfer", "--d", "1", "--out", "a"]),
+    (["transfer", "--de=d.design.txt", "--out", "a"],
+     ["transfer", "--design", "d.design.txt", "--out", "a"]),
+    (["export", "--des", "d.design.txt", "--f=dot", "--out", "a"],
+     ["export", "--design", "d.design.txt", "--format", "dot", "--out", "a"]),
+    (["construct", "mcfarland-even", "--d", "2"],
+     ["construct", "mcfarland-even", "--d", "2", "--variant", "1"]),
+], ids=lambda x: " ".join(x))
+def test_argument_forms_agree(tmp_path, capsys, monkeypatch, argv, same_as):
+    """--flag=value, a positional after a flag, unique prefixes, a repeated
+    flag (the last value counts) and a left-out default read as the plain
+    spelling: the same exit code, output and files."""
+    outcomes = []
+    for which, call in (("form", argv), ("plain", same_as)):
+        work = tmp_path / which
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["construct", "dillon", "--out", "d"]) == 0
+        outcomes.append((run(capsys, *call), {
+            path.name: [ln for ln in path.read_text(encoding="utf-8").splitlines()
+                        if not ln.startswith("elapsed_s")]
+            for path in sorted(work.iterdir())}))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][0] == 0 and len(outcomes[0][1]) > 3
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"], ["-h", "construct"],
+                                  ["construct", "--help"], ["construct", "spence", "-h"],
+                                  ["transfer", "--h"], ["verify", "-h"], ["export", "--help"]],
+                         ids=lambda x: " ".join(x))
+def test_help_exits_0(tmp_path, capsys, monkeypatch, argv):
+    """Help at the top level names every command, family and flag; a
+    command's help names its flags and, if it takes a family, every family and
+    its parameters."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stderr) == (0, "")
+    assert not list(tmp_path.iterdir())
+    command = argv[0] if argv[0] in ("construct", "transfer", "verify", "export") else None
+    words = set(stdout.replace("[", " ").replace("]", " ").split())
+    takes = {"construct": ["out"], "transfer": ["design", "family", "out"],
+             "verify": ["design"], "export": ["design", "format", "out"]}
+    for name, flags in takes.items():
+        if command in (None, name):
+            assert f"diffsets {name} " in stdout
+            assert {f"--{flag}" for flag in flags} <= words
+    if command in (None, "construct", "transfer"):
+        assert set(FAMILIES) | {f"--{flag}" for flag in PARAM_FLAGS} <= words
+    else:
+        assert "--d" not in words and "spence" not in words
+    assert "-h" in words and "--help" in words
+
