@@ -692,11 +692,15 @@ class Subgroup:
     whose members are the span of `gens` by construction; other members are a
     claim, which verify.forbidden_subgroup proves or refutes."""
 
-    def __init__(self, parent: Group, members, gens: Sequence[int], spanned: bool = False):
+    def __init__(self, parent: Group, members, gens: Sequence[int]):
         self.parent = parent
         self.members, self.mask = element_set(parent, members, "subgroup")
         self.gens = gens
-        self.spanned = spanned
+        self._spanned = False  # set by subgroup_closure alone
+
+    @property
+    def spanned(self) -> bool:
+        return self._spanned
 
     @property
     def order(self) -> int:
@@ -719,7 +723,9 @@ def subgroup_closure(group: Group, gens: Sequence[int]) -> Subgroup:
         prods = group.mul_outer(frontier, gen_arr).ravel()
         frontier = sorted_unique(prods[~seen[prods]])
         seen[frontier] = True
-    return Subgroup(group, np.flatnonzero(seen), gens, spanned=True)
+    span = Subgroup(group, np.flatnonzero(seen), gens)
+    span._spanned = True
+    return span
 
 
 def greedy_span(group: Group, members: Sequence[int]) -> Subgroup:

@@ -9,13 +9,13 @@ never trusts a construction - it always recounts.
 The count is a character sum (Pott, Finite Geometry and Character Theory,
 LNM 1601; Ma, "A survey of partial difference sets", DCC 4, 1994): over an
 abelian group the autocorrelation of the member indicator under the block
-character transform of AbelianGroup, rounded under an exactness guard (see
-_character_counts).  Any other group is a tower of extensions over an
-abelian bottom group, and the members' bottoms are moved by their
-automorphism parts before they are transformed, in merged rows (see
+character transform of AbelianGroup.  Any other group is a tower of
+extensions over an abelian bottom group, and the members' bottoms are moved
+by their automorphism parts before they are transformed, in merged rows (see
 _slice_counts): a transfer output takes one forward row and one inverse row.
-The SRG cross-check counts products with the same kernel.  Only a count the
-guard rejects is counted directly, from the k^2 quotients or products.
+The SRG cross-check counts products with the same kernel.  One exactness
+guard rounds the counts (see _counts), and a count it rejects is counted
+directly, from the k^2 quotients or products.
 
 A design's members, like a subgroup's, are one sorted, read-only int64 array
 with a read-only mask over the group (groups.element_set), so every check
@@ -94,15 +94,9 @@ def difference_profile(design: DesignSet) -> np.ndarray:
     """Count quotients d1 * d2^(-1) over ordered pairs of distinct members;
     the counts sum to k^2 - k."""
     group = design.group
-    counts = _exact_counts(group, design.members)
+    counts = _counts(group, design.members)
     counts[group.identity] -= design.size
     return counts
-
-
-def _exact_counts(group: Group, members: np.ndarray, product: bool = False) -> np.ndarray:
-    """The character counts, or the direct ones where the guard rejects them."""
-    counts = _character_counts(group, members, product)
-    return _direct_counts(group, members, product) if counts is None else counts
 
 
 def _direct_counts(group: Group, members: np.ndarray, product: bool = False) -> np.ndarray:
@@ -119,10 +113,9 @@ def _direct_counts(group: Group, members: np.ndarray, product: bool = False) -> 
     return counts
 
 
-def _character_counts(group: Group, members: np.ndarray,
-                      product: bool = False) -> Optional[np.ndarray]:
-    """The counts of _direct_counts as character sums, or None when the
-    exactness guard fails.
+def _counts(group: Group, members: np.ndarray, product: bool = False) -> np.ndarray:
+    """The counts of _direct_counts as character sums, rounded under one
+    exactness guard, or the direct counts where the guard rejects them.
 
     Over an abelian group they are the inverse transform of F(S) conj(F(S))
     (quotients) or F(S)^2 (products), F the block character transform of the
@@ -138,37 +131,29 @@ def _character_counts(group: Group, members: np.ndarray,
     a matmul of order <= BLOCK_ORDER or one FFT, have orders multiplying to at
     most v, so sum(m_b) <= 2^11 and the error stays below 3e-4 * c, far below
     1/2 for the small constant c of a dense or radix sum.  Rounding therefore
-    recovers the integer count; the guard re-checks that on the data: every
-    residual under 0.25, no negative count, and the counts summing to k^2.
+    recovers the integer count; the guard re-checks that on the counts
+    returned: every residual under 0.25, no negative count, and the counts
+    summing to k^2.
     """
     if isinstance(group, AbelianGroup):
         ind = np.zeros(group.size)
         ind[members] = 1.0
         spec = group.character_transform(ind)
         raw = group.character_transform(spec * (spec if product else spec.conj()),
-                                        inverse=True)
-        counts = _rounded(raw.real)
+                                        inverse=True).real
     else:
-        counts = _slice_counts(group, members, product)
-    if counts is None or int(counts.sum()) != len(members) ** 2:
-        return None
-    return counts
-
-
-def _rounded(raw: np.ndarray) -> Optional[np.ndarray]:
-    """raw rounded to integers, or None if a residual reaches 0.25 or a
-    rounded count is negative."""
+        raw = _slice_counts(group, members, product)
     counts = np.rint(raw)
-    if np.abs(raw - counts).max() >= 0.25 or counts.min() < 0:
-        return None
-    return counts.astype(np.int64)
+    # each clause is false on a NaN
+    if (np.abs(raw - counts).max() < 0.25 and counts.min() >= 0
+            and counts.sum() == len(members) ** 2):
+        return counts.astype(np.int64)
+    return _direct_counts(group, members, product)
 
 
-def _slice_counts(group: Group, members: np.ndarray,
-                  product: bool = False) -> Optional[np.ndarray]:
-    """Counts over a tower of extensions of an abelian bottom group B from
-    merged rows of the slices {beta(x) : x in D, tau(x) = t}; None if a row
-    fails to round.
+def _slice_counts(group: Group, members: np.ndarray, product: bool = False) -> np.ndarray:
+    """Unrounded counts over a tower of extensions of an abelian bottom group
+    B from merged rows of the slices {beta(x) : x in D, tau(x) = t}.
 
     Each element x has a top tau(x), its automorphism parts, and a bottom
     beta(x) in B.  Level by level (see groups.tower_walk), beta(x y) =
@@ -206,7 +191,7 @@ def _slice_counts(group: Group, members: np.ndarray,
     rank = np.full(ncode, pos.max(initial=0) + 1)  # other tops read a zero row
     rank[codes] = pos
     tr, nr = rank[targets], int(rank.max()) + 1
-    out = np.zeros((nr, nb), dtype=np.int64)
+    out = np.zeros((nr, nb))
     per = max(1, _BLOCK_ENTRIES // nb)  # ranks per inverse transform
     for lo in (sorted_unique(tr // per) * per).tolist():
         inb, n = (tr >= lo) & (tr < lo + per), min(per, nr - lo)
@@ -232,10 +217,7 @@ def _slice_counts(group: Group, members: np.ndarray,
         ranks = np.array([r for r, _ in merged])
         present = sorted_unique(ranks)
         acc = (ranks == present[:, None]) @ (spec[[lid for _, lid in merged]] * rspec)
-        cnt = _rounded(base.character_transform(acc, inverse=True).real)
-        if cnt is None:
-            return None
-        out[lo + present] = cnt
+        out[lo + present] = base.character_transform(acc, inverse=True).real
     # mass on a pair outside the group would show as a short sum
     tops, bots = tower_walk(levels, slice(None))
     return out[rank[tops], bots]
@@ -388,7 +370,7 @@ def cayley_srg_check(design: DesignSet) -> SrgResult:
     left factor, so this stays a code path independent of verify_pds.
 
     The row is a convolution of slice spectra (see _slice_counts), counted
-    directly only where the guard rejects it.
+    directly only where the guard of _counts rejects it.
     """
     group = design.group
     n = group.size
@@ -397,7 +379,7 @@ def cayley_srg_check(design: DesignSet) -> SrgResult:
         raise NotClosedUnderInverse("graph check needs an identity-free connection set")
     if not design.is_inverse_closed():
         raise NotClosedUnderInverse("graph check needs an inverse-closed connection set")
-    common = _exact_counts(group, design.members, product=True)
+    common = _counts(group, design.members, product=True)
     outside = ~mask
     outside[group.identity] = False
     lam_vals = sorted_unique(common[mask])

@@ -447,6 +447,18 @@ def test_subgroup_validation_messages(members, message):
         Subgroup(abelian_make((4, 2)), members, members[1:2])
 
 
+def test_only_subgroup_closure_marks_a_span():
+    """A hand-built Subgroup is a claim that verify_rds proves, so no caller
+    can mark it spanned: not through the constructor, not afterwards."""
+    g = abelian_make((4, 2))
+    with pytest.raises(TypeError):
+        Subgroup(g, (0, 2, 4), (2, 4), spanned=True)
+    claim = Subgroup(g, (0, 2, 4), (2, 4))
+    with pytest.raises(AttributeError):
+        claim.spanned = True
+    assert not claim.spanned and subgroup_closure(g, (2, 4)).spanned
+
+
 def _small_closures(corpus):
     """Every corpus closure of order <= 1000, nested bases among them."""
     out = {name: rep.new_group for name, (_, rep) in corpus.items()

@@ -39,6 +39,7 @@ from diffsets import (
 
 FANO = (1, 2, 4)  # quadratic residues mod 7: a (7,3,1) planar difference set
 PALEY13 = (1, 3, 4, 9, 10, 12)  # QRs mod 13: a (13,6,2,3) regular PDS
+DIRECT_COUNTS = verify._direct_counts  # the direct count, not the spies below
 
 
 def test_fano_ds():
@@ -139,16 +140,18 @@ def test_not_srg_detected():
 
 
 def test_difference_profile_matches_oracle():
+    """A 6-subset of C4 x C2^2, the empty design and the whole group."""
     orders = (4, 2, 2)
     g = abelian_make(orders)
-    members = (1, 3, 4, 8, 14, 15)
-    d = DesignSet(g, members, "DS", (16, 6, 2))
-    prof = difference_profile(d)
     mul = lambda a, b: oracle.abelian_mul(orders, a, b)
     inv = lambda a: oracle.abelian_inv(orders, a)
-    counts = oracle.difference_counts(mul, inv, members)
-    for z in range(1, g.size):
-        assert prof[z] == counts.get(z, 0)
+    for members in ((1, 3, 4, 8, 14, 15), (), tuple(range(g.size))):
+        d = DesignSet(g, members, "DS", (16, len(members), 2))
+        prof = difference_profile(d)
+        counts = oracle.difference_counts(mul, inv, members)
+        want = [counts.get(z, 0) for z in range(g.size)]
+        want[0] -= len(members)  # the pairs d1 = d2
+        assert prof.tolist() == want, members
 
 
 def _corpus_member_sets(corpus, seed):
@@ -165,28 +168,29 @@ def _corpus_member_sets(corpus, seed):
             yield name, g, np.array(members, dtype=np.int64)
 
 
-def _check_character_route(corpus, product, seed):
+def _check_character_route(corpus, monkeypatch, product, seed):
+    direct_calls = _spy_direct(monkeypatch)
     nested = 0
     for name, g, members in _corpus_member_sets(corpus, seed):
-        fast = verify._character_counts(g, members, product)
-        assert fast is not None, name
-        assert np.array_equal(fast, verify._direct_counts(g, members, product)), name
+        fast = verify._counts(g, members, product)
+        assert direct_calls == [], name
+        assert np.array_equal(fast, DIRECT_COUNTS(g, members, product)), name
         nested += isinstance(g, ExtensionGroup) and isinstance(g.base, ExtensionGroup)
     assert nested
 
 
-def test_character_counts_match_direct(corpus):
+def test_character_counts_match_direct(corpus, monkeypatch):
     """Verify's character route (per-target slice sums over a tower of
-    extensions) equals the direct quotient count array for array on every
-    corpus design, base and lifted, nested lifts included, and on a random
-    subset of every lifted group."""
-    _check_character_route(corpus, False, 7)
+    extensions) passes the guard and equals the direct quotient count array
+    for array on every corpus design, base and lifted, nested lifts
+    included, and on a random subset of every lifted group."""
+    _check_character_route(corpus, monkeypatch, False, 7)
 
 
-def test_srg_convolution_matches_direct(corpus):
+def test_srg_convolution_matches_direct(corpus, monkeypatch):
     """The same for the SRG check's product counts: convolutions with the
     slice map on the left factor, summed per target tau(a b)."""
-    _check_character_route(corpus, True, 8)
+    _check_character_route(corpus, monkeypatch, True, 8)
 
 
 def _agl_2_3():
@@ -213,19 +217,21 @@ def _d8_tower():
             return extension_closure(d8, [psi], [((), x) for x in d8.generators] + [((0,), 0)])
 
 
-def test_character_counts_over_d8_tower():
-    """Quotient and product counts on random subsets of the D8 tower equal
-    the direct count and the oracle's pair-by-pair count (products as
-    quotients with the identity for the inverse)."""
+def test_character_counts_over_d8_tower(monkeypatch):
+    """Quotient and product counts on random subsets of the D8 tower, the
+    empty set and the whole group among them, pass the guard and equal the
+    direct count and the oracle's pair-by-pair count (products as quotients
+    with the identity for the inverse)."""
     g = _d8_tower()
     assert g.size == 16 and isinstance(g.base, ExtensionGroup)
+    direct_calls = _spy_direct(monkeypatch)
     rng = np.random.default_rng(11)
-    for size in (1, 3, 6, 9, 16):
+    for size in (1, 3, 6, 9, 16, 0):
         members = np.sort(rng.choice(g.size, size=size, replace=False))
         for product, inv in ((False, g.inv), (True, lambda a: a)):
-            fast = verify._character_counts(g, members, product)
-            assert fast is not None
-            assert np.array_equal(fast, verify._direct_counts(g, members, product))
+            fast = verify._counts(g, members, product)
+            assert direct_calls == []
+            assert np.array_equal(fast, DIRECT_COUNTS(g, members, product))
             want = oracle.difference_counts(g.mul, inv, members.tolist())
             assert fast.tolist() == [want.get(z, 0) for z in range(g.size)]
 
@@ -248,12 +254,13 @@ def _check_agl_pullback(g, monkeypatch):
     nonzero vectors against the direct count; return the transform calls of
     the product recount."""
     calls = _spy_transform(monkeypatch)
+    direct_calls = _spy_direct(monkeypatch)
     members = np.flatnonzero(g.base_part != 0)
     for product in (False, True):
         calls.clear()
-        fast = verify._character_counts(g, members, product)
-        assert fast is not None
-        assert np.array_equal(fast, verify._direct_counts(g, members, product))
+        fast = verify._counts(g, members, product)
+        assert direct_calls == []
+        assert np.array_equal(fast, DIRECT_COUNTS(g, members, product))
     return calls
 
 
@@ -267,13 +274,14 @@ def test_character_counts_over_nonabelian_automorphism_part(monkeypatch):
     and 48 inverse rows."""
     g = _agl_2_3()
     assert g.size == 432 and not np.array_equal(g.aut_mul, g.aut_mul.T)
+    direct_calls = _spy_direct(monkeypatch)
     rng = np.random.default_rng(5)
     for size in (20, 100, 300):
         members = np.sort(rng.choice(g.size, size=size, replace=False))
         for product in (False, True):
-            fast = verify._character_counts(g, members, product)
-            assert fast is not None
-            assert np.array_equal(fast, verify._direct_counts(g, members, product))
+            fast = verify._counts(g, members, product)
+            assert direct_calls == []
+            assert np.array_equal(fast, DIRECT_COUNTS(g, members, product))
     assert _check_agl_pullback(g, monkeypatch) == [(False, 2), (True, 48)]
 
 
@@ -295,6 +303,7 @@ def test_lifted_recounts_take_one_forward_row_and_one_inverse(corpus, monkeypatc
     that is not regular: its 4 tops form 2 classes of 2, so it takes 2 ranks,
     and 4 forward rows."""
     calls = _spy_transform(monkeypatch)
+    direct_calls = _spy_direct(monkeypatch)
     slices = []
     for name, (_, rep) in corpus.items():
         g = rep.new_group
@@ -303,17 +312,18 @@ def test_lifted_recounts_take_one_forward_row_and_one_inverse(corpus, monkeypatc
         rows = (4, 2) if isinstance(g.base, ExtensionGroup) else (1, 1)
         for product in (False, True):
             calls.clear()
-            assert verify._character_counts(g, members, product) is not None, name
+            verify._counts(g, members, product)
+            assert direct_calls == [], name
             assert calls == [(False, rows[0]), (True, rows[1])], (name, product)
     assert max(slices) == 7
 
 
-def _spoil_inverse_transform(monkeypatch):
-    """Shift every inverse character transform by 0.4, past the guard."""
+def _spoil_inverse_transform(monkeypatch, shift):
+    """Shift every inverse character transform by `shift`, past the guard."""
     real = AbelianGroup.character_transform
 
     def shifted(self, f, inverse=False):
-        return real(self, f, inverse) + (0.4 if inverse else 0.0)
+        return real(self, f, inverse) + (shift if inverse else 0.0)
 
     monkeypatch.setattr(AbelianGroup, "character_transform", shifted)
 
@@ -335,21 +345,27 @@ def _guard_design(corpus, name, which):
     return inst.design if which == "base" else rep.new_design
 
 
-@pytest.mark.parametrize("which", ["base", "lifted", "nested"])
-def test_fft_guard_falls_back_to_direct(corpus, monkeypatch, which):
+# One shift past each clause of the guard: 0.4 leaves a residual of 0.4,
+# 1.0 only makes the counts sum past k^2, and -1.0 makes zero counts
+# negative (and the sum short).
+GUARD_CASES = [pytest.param(which, shift, id=which + label)
+               for shift, label in ((0.4, ""), (1.0, "-sum"), (-1.0, "-negative"))
+               for which in ("base", "lifted", "nested")]
+
+
+@pytest.mark.parametrize("which, shift", GUARD_CASES)
+def test_fft_guard_falls_back_to_direct(corpus, monkeypatch, which, shift):
     design = _guard_design(corpus, "mcfarland_even_d2_v3" if which == "nested" else "dillon",
                            which)
     expected = difference_profile(design)
-    _spoil_inverse_transform(monkeypatch)
+    _spoil_inverse_transform(monkeypatch, shift)
     direct_calls = _spy_direct(monkeypatch)
-    members = np.array(design.members, dtype=np.int64)
-    assert verify._character_counts(design.group, members) is None
     assert np.array_equal(difference_profile(design), expected)
     assert direct_calls == [(design.group, False)]
 
 
-@pytest.mark.parametrize("which", ["base", "lifted", "nested"])
-def test_srg_guard_falls_back_to_direct(corpus, monkeypatch, which):
+@pytest.mark.parametrize("which, shift", GUARD_CASES)
+def test_srg_guard_falls_back_to_direct(corpus, monkeypatch, which, shift):
     if which == "nested":
         # the nested lift is not inverse-closed; the elements outside its
         # top-0 subgroup are, and form a complete multipartite graph
@@ -359,7 +375,7 @@ def test_srg_guard_falls_back_to_direct(corpus, monkeypatch, which):
     else:
         design = _guard_design(corpus, "denniston_gr4_t3_k3", which)
     expected = cayley_srg_check(design)
-    _spoil_inverse_transform(monkeypatch)
+    _spoil_inverse_transform(monkeypatch, shift)
     direct_calls = _spy_direct(monkeypatch)
     assert cayley_srg_check(design) == expected
     assert direct_calls == [(design.group, True)]
