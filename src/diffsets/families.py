@@ -22,7 +22,8 @@ whole order.
 
 Members are assembled as int64 arrays, a block per plane or orbit, and
 DesignSet sorts and checks them; a map on points acts on the hyperplanes
-through _plane_image.
+through _plane_image.  Field and ring operations, and the searches over field
+elements, act on arrays of elements, never on one element in a Python loop.
 """
 
 from __future__ import annotations
@@ -251,9 +252,11 @@ def corollary_chain(design: DesignSet, x_sub: Subgroup, target: AbelianGroup) ->
 
 def _first_primitive(F: FiniteField, ok) -> Optional[int]:
     """The first primitive element g^e, 1 <= e < q - 1 with gcd(e, q - 1) = 1,
-    that satisfies ok, or None."""
-    return next((int(F.exp[e]) for e in range(1, F.q - 1)
-                 if gcd(e, F.q - 1) == 1 and ok(int(F.exp[e]))), None)
+    whose code passes ok, a test on an array of codes, or None."""
+    e = np.arange(1, F.q - 1)
+    codes = F.exp[e[np.gcd(e, F.q - 1) == 1]]
+    hit = np.flatnonzero(ok(codes))
+    return int(codes[hit[0]]) if hit.size else None
 
 
 def _check_prime(p: int, exp: int, least: int, msg: str) -> None:
@@ -344,18 +347,13 @@ def spence(d: int) -> TransferInstance:
                        log=[f"field {F!r}",
                             "members: (complement of H0, w^0) and (H0*g^j, w^j) for j >= 1"])
 
-    images = [int(F.frob(3 ** i, d)) for i in range(m)]
-    images.append(wbase * (3 ** d % r))
-    phi = aut_from_images(group, images)
+    basis = 3 ** np.arange(m)
+    phi = aut_from_images(group, F.pow_many(basis, 3 ** d).tolist() + [wbase * (3 ** d % r)])
 
     # a subgroup of C3^m is a GF(3)-span, so these are the independent codes in turn
     basis_codes = list(greedy_span(F.additive, planes[0]).gens)
-    a_star = None
-    for i in range(m):
-        if F.trace(3 ** i) != 0:
-            a_star = 3 ** i
-            break
-    assert a_star is not None, "the trace map vanishes on a basis"
+    # the trace is onto GF(3), so it vanishes on no basis
+    a_star = int(basis[np.flatnonzero(F.traces[basis])[0]])
     cands = [((), h) for h in basis_codes] + [((), wbase), ((0,), a_star)]
     return make_instance(design, [phi], cands,
                          log=[f"H0 basis {basis_codes}, twist companion a* = "
@@ -385,7 +383,7 @@ def denniston_even(m: int, r: int) -> TransferInstance:
     group = abelian_make((2,) * (3 * m))
     F = field_make(2, m)
     q = 2 ** m
-    alpha = _first_primitive(F, lambda a: F.trace(F.inv(a)) == 1)
+    alpha = _first_primitive(F, lambda a: F.traces[F.inv_many(a)] == 1)
     if alpha is None:
         raise NoValidAlpha("no primitive element alpha satisfies tr(1/alpha) = 1")
 
@@ -427,57 +425,39 @@ def denniston_gr4(t: int, k: int) -> TransferInstance:
     F = ring.residue_field
     n1 = 2 ** t - 1
     rsize = 4 ** t
+    add, radd = F.additive.mul_many, ring.additive.mul_many
 
-    w_i = None
-    for i in range(n1):
-        if F.trace(int(F.exp[i])) == 1:
-            w_i = i
-            break
-    assert w_i is not None
-    w = int(F.exp[w_i])
-    one_plus_w = F.add(1, w)
+    # the trace is onto GF(2), so some power of g has trace 1
+    w_i = int(np.flatnonzero(F.traces[F.exp] == 1)[0])
+    w = F.exp[w_i]
 
+    # block (i, j): the plane j's image in 2R translated by
+    # h^i + h^(2i-j) + iso(g^i (1 + w) + g^j w), tagged by g^i
+    i, j = np.divmod(np.arange(n1 * n1), n1)
+    pi_a = add(F.mul_many(F.exp[i], add(1, w)), F.mul_many(F.exp[j], w))
+    base_pt = radd(radd(ring.hpow[i], ring.hpow[(2 * i - j) % n1]), ring.iso_table[pi_a])
     ksets = ring.iso_table[hyperplanes(F)]
-
-    def dbl(code: int) -> int:
-        return int(ring.add(code, code))
-
-    blocks = []
-    for i in range(n1):
-        s_code = int(F.exp[i])
-        for j in range(n1):
-            pi_a = F.add(F.mul(F.exp[i], one_plus_w), F.mul(F.exp[j], w))
-            base_pt = ring.add(ring.add(int(ring.hpow[i]), int(ring.hpow[(2 * i - j) % n1])),
-                               int(ring.iso_table[int(pi_a)]))
-            blocks.append(ring.additive.mul_many(base_pt, ksets[j]) + rsize * s_code)
+    members = radd(base_pt[:, None], ksets[j]) + rsize * F.exp[i][:, None]
     k1 = 2 ** (2 * t - 1) - 2 ** (t - 1)
     claimed = (2 ** (3 * t), k1 * (2 ** t - 1),
                2 ** (t - 1) + k1 * (2 ** (t - 1) - 2), k1 * (2 ** (t - 1) - 1))
-    design = DesignSet(group, np.concatenate(blocks), "PDS", claimed,
+    design = DesignSet(group, members.ravel(), "PDS", claimed,
                        log=[f"ring {ring!r}, w = g^{w_i}"])
 
-    tr_g = int(F.trace(int(F.exp[1])))
+    # psi_ell on the generators as Z4 digit vectors: 4^i -> e_i + 2 r_i and
+    # rsize 2^j -> 2 f_j + rsize 2^j, psi_0 with r_i = e_i and f_j = 0
+    hdig, unit = ring.additive.digits_of(ring.hpow), np.eye(t, dtype=np.int64)
+    idx, tr_g = np.arange(t), F.traces[F.exp[1]]
     auts: List[GroupAutomorphism] = []
     for ell in range(k):
-        images = []
-        if ell == 0:
-            for i in range(t):
-                images.append(int(ring.add(4 ** i, dbl(4 ** i))))
-            for j in range(t):
-                images.append(rsize * 2 ** j)
-        else:
-            shift = 2 ** (ell - 1)
-            excluded = {(ell - 1) % t, (ell - 2) % t}
-            for i in range(t):
-                images.append(int(ring.add(4 ** i, dbl(int(ring.hpow[(i + shift) % n1])))))
-            for j in range(t):
-                f_val = dbl(int(ring.hpow[j])) if tr_g else 0
-                for kk in range(t):
-                    if kk in excluded:
-                        continue
-                    f_val = int(ring.add(f_val, dbl(int(ring.hpow[(j + 2 ** kk) % n1]))))
-                images.append(f_val + rsize * 2 ** j)
-        auts.append(aut_from_images(group, images))
+        r, f = unit, 0 * unit
+        if ell:
+            kk = idx[(idx != (ell - 1) % t) & (idx != (ell - 2) % t)]
+            r = hdig[(idx + 2 ** (ell - 1)) % n1]
+            f = tr_g * hdig[:t] + hdig[(idx[:, None] + 2 ** kk) % n1].sum(axis=1)
+        images = np.concatenate([ring.additive.encode(unit + 2 * r),
+                                 ring.additive.encode(2 * f) + rsize * 2 ** idx])
+        auts.append(aut_from_images(group, images.tolist()))
 
     cands = [((), 4 ** i) for i in range(t)]
     cands += [((), rsize * 2 ** j) for j in range(k, t)]
@@ -506,26 +486,24 @@ def denniston_odd(p: int, t: int) -> TransferInstance:
     F2 = field_make(p, 2 * m)
     c = (q1 - 1) // (p - 1)
 
-    emb = field_embed(F1, F2)
-    rev = {int(v): i for i, v in enumerate(emb)}
-    omega = rev[int(F2.exp[(q1 + 1) % (q2 - 1)])]
-    blocks = []
-    for i in range(c):
-        a_i = np.array([F1.pow(omega, i + c * j) for j in range(p - 1)], dtype=np.int64)
-        b_idx = (i + c * np.arange((q2 - 1) // c, dtype=np.int64)) % (q2 - 1)
-        b_i = np.concatenate([F2.exp[b_idx], np.array([0], dtype=np.int64)])
-        blocks.append(np.add.outer(a_i, q1 * b_i).ravel())
+    omega = int(np.flatnonzero(field_embed(F1, F2) == F2.exp[(q1 + 1) % (q2 - 1)])[0])
+    # block i pairs omega^(i + c j), j < p - 1, with g2^(i + c j), j < (q2 - 1) / c,
+    # and 0; omega^n = (g1^n)^log(omega)
+    i = np.arange(c)[:, None]
+    a = F1.pow_many(F1.exp[i + c * np.arange(p - 1)], int(F1.log[omega]))
+    b = np.pad(F2.exp[(i + c * np.arange((q2 - 1) // c)) % (q2 - 1)], ((0, 0), (0, 1)))
+    members = a[:, :, None] + q1 * b[:, None, :]
     k1 = p ** (m + 1) - p ** m + p
     claimed = (p ** (3 * m), (q1 - 1) * ((p - 1) * (q1 + 1) + 1),
                q1 - p + k1 * (p - 2), k1 * (p - 1))
-    design = DesignSet(group, np.concatenate(blocks), "PDS", claimed,
+    design = DesignSet(group, members.ravel(), "PDS", claimed,
                        log=[f"fields {F1!r} and {F2!r}",
                             f"omega = pullback of the relative norm of alpha = "
                             f"{F1.element_str(omega)}"])
 
-    images = [int(F1.frob(p ** i, 2 * t)) for i in range(m)]
-    images += [q1 * int(F2.frob(p ** i, 2 * t)) for i in range(2 * m)]
-    phi = aut_from_images(group, images)
+    images = [F1.pow_many(p ** np.arange(m), p ** (2 * t)),
+              q1 * F2.pow_many(p ** np.arange(2 * m), p ** (2 * t))]
+    phi = aut_from_images(group, np.concatenate(images).tolist())
     u, basis = invariant_hyperplane(group, phi)
     cands = [((), x) for x in basis] + [((0,), u)]
     return make_instance(design, [phi], cands,
@@ -818,9 +796,7 @@ def rds_transfer(d: int, variant: int) -> TransferInstance:
     group, F, qq = _rds_group(d)
     q = 2 ** d
     planes = hyperplanes(F, ambient_dim=2)
-    frob = np.arange(qq)
-    for _ in range(d):  # x -> x^(2^d), by d squarings
-        frob = F.mul_many(frob, frob)
+    frob = F.pow_many(np.arange(qq), q)  # x -> x^q, fixing the subfield GF(q)
     codes = np.arange(qq * qq)
     fixed, pairs = _cycles(_plane_image(planes, frob[codes % qq] + qq * frob[codes // qq]))
     if len(fixed) != 3:
@@ -839,10 +815,9 @@ def rds_transfer(d: int, variant: int) -> TransferInstance:
         ladder[slot], ladder[qq - slot] = i, j
     design = _spread_rds(group, planes, ladder, f"ladder {ladder}")
 
-    images_g = [qq - 1]
-    images_g += [qq * int(F.frob(2 ** i, d)) for i in range(2 * d)]
-    images_g += [qq * qq * int(F.frob(2 ** i, d)) for i in range(2 * d)]
-    phi = aut_from_images(group, images_g)
+    basis_images = frob[2 ** np.arange(2 * d)]
+    phi = aut_from_images(group, [qq - 1] + (qq * basis_images).tolist()
+                          + (qq * qq * basis_images).tolist())
 
     if variant == 1:
         cands = [((0,), 1), ((), 2)]
@@ -850,10 +825,11 @@ def rds_transfer(d: int, variant: int) -> TransferInstance:
         cands += [((), qq * qq * 2 ** i) for i in range(2 * d)]
         log = ["generators (phi,w,0,0), (1,w^2,0,0), and a basis of V"]
     else:
-        beta = _first_primitive(F, lambda a: not F.in_subfield(a, d))
+        beta = _first_primitive(F, lambda a: frob[a] != a)
         assert beta is not None
-        # the GF(q) x GF(q) block: each coordinate's subfield, the other 0
-        sub = F.digits[[a for a in range(1, qq) if F.in_subfield(a, d)]]
+        # the GF(q) x GF(q) block: each coordinate's subfield (the nonzero
+        # fixed points of frob), the other 0
+        sub = F.digits[np.flatnonzero(frob == np.arange(qq))[1:]]
         block = np.block([[sub, 0 * sub], [0 * sub, sub]])
         rows = _complete_avoiding(_span_add(np.zeros((4 * d,) * 2, dtype=np.int64), block, 2),
                                   np.pad(F.digits[beta], (0, 2 * d)), 2)

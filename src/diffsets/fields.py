@@ -8,9 +8,11 @@ additive group - C_p^m for GF(p^m), C_4^t for GR(4,t) - so each structure
 keeps that AbelianGroup as `additive`: addition is its product, and a field's
 `digits` tables its digits, the coefficient vectors.  Field multiplication goes
 through exp/log tables of the primitive element, built once per (p, m, modulus)
-triple and cached.  A ring keeps only what the Galois-ring Denniston family
-reads: its addition, the Teichmueller powers `hpow`, its residue field and the
-map `iso_table` of that field onto the ideal 2R.
+triple and cached.  Each field operation has one body, on arrays of codes; a
+scalar call is that body on one element.  A ring keeps only what the
+Galois-ring Denniston family reads: its additive group, the Teichmueller
+powers `hpow`, its residue field and the map `iso_table` of that field onto
+the ideal 2R.
 
 Every table is GF(p)-linear algebra on coefficient vectors.  Multiplication
 by x modulo a monic x^m + c_{m-1} x^(m-1) + ... + c_0 is the companion
@@ -33,10 +35,13 @@ Moduli are always monic and are selected deterministically: the default is the
 first primitive polynomial when coefficient vectors (c_0, ..., c_{m-1}) are
 compared lexicographically low-degree-first.  The search walks that order in
 chunks that start small and double up to a cap, and is cached per (p, m).
-Candidates with c_0 = 0 are never visited (x is zero or a zero divisor); in
-each chunk a vectorized root test drops those with a root in GF(p), which
-for m >= 2 are reducible, and the batched certificate picks the first
-primitive survivor.  An overridden modulus passes the same certificate.
+It visits only the constant terms a primitive modulus can have: c_0 is
+(-1)^m N(x), and the norm N(x) = x^((p^m-1)/(p-1)) of a primitive x is a
+primitive root mod p (Lidl and Niederreiter, Finite Fields, Thm 3.18); so
+c_0 = 0 is never visited either (x is zero or a zero divisor).  In each chunk
+a vectorized root test drops the candidates with a root in GF(p), which for
+m >= 2 are reducible, and the batched certificate picks the first primitive
+survivor.  An overridden modulus passes the same certificate.
 
 Every matmul sums at most m + 1 products of residues below p (below 4 for
 the rings), so its entries stay below (m + 1)(p - 1)^2 < 2^41 for every
@@ -119,20 +124,25 @@ def _powers(tail: Sequence[int], p: int, count: int) -> np.ndarray:
 def _default_modulus(p: int, m: int) -> Tuple[int, ...]:
     """The first primitive candidate in lexicographic order, tails
     (c_0, ..., c_{m-1}) with c_0 the most significant digit (see module notes)."""
-    q = p ** m
+    q, block = p ** m, p ** (m - 1)
     weights = np.array([p ** j for j in range(m - 1, -1, -1)])
     # row j holds a^j for a in GF(p).  A root in GF(p) is a linear factor, so
     # for m >= 2 such candidates are dropped; at m = 1 every candidate has one.
     apow = np.array([[pow(a, j, p) for a in range(p)] for j in range(m + 1)]) if m > 1 else None
-    lo, size = p ** (m - 1), _FIRST_CHUNK
-    while lo < q:
-        tails = np.arange(lo, min(lo + size, q))[:, None] // weights % p
-        if apow is not None:
-            tails = tails[((tails @ apow[:m] + apow[m]) % p).all(axis=1)]
-        hit = np.flatnonzero(_x_has_order(tails, p, q - 1))
-        if hit.size:
-            return tuple(tails[hit[0]].tolist()) + (1,)
-        lo, size = lo + size, min(2 * size, _CHUNK_CAP)
+    size = _FIRST_CHUNK
+    # the block of candidates with constant term c0 is c0 p^(m-1) .. (c0 + 1) p^(m-1) - 1
+    for c0 in range(1, p):
+        if any(pow((-1) ** m * c0, (p - 1) // ell, p) == 1 for ell in factorint(p - 1)):
+            continue
+        lo, hi = c0 * block, (c0 + 1) * block
+        while lo < hi:
+            tails = np.arange(lo, min(lo + size, hi))[:, None] // weights % p
+            if apow is not None:
+                tails = tails[((tails @ apow[:m] + apow[m]) % p).all(axis=1)]
+            hit = np.flatnonzero(_x_has_order(tails, p, q - 1))
+            if hit.size:
+                return tuple(tails[hit[0]].tolist()) + (1,)
+            lo, size = lo + size, min(2 * size, _CHUNK_CAP)
     raise NonPrimitiveModulus(f"no primitive degree-{m} polynomial found over GF({p})")
 
 
@@ -177,16 +187,17 @@ class FiniteField:
         log = np.full(self.q, -1, dtype=np.int64)
         log[self.exp] = np.arange(self.q - 1)
         self.log = log
+        # traces[a] is the absolute trace a + a^p + ... + a^(p^(m-1)), the
+        # trace of multiplication by a: it is GF(p)-linear, and tr(x^i) sums
+        # the coefficients of x^k in x^(i+k), the diagonal of that map's matrix
+        k = np.arange(m)
+        basis_traces = self.digits[self.exp[np.add.outer(k, k)], k].sum(axis=1)
+        self.traces = self.digits @ basis_traces % p
 
-    # -- basic arithmetic on codes --------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return self.additive.mul(a, b)
+    # -- arithmetic on codes: each scalar call is the vector one on one element
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(self.log[a] + self.log[b]) % (self.q - 1)])
+        return int(self.mul_many(a, b))
 
     def mul_many(self, a, b) -> np.ndarray:
         a, b = np.asarray(a), np.asarray(b)
@@ -194,18 +205,25 @@ class FiniteField:
         return np.where((a == 0) | (b == 0), 0, prod)
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        return int(self.inv_many(a))
+
+    def inv_many(self, a) -> np.ndarray:
+        a = np.asarray(a)
+        if (a == 0).any():
             raise ZeroDivisionError("inverse of zero")
-        return int(self.exp[(-self.log[a]) % (self.q - 1)])
+        return self.exp[-self.log[a] % (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return int(self.exp[(self.log[a] * e) % (self.q - 1)])
+        return int(self.pow_many(a, e))
+
+    def pow_many(self, a, e: int) -> np.ndarray:
+        """a^e with e reduced mod q - 1 first: 0^0 = 1, 0^e = 0 for e > 0,
+        and a negative power of 0 raises ZeroDivisionError."""
+        a = np.asarray(a)
+        if e < 0 and (a == 0).any():
+            raise ZeroDivisionError("negative power of zero")
+        n = self.q - 1
+        return np.where(a == 0, int(e == 0), self.exp[self.log[a] * (e % n) % n])
 
     # -- field structure -------------------------------------------------
 
@@ -214,11 +232,7 @@ class FiniteField:
         return self.pow(a, self.p ** k)
 
     def trace(self, a: int) -> int:
-        """The absolute trace a + a^p + ... + a^(p^(m-1)), in GF(p)."""
-        acc = 0
-        for i in range(self.m):
-            acc = self.add(acc, self.frob(a, i))
-        return acc
+        return int(self.traces[a])
 
     def in_subfield(self, a: int, sub_degree: int) -> bool:
         return self.frob(a, sub_degree) == a
@@ -296,9 +310,7 @@ def hyperplanes(field: FiniteField, ambient_dim: int = 1) -> np.ndarray:
     """
     q, p = field.q, field.p
     if ambient_dim == 1:
-        # the absolute trace is GF(p)-linear: tr(a) = digits(a) . tr(x^i)
-        tr = np.array([field.trace(p ** i) for i in range(field.m)])
-        h0 = np.flatnonzero(field.digits @ tr % p == 0)
+        h0 = np.flatnonzero(field.traces == 0)
         return np.sort(field.mul_many(h0, field.exp[:(q - 1) // (p - 1), None]), axis=1)
     if ambient_dim == 2:
         x = np.arange(q)
@@ -370,9 +382,6 @@ class GaloisRing:
         iso = np.zeros(2 ** t, dtype=np.int64)
         iso[self.residue_field.exp] = self.additive.mul_many(self.hpow, self.hpow)
         self.iso_table = iso
-
-    def add(self, a: int, b: int) -> int:
-        return self.additive.mul(a, b)
 
     def __repr__(self) -> str:
         return f"GR(4,{self.t}; {_poly_str(self.phi)})"

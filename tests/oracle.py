@@ -10,6 +10,7 @@ mixed radix with the first coordinate varying fastest:
 idx = d0 + orders[0] * (d1 + orders[1] * (d2 + ...)).
 """
 
+import functools
 from itertools import product
 from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -560,3 +561,269 @@ def invariant_hyperplane(p: int, images: Sequence[int]) -> Optional[Tuple[int, T
         return None
     span.complete_avoiding(u)
     return encode(orders, u), tuple(encode(orders, row) for row in span.rows)
+
+
+# ---------------------------------------------------------------------------
+# the field families, one element at a time
+# ---------------------------------------------------------------------------
+
+def poly_str(coeffs: Sequence[int]) -> str:
+    """The polynomial with coefficients c_0, c_1, ... as the library prints
+    a modulus or an element: highest degree first, zero terms dropped."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c:
+            head = str(c) if i == 0 or c != 1 else ""
+            terms.append(head + ("x" if i else "") + (f"^{i}" if i > 1 else ""))
+    return "+".join(terms) or "0"
+
+
+def element_name(orders: Sequence[int], idx: int) -> str:
+    return "(" + ",".join(str(d) for d in decode(orders, idx)) + ")"
+
+
+def cycles(image: Sequence[int]) -> Tuple[List[int], List[List[int]]]:
+    """The fixed points and the longer cycles of i -> image[i], each cycle
+    from its least entry, in increasing order."""
+    fixed, longer, seen = [], [], set()
+    for i in range(len(image)):
+        cyc, j = [], i
+        while j not in seen:
+            seen.add(j)
+            cyc.append(j)
+            j = image[j]
+        if len(cyc) > 1:
+            longer.append(cyc)
+        elif cyc:
+            fixed.append(i)
+    return fixed, longer
+
+
+class Field:
+    """GF(p^m) modulo a primitive modulus, one element at a time: the powers
+    of x from field_powers, addition digit by digit, products and powers
+    through the discrete logarithm, and the trace as the sum of the
+    Frobenius images a^(p^i)."""
+
+    def __init__(self, p: int, modulus: Sequence[int]):
+        self.p, self.m, self.modulus = p, len(modulus) - 1, tuple(modulus)
+        self.q = p ** self.m
+        self.exp = field_powers(p, modulus, self.q - 1)
+        self.log = {a: i for i, a in enumerate(self.exp)}
+
+    def __repr__(self) -> str:
+        return f"GF({self.p}^{self.m}; {poly_str(self.modulus)})"
+
+    def element_str(self, a: int) -> str:
+        return poly_str(_poly_of(self.p, self.m, a))
+
+    def add(self, a: int, b: int) -> int:
+        return abelian_mul([self.p] * self.m, a, b)
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self.exp[-self.log[a] % (self.q - 1)]
+
+    def pow(self, a: int, e: int) -> int:
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("negative power of zero")
+            return int(e == 0)
+        return self.exp[self.log[a] * e % (self.q - 1)]
+
+    def frob(self, a: int, k: int = 1) -> int:
+        return self.pow(a, self.p ** k)
+
+    def trace(self, a: int) -> int:
+        acc = 0
+        for i in range(self.m):
+            acc = self.add(acc, self.frob(a, i))
+        return acc
+
+    def in_subfield(self, a: int, sub_degree: int) -> bool:
+        return self.frob(a, sub_degree) == a
+
+    def hyperplanes(self) -> List[List[int]]:
+        """The trace kernel and its translates by g^i, i < (q-1)/(p-1)."""
+        h0 = [a for a in range(self.q) if self.trace(a) == 0]
+        return [sorted(self.mul(a, self.exp[i]) for a in h0)
+                for i in range((self.q - 1) // (self.p - 1))]
+
+    def lines(self) -> List[List[int]]:
+        """<(1,0)>, <(0,1)>, then <(1, g^j)> in GF(q)^2, (x, y) coded x + q y."""
+        q = self.q
+        return [list(range(q)), [q * x for x in range(q)]] + [
+            sorted(x + q * self.mul(x, g) for x in range(q)) for g in self.exp]
+
+
+# Each family below returns (members, automorphism images, candidate
+# generators, log lines): the members sorted, one image tuple per
+# automorphism, and the design's log lines before the instance's.
+
+def spence(d: int, modulus: Sequence[int]):
+    m = 3 * d
+    F, r, wbase = Field(3, modulus), (3 ** m - 1) // 2, 3 ** m
+    planes = F.hyperplanes()
+    h0 = set(planes[0])
+    members = [a for a in range(wbase) if a not in h0]
+    for j in range(1, r):
+        members += [x + wbase * j for x in planes[j]]
+    images = [F.frob(3 ** i, d) for i in range(m)] + [wbase * (3 ** d % r)]
+    span, basis = SpanGF(m, 3), []
+    for a in planes[0]:
+        if span.add(_poly_of(3, m, a)):
+            basis.append(a)
+    a_star = next(3 ** i for i in range(m) if F.trace(3 ** i) != 0)
+    cands = [((), h) for h in basis] + [((), wbase), ((0,), a_star)]
+    return sorted(members), [tuple(images)], cands, [
+        f"field {F!r}", "members: (complement of H0, w^0) and (H0*g^j, w^j) for j >= 1",
+        f"H0 basis {basis}, twist companion a* = {F.element_str(a_star)}"]
+
+
+def denniston_even(m: int, r: int, modulus: Sequence[int]):
+    F, q = Field(2, modulus), 2 ** m
+    alpha = next(F.exp[e] for e in range(1, q - 1)
+                 if gcd(e, q - 1) == 1 and F.trace(F.inv(F.exp[e])) == 1)
+    members = []
+    for a in range(q):
+        for b in range(q):
+            if F.add(F.add(F.mul(a, a), F.mul(F.mul(alpha, a), b)), F.mul(b, b)) < 2 ** r:
+                members += [c + q * F.mul(c, a) + q * q * F.mul(c, b) for c in range(1, q)]
+    images = [2 ** (j * m + i) for j in (0, 2, 1) for i in range(m)]
+    u, basis = invariant_hyperplane(2, images)
+    return sorted(members), [tuple(images)], [((), x) for x in basis] + [((0,), u)], [
+        f"alpha = {F.element_str(alpha)}, K = codes below 2^{r}",
+        f"swap twisted onto u = {element_name([2] * 3 * m, u)}; X basis of size {len(basis)}"]
+
+
+def _gr4_ring(t: int, phi2: Sequence[int], phi: Sequence[int]):
+    """The residue field, ring addition, Teichmueller powers and iso table."""
+    F, n1 = Field(2, phi2), 2 ** t - 1
+
+    def radd(a: int, b: int) -> int:
+        return abelian_mul([4] * t, a, b)
+
+    hpow = field_powers(4, phi, n1)
+    iso = [0] * 2 ** t
+    for i in range(n1):
+        iso[F.exp[i]] = radd(hpow[i], hpow[i])
+    return F, radd, hpow, iso
+
+
+@functools.lru_cache(maxsize=None)
+def _gr4_members(t: int, phi2: Tuple[int, ...], phi: Tuple[int, ...]):
+    """The members, which do not depend on k, and the exponent of w."""
+    F, radd, hpow, iso = _gr4_ring(t, phi2, phi)
+    n1, rsize = 2 ** t - 1, 4 ** t
+    w_i = next(i for i in range(n1) if F.trace(F.exp[i]) == 1)
+    w = F.exp[w_i]
+    one_plus_w = F.add(1, w)
+    ksets = [[iso[x] for x in plane] for plane in F.hyperplanes()]
+    members = []
+    for i in range(n1):
+        for j in range(n1):
+            pi_a = F.add(F.mul(F.exp[i], one_plus_w), F.mul(F.exp[j], w))
+            base_pt = radd(radd(hpow[i], hpow[(2 * i - j) % n1]), iso[pi_a])
+            members += [radd(base_pt, x) + rsize * F.exp[i] for x in ksets[j]]
+    return sorted(members), w_i
+
+
+def denniston_gr4(t: int, k: int, phi2: Sequence[int], phi: Sequence[int]):
+    members, w_i = _gr4_members(t, tuple(phi2), tuple(phi))
+    F, radd, hpow, _ = _gr4_ring(t, phi2, phi)
+    n1, rsize = 2 ** t - 1, 4 ** t
+
+    def dbl(code: int) -> int:
+        return radd(code, code)
+
+    tr_g = F.trace(F.exp[1])
+    auts = []
+    for ell in range(k):
+        images = []
+        if ell == 0:
+            images += [radd(4 ** i, dbl(4 ** i)) for i in range(t)]
+            images += [rsize * 2 ** j for j in range(t)]
+        else:
+            shift = 2 ** (ell - 1)
+            excluded = {(ell - 1) % t, (ell - 2) % t}
+            images += [radd(4 ** i, dbl(hpow[(i + shift) % n1])) for i in range(t)]
+            for j in range(t):
+                f_val = dbl(hpow[j]) if tr_g else 0
+                for kk in range(t):
+                    if kk not in excluded:
+                        f_val = radd(f_val, dbl(hpow[(j + 2 ** kk) % n1]))
+                images.append(f_val + rsize * 2 ** j)
+        auts.append(tuple(images))
+    cands = [((), 4 ** i) for i in range(t)]
+    cands += [((), rsize * 2 ** j) for j in range(k, t)]
+    cands += [((ell,), rsize * 2 ** ell) for ell in range(k)]
+    return members, auts, cands, [f"ring GR(4,{t}; {poly_str(phi)}), w = g^{w_i}",
+                                  f"{k} involution(s) twisted onto field translations"]
+
+
+def denniston_odd(p: int, t: int, modulus1: Sequence[int], modulus2: Sequence[int]):
+    m = p * t
+    q1, q2 = p ** m, p ** (2 * m)
+    F1, F2 = Field(p, modulus1), Field(p, modulus2)
+    c = (q1 - 1) // (p - 1)
+    omega = field_embedding(p, modulus1, modulus2).index(F2.exp[(q1 + 1) % (q2 - 1)])
+    members = []
+    for i in range(c):
+        a_i = [F1.pow(omega, i + c * j) for j in range(p - 1)]
+        b_i = [F2.exp[(i + c * j) % (q2 - 1)] for j in range((q2 - 1) // c)] + [0]
+        members += [a + q1 * b for a in a_i for b in b_i]
+    images = [F1.frob(p ** i, 2 * t) for i in range(m)]
+    images += [q1 * F2.frob(p ** i, 2 * t) for i in range(2 * m)]
+    u, basis = invariant_hyperplane(p, images)
+    return sorted(members), [tuple(images)], [((), x) for x in basis] + [((0,), u)], [
+        f"fields {F1!r} and {F2!r}",
+        f"omega = pullback of the relative norm of alpha = {F1.element_str(omega)}",
+        f"power map twisted onto u = {element_name([p] * 3 * m, u)}"]
+
+
+def rds_transfer(d: int, variant: int, modulus: Sequence[int]):
+    """The q = 2 spread re-indexed by the q-power map (d = 1 alone admits
+    the ladder), with the variant's candidates."""
+    F, q, qq = Field(2, modulus), 2 ** d, 4 ** d
+    planes = F.lines()
+    index = {tuple(plane): i for i, plane in enumerate(planes)}
+    fixed, pairs = cycles([index[tuple(sorted(F.frob(z % qq, d) + qq * F.frob(z // qq, d)
+                                              for z in plane))] for plane in planes])
+    assert fixed == [0, 1, 2]
+    ladder = [-1] * (qq + 1)
+    ladder[0], ladder[qq // 2], ladder[qq] = 0, 1, 2
+    slot = 1
+    for i, j in pairs:
+        while ladder[slot] != -1:
+            slot += 1
+        ladder[slot], ladder[qq - slot] = i, j
+    members = [slot % qq + qq * x for slot in range(1, qq + 1) for x in planes[ladder[slot]]]
+    images = [qq - 1] + [qq * F.frob(2 ** i, d) for i in range(2 * d)]
+    images += [qq * qq * F.frob(2 ** i, d) for i in range(2 * d)]
+    if variant == 1:
+        cands = [((0,), 1), ((), 2)] + [((), qq * 2 ** i) for i in range(2 * d)]
+        cands += [((), qq * qq * 2 ** i) for i in range(2 * d)]
+        log = "generators (phi,w,0,0), (1,w^2,0,0), and a basis of V"
+    else:
+        beta = next(F.exp[e] for e in range(1, qq - 1)
+                    if gcd(e, qq - 1) == 1 and not F.in_subfield(F.exp[e], d))
+        zero, span = [0] * 2 * d, SpanGF(4 * d, 2)
+        for a in range(1, qq):
+            if F.in_subfield(a, d):
+                span.add(_poly_of(2, 2 * d, a) + zero)
+                span.add(zero + _poly_of(2, 2 * d, a))
+        span.complete_avoiding(_poly_of(2, 2 * d, beta) + zero)
+        half = [2] * 2 * d
+        cands = [((0,), qq * beta), ((), 1)] + [
+            ((), qq * (encode(half, row[:2 * d]) + qq * encode(half, row[2 * d:])))
+            for row in span.rows]
+        log = (f"beta = {F.element_str(beta)}; B completed greedily from the "
+               f"GF({q}) x GF({q}) block")
+    return sorted(members), [tuple(images)], cands, [f"ladder {ladder}", log]

@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-from math import gcd
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ import pytest
 import oracle
 
 from diffsets import (
-    FiniteField,
     IndexNotTwo,
     NotBijective,
     NoValidAlpha,
@@ -31,6 +29,7 @@ from diffsets import (
     element_orders,
     field_make,
     fingerprint,
+    galois_ring_make,
     invariant_hyperplane,
     mcfarland_base,
     mcfarland_even_witnesses,
@@ -201,29 +200,26 @@ def test_denniston_even_m3_r2():
     assert verify_design(inst.design).params == (512, 196, 60, 84)
 
 
-@pytest.mark.parametrize("m,r", [(2, 1), (3, 2), (4, 1), (4, 3)])
+def _outputs(inst):
+    """Members, automorphism images, candidate generators and log lines, in
+    the layout of the scalar references in oracle."""
+    return (inst.design.members.tolist(), [aut.images for aut in inst.aut_gens],
+            inst.candidate_gens, inst.design.log + inst.log)
+
+
+@pytest.mark.parametrize("m,r", [(m, r) for m in range(2, 7) for r in range(1, m)])
 def test_denniston_even_members_pointwise(m, r):
-    """The array evaluation of Q(a, b) = a^2 + alpha a b + b^2 keeps the
-    member list of a scalar evaluation point by point."""
-    inst = denniston_even(m, r)
-    F, q = field_make(2, m), 2 ** m
-    # the canonical alpha: the first primitive power with tr(1/alpha) = 1
-    alpha = next(int(F.exp[e]) for e in range(1, q - 1)
-                 if gcd(e, q - 1) == 1 and F.trace(F.inv(int(F.exp[e]))) == 1)
-    assert inst.design.log[0].startswith(f"alpha = {F.element_str(alpha)},")
-    members = set()
-    for a in range(q):
-        for b in range(q):
-            qval = F.add(F.add(F.mul(a, a), F.mul(F.mul(alpha, a), b)), F.mul(b, b))
-            if qval < 2 ** r:
-                members.update(c + q * F.mul(c, a) + q * q * F.mul(c, b) for c in range(1, q))
-    assert inst.design.members.tolist() == sorted(members)
+    """The array evaluation of Q(a, b) = a^2 + alpha a b + b^2 and the array
+    search for alpha keep the output of a scalar evaluation point by point."""
+    assert _outputs(denniston_even(m, r)) == oracle.denniston_even(
+        m, r, field_make(2, m).modulus)
 
 
 def test_denniston_even_degenerate_form_counted(monkeypatch):
     """With the trace test forced, alpha = x is taken over GF(8), where
     tr(1/x) = 0: Q is isotropic, zero on two lines of q - 1 nonzero points."""
-    monkeypatch.setattr(FiniteField, "trace", lambda self, a, sub_degree=1: 1)
+    F = field_make(2, 3)
+    monkeypatch.setattr(F, "traces", np.ones_like(F.traces))
     with pytest.raises(NoValidAlpha, match="^Q vanishes at 14 nonzero points"):
         denniston_even(3, 1)
 
@@ -258,6 +254,29 @@ def test_denniston_gr4_psi_images(corpus):
     images = [aut.images for aut in inst.aut_gens]
     assert (9, 36, 26, 96, 138, 296) in images
     assert (33, 14, 56, 104, 170, 290) in images
+
+
+@pytest.mark.parametrize("family,args", [
+    pytest.param(family, args, id="-".join([family, *map(str, args)]))
+    for family, args in [
+        *(("denniston_gr4", (t, k)) for t in range(2, 7) for k in range(1, t + 1)),
+        ("denniston_odd", (3, 1)), ("spence", (1,)), ("spence", (2,)),
+        ("rds_transfer", (1, 1)), ("rds_transfer", (1, 2))]])
+def test_field_family_matches_its_scalar_reference(family, args):
+    """Members, automorphism images, candidates and log lines of the array
+    constructions against the one-element-at-a-time references in oracle,
+    over the same moduli."""
+    if family == "denniston_gr4":
+        ring = galois_ring_make(args[0])
+        moduli = (ring.phi2, ring.phi)
+    elif family == "denniston_odd":
+        p, t = args
+        moduli = (field_make(p, p * t).modulus, field_make(p, 2 * p * t).modulus)
+    elif family == "spence":
+        moduli = ((1, 2, 0, 1) if args[0] == 1 else field_make(3, 3 * args[0]).modulus,)
+    else:
+        moduli = (field_make(2, 2 * args[0]).modulus,)
+    assert _outputs(getattr(families, family)(*args)) == getattr(oracle, family)(*args, *moduli)
 
 
 def test_denniston_odd(corpus):

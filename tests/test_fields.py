@@ -62,10 +62,48 @@ def test_frobenius_is_field_automorphism(p, m):
     rng = random.Random(0xF20B)
     for _ in range(200):
         a, b = rng.randrange(F.q), rng.randrange(F.q)
-        assert F.frob(F.add(a, b), 1) == F.add(F.frob(a, 1), F.frob(b, 1))
+        assert F.frob(F.additive.mul(a, b), 1) == F.additive.mul(F.frob(a, 1), F.frob(b, 1))
         assert F.frob(F.mul(a, b), 1) == F.mul(F.frob(a, 1), F.frob(b, 1))
         assert F.frob(a, 1) == F.pow(a, p)
         assert F.frob(a, m) == a
+
+
+ONE_BODY_FIELDS = ([(2, m) for m in range(1, 7)] + [(3, m) for m in range(1, 5)]
+                   + [(5, 2), (7, 3)])
+
+
+@pytest.mark.parametrize("p,m", ONE_BODY_FIELDS)
+def test_scalar_operations_are_the_vector_ones_on_one_element(p, m):
+    """mul, inv, pow, frob, trace and in_subfield on every element against
+    their vector forms (mul_many, inv_many, pow_many, the traces table) and
+    the one-element-at-a-time reference, whose trace is the Frobenius sum."""
+    F = field_make(p, m)
+    ref, q, x = oracle.Field(p, F.modulus), F.q, np.arange(F.q)
+    g = int(F.exp[-1])  # 1 / x, or 1 in GF(2)
+    assert F.mul_many(x[:, None], x).tolist() == [[ref.mul(a, b) for b in x] for a in x]
+    assert F.inv_many(x[1:]).tolist() == [ref.inv(a) for a in range(1, q)]
+    assert F.traces.tolist() == [ref.trace(a) for a in range(q)]
+    exponents = [0, 1, 2, p, q - 2, q - 1, q, 3 * q + 1, 2 ** 70 + 1, -1, -q]
+    powers = {e: F.pow_many(x[1:] if e < 0 else x, e).tolist() for e in exponents}
+    frobs = [F.pow_many(x, p ** k) for k in range(m + 1)]
+    for a in range(q):
+        assert [F.mul(a, b) for b in (0, 1, g, a)] == [ref.mul(a, b) for b in (0, 1, g, a)]
+        assert F.trace(a) == ref.trace(a)
+        for e in exponents:
+            if a or e >= 0:
+                assert F.pow(a, e) == powers[e][a - (e < 0)] == ref.pow(a, e), (a, e)
+        for k in range(m + 1):
+            assert F.frob(a, k) == frobs[k][a] == ref.frob(a, k)
+            assert F.in_subfield(a, k) == (frobs[k][a] == a) == ref.in_subfield(a, k)
+        if a:
+            assert F.inv(a) == ref.inv(a)
+    # 0^0 = 1 and 0^e = 0 for every e > 0, q - 1 included; 0 has no inverse
+    # and no negative power
+    assert [F.pow(0, e) for e in (0, 1, q - 1, 2 ** 70)] == [1, 0, 0, 0]
+    for call in (lambda: F.inv(0), lambda: F.inv_many(x), lambda: F.pow(0, -1),
+                 lambda: F.pow_many(x, -q)):
+        with pytest.raises(ZeroDivisionError):
+            call()
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2)])
@@ -75,7 +113,7 @@ def test_trace_matches_power_sum_and_is_balanced(p, m):
     for a in range(F.q):
         t = a
         for k in range(1, m):
-            t = F.add(t, F.pow(a, p**k))
+            t = F.additive.mul(t, F.pow(a, p**k))
         assert F.trace(a) == t
         assert t < p  # trace lands in the prime field
         counts[t] = counts.get(t, 0) + 1
@@ -99,11 +137,27 @@ DEFAULT_FIELDS = [(p, m) for p in range(2, 730) if _prime(p)
                   for m in range(1, 10) if p ** m <= 729]
 
 
-@pytest.mark.parametrize("p,m", DEFAULT_FIELDS + [(2, 10), (2, 11), (2, 12), (3, 7), (7, 4)])
+# the fields above 729 each skip the blocks of one or more constant terms
+@pytest.mark.parametrize("p,m", DEFAULT_FIELDS + [
+    (2, 10), (2, 11), (2, 12), (3, 7), (7, 4),
+    (5, 5), (11, 3), (13, 3), (17, 3), (31, 2), (101, 2), (127, 2)])
 def test_default_modulus_matches_sequential_search(p, m):
-    """The chunked search, its skip of c_0 = 0, its root filter and its
-    batched certificate never change the choice."""
+    """The chunked search, its skip of the constant terms no primitive
+    modulus has, its root filter and its batched certificate never change
+    the choice."""
     assert fields._default_modulus(p, m) == oracle.default_modulus(p, m)
+
+
+@pytest.mark.parametrize("p,m,modulus", [
+    (3, 12, (2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1)),
+    (7, 7, (2, 0, 0, 0, 0, 0, 5, 1)),
+    (1021, 2, (10, 1, 1)),
+])
+def test_default_modulus_of_slow_fields_is_pinned(p, m, modulus):
+    """Fields whose search over every constant term takes 0.2 to 9 s, where
+    the sequential oracle is slower still: their moduli as that search
+    found them."""
+    assert fields._default_modulus(p, m) == modulus
 
 
 CHUNKED_FIELDS = [(2, 8), (2, 10), (3, 6), (5, 4), (7, 3), (7, 4), (11, 2), (13, 2), (727, 1)]
@@ -185,7 +239,7 @@ def test_hyperplanes_dim1_translate_the_power_sum_trace_kernel(p, m, override):
 def test_modulus_override_spence_cubic():
     # theta^3 = theta + 2 over GF(3), i.e. x^3 + 2x + 1 with -2 = 1 constant.
     F = field_make(3, 3, modulus_override=(1, 2, 0, 1))
-    assert F.pow(3, 3) == F.add(3, 2)  # x^3 = x + 2
+    assert F.pow(3, 3) == F.additive.mul(3, 2)  # x^3 = x + 2
 
 
 def test_hyperplanes_dim1():
@@ -196,7 +250,7 @@ def test_hyperplanes_dim1():
         mem = set(pl.tolist())
         assert len(mem) == F.q // F.p and 0 in mem
         # additively closed
-        assert all(F.add(a, b) in mem for a in mem for b in mem)
+        assert all(F.additive.mul(a, b) in mem for a in mem for b in mem)
     assert len({tuple(pl.tolist()) for pl in planes}) == 7
 
 
@@ -223,7 +277,7 @@ def test_field_embed_is_a_ring_embedding():
     for a in range(F1.q):
         assert F2.in_subfield(int(emb[a]), F1.m)
         for b in range(F1.q):
-            assert int(emb[F1.add(a, b)]) == F2.add(int(emb[a]), int(emb[b]))
+            assert int(emb[F1.additive.mul(a, b)]) == F2.additive.mul(int(emb[a]), int(emb[b]))
             assert int(emb[F1.mul(a, b)]) == F2.mul(int(emb[a]), int(emb[b]))
 
 
@@ -242,7 +296,7 @@ def test_galois_ring_ideal_and_projection():
     # iso_table identifies the ideal 2R with the residue field additively
     for a in range(F.q):
         for b in range(F.q):
-            assert int(ring.iso_table[F.add(a, b)]) == ring.add(
+            assert int(ring.iso_table[F.additive.mul(a, b)]) == ring.additive.mul(
                 int(ring.iso_table[a]), int(ring.iso_table[b]))
     # 2R is the kernel of reduction mod 2: every Z4 digit of its elements is even
     assert all(d % 2 == 0 for c in ring.iso_table.tolist() for d in oracle.decode((4, 4), c))
@@ -253,9 +307,10 @@ def test_galois_ring_ideal_and_projection():
     ("GF", 3, 6),  # 729 codes: two arithmetic blocks (243 and 3), so the radix matters
 ])
 def test_addition_matches_digitwise_oracle(kind, p, m):
-    """add, and additive.mul_many on arrays, against the code of the digit-wise
-    sum (da + db) % p with the digits taken by integer division.  add runs on
-    every pair up to 4096 pairs, on an even sample of them above that."""
+    """additive.mul, and additive.mul_many on arrays, against the code of the
+    digit-wise sum (da + db) % p with the digits taken by integer division.
+    additive.mul runs on every pair up to 4096 pairs, on an even sample of
+    them above that."""
     ring = field_make(p, m) if kind == "GF" else galois_ring_make(m)
     q = p ** m
     a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
@@ -263,7 +318,7 @@ def test_addition_matches_digitwise_oracle(kind, p, m):
     assert ring.additive.mul_many(a, b).tolist() == expect.tolist()
     step = max(1, q * q // 4096)
     xs, ys, want = a.ravel()[::step], b.ravel()[::step], expect.ravel()[::step]
-    assert [ring.add(int(x), int(y)) for x, y in zip(xs, ys)] == want.tolist()
+    assert [ring.additive.mul(int(x), int(y)) for x, y in zip(xs, ys)] == want.tolist()
     assert ring.additive.mul_many(xs, ys).tolist() == want.tolist()
     if kind == "GF":
         assert ring.digits.tolist() == [[x // p**i % p for i in range(m)] for x in range(q)]

@@ -318,14 +318,25 @@ def test_lifted_recounts_take_one_forward_row_and_one_inverse(corpus, monkeypatc
     assert max(slices) == 7
 
 
-def _spoil_inverse_transform(monkeypatch, shift):
-    """Shift every inverse character transform by `shift`, past the guard."""
+def _spoil_inverse_transform(monkeypatch, spoil):
+    """Pass every inverse character transform through `spoil`, past the guard."""
     real = AbelianGroup.character_transform
 
-    def shifted(self, f, inverse=False):
-        return real(self, f, inverse) + (shift if inverse else 0.0)
+    def spoiled(self, f, inverse=False):
+        out = real(self, f, inverse)
+        return spoil(out) if inverse else out
 
-    monkeypatch.setattr(AbelianGroup, "character_transform", shifted)
+    monkeypatch.setattr(AbelianGroup, "character_transform", spoiled)
+
+
+def _first_count_to_minus_one(out):
+    """Move c + 1 units in each row from its first entry, whose true count is
+    c, to its last: the counts stay integers summing to k^2, and one is -1."""
+    rows = out.reshape(-1, out.shape[-1]).copy()
+    moved = np.rint(rows[:, 0].real) + 1
+    rows[:, 0] -= moved
+    rows[:, -1] += moved
+    return rows.reshape(out.shape)
 
 
 def _spy_direct(monkeypatch):
@@ -345,27 +356,30 @@ def _guard_design(corpus, name, which):
     return inst.design if which == "base" else rep.new_design
 
 
-# One shift past each clause of the guard: 0.4 leaves a residual of 0.4,
-# 1.0 only makes the counts sum past k^2, and -1.0 makes zero counts
-# negative (and the sum short).
-GUARD_CASES = [pytest.param(which, shift, id=which + label)
-               for shift, label in ((0.4, ""), (1.0, "-sum"), (-1.0, "-negative"))
+# One spoil past each clause of the guard: a shift by 0.4 leaves a residual
+# of 0.4, by 1.0 only makes the counts sum past k^2, and by -1.0 makes zero
+# counts negative (and the sum short); _first_count_to_minus_one makes one
+# count negative and nothing else.
+GUARD_CASES = [pytest.param(which, spoil, id=which + label)
+               for spoil, label in ((lambda out: out + 0.4, ""), (lambda out: out + 1.0, "-sum"),
+                                    (lambda out: out - 1.0, "-negative"),
+                                    (_first_count_to_minus_one, "-negative-only"))
                for which in ("base", "lifted", "nested")]
 
 
-@pytest.mark.parametrize("which, shift", GUARD_CASES)
-def test_fft_guard_falls_back_to_direct(corpus, monkeypatch, which, shift):
+@pytest.mark.parametrize("which, spoil", GUARD_CASES)
+def test_fft_guard_falls_back_to_direct(corpus, monkeypatch, which, spoil):
     design = _guard_design(corpus, "mcfarland_even_d2_v3" if which == "nested" else "dillon",
                            which)
     expected = difference_profile(design)
-    _spoil_inverse_transform(monkeypatch, shift)
+    _spoil_inverse_transform(monkeypatch, spoil)
     direct_calls = _spy_direct(monkeypatch)
     assert np.array_equal(difference_profile(design), expected)
     assert direct_calls == [(design.group, False)]
 
 
-@pytest.mark.parametrize("which, shift", GUARD_CASES)
-def test_srg_guard_falls_back_to_direct(corpus, monkeypatch, which, shift):
+@pytest.mark.parametrize("which, spoil", GUARD_CASES)
+def test_srg_guard_falls_back_to_direct(corpus, monkeypatch, which, spoil):
     if which == "nested":
         # the nested lift is not inverse-closed; the elements outside its
         # top-0 subgroup are, and form a complete multipartite graph
@@ -375,7 +389,7 @@ def test_srg_guard_falls_back_to_direct(corpus, monkeypatch, which, shift):
     else:
         design = _guard_design(corpus, "denniston_gr4_t3_k3", which)
     expected = cayley_srg_check(design)
-    _spoil_inverse_transform(monkeypatch, shift)
+    _spoil_inverse_transform(monkeypatch, spoil)
     direct_calls = _spy_direct(monkeypatch)
     assert cayley_srg_check(design) == expected
     assert direct_calls == [(design.group, True)]
